@@ -36,7 +36,6 @@ from .equations import (  # noqa: F401
     direct_gve_residual,
     identity_report,
     initial_state,
-    linearize_apply,
     make_state,
     metric_density,
     residual_fields,

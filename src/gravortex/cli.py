@@ -33,6 +33,7 @@ from .solvers import (
     ContinuationSchedule,
     SolverConfig,
     advance_gravitating,
+    default_alpha_targets,
     solve_eb,
     solve_gravitating,
     solve_vortex,
@@ -149,7 +150,7 @@ class RunConfig:
     sigma: Optional[object] = None
     solver: SolverConfig = SolverConfig()
     schedule_targets: Optional[tuple] = None
-    max_step_halvings: int = 10
+    max_step_halvings: int = ContinuationSchedule.max_step_halvings
     record_path: Optional[str] = None
     fields_csv: Optional[str] = None
     sweep_jsonl: Optional[str] = None
@@ -259,10 +260,6 @@ def config_from_dict(data: dict) -> RunConfig:
         value = solver_data[name]
         if name in ("max_newton_iters", "linear_maxiter"):
             kwargs[name] = _expect_int(value, f"solver.{name}", 1)
-        elif name == "damping":
-            if value not in ("backtracking", "none"):
-                raise ConfigError("solver.damping", "expected 'backtracking' or 'none'")
-            kwargs[name] = value
         else:
             kwargs[name] = parse_real(value, f"solver.{name}")
     solver = SolverConfig(**kwargs)
@@ -278,7 +275,7 @@ def config_from_dict(data: dict) -> RunConfig:
         targets = tuple(
             parse_real(a, f"schedule.alpha_targets[{i}]") for i, a in enumerate(targets)
         )
-    halvings = _expect_int(schedule.get("max_step_halvings", 10),
+    halvings = _expect_int(schedule.get("max_step_halvings", RunConfig.max_step_halvings),
                            "schedule.max_step_halvings", 0)
 
     output = data.get("output", {})
@@ -386,13 +383,24 @@ def _solve_setup(config: RunConfig) -> tuple[SurfaceGrid, SectionData]:
     return grid, section
 
 
+def _has_default_schedule(config: RunConfig) -> bool:
+    return (config.schedule_targets is None
+            and config.max_step_halvings == RunConfig.max_step_halvings)
+
+
+def _reject_schedule(config: RunConfig) -> None:
+    """Commands other than SolveGravitating run no configurable continuation."""
+    if not _has_default_schedule(config):
+        raise ConfigError("schedule", f"{config.command} does not take a continuation schedule")
+
+
 def _schedule_for(config: RunConfig, alpha: float) -> Optional[ContinuationSchedule]:
+    if _has_default_schedule(config):
+        return None
     targets = config.schedule_targets
     if targets is None:
-        if config.max_step_halvings == 10:
-            return None
-        targets = (0.0,) if alpha == 0.0 else tuple(alpha * k / 4.0 for k in range(5))
-    if targets[-1] != alpha:
+        targets = default_alpha_targets(alpha)
+    if not targets or targets[-1] != alpha:
         raise ConfigError("schedule.alpha_targets", f"must end at alpha = {alpha}")
     try:
         return ContinuationSchedule(targets, config.max_step_halvings)
@@ -448,6 +456,7 @@ def run(config: RunConfig) -> dict:
         tau, alpha = config.tau_value, config.alpha_value
         try:
             if config.command == "SolveVortex":
+                _reject_schedule(config)
                 state, report = solve_vortex(grid, section, tau, config.solver)
             elif config.command == "SolveGravitating":
                 if alpha < 0.0:
@@ -461,6 +470,7 @@ def run(config: RunConfig) -> dict:
                     raise ConfigError(
                         "alpha", "the EB coupling is determined by tau and N; leave alpha at 0"
                     )
+                _reject_schedule(config)
                 state, report = solve_eb(grid, section, tau, config.solver)
         except ValueError as exc:
             raise ConfigError("config", str(exc)) from None
@@ -489,6 +499,7 @@ def sweep_alpha(config: RunConfig) -> list[dict]:
         raise ConfigError("alpha_values[0]", "the first alpha must be 0 (continuation anchor)")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ConfigError("alpha_values", "alphas must be strictly ascending")
+    _reject_schedule(config)
     grid, section = _solve_setup(config)
     tau = config.tau_value
 

@@ -1,4 +1,4 @@
-"""Residuals, linearisations, and integral diagnostics for the three equation kinds.
+"""Problem specs, the residual, and integral diagnostics for the three equation kinds.
 
 All equations live on an area-2*pi background with positive Laplacian
 ``Delta`` and background curvature constant N (the degree).  Writing
@@ -17,7 +17,10 @@ The additive constant c' is the volume gauge of the conformal factor: it is
 determined by Vol(e^{2u} omega_0) = 2*pi and is stored on the problem spec
 (0 for a freshly posed problem; the solvers treat it as an unknown).  The
 gravitating equations at c = 0, v = 0 reduce exactly to the EB equation, and
-at alpha = 0, v = 0, c' = 0 to the vortex equation.
+at alpha = 0, v = 0, c' = 0 to the vortex equation, so ``residual_fields``
+evaluates one formula for all three kinds (W = exp(0) = 1 for vortex).  Its
+Jacobian, bordered by the c' column and the gauge row, is
+``solvers._NewtonSystem``.
 
 ``direct_gve_residual`` evaluates the *unreduced* coupled system (the metric
 equation for the conformal density together with the curvature equation) so
@@ -178,108 +181,39 @@ def exponent_overflow(state: FieldState) -> bool:
     """
     if np.max(np.abs(2.0 * state.f.values)) > _EXP_CLAMP:
         return True
-    if state.spec.kind is not EquationKind.VORTEX:
-        q = _weight_exponent(state, _p_of(state))
-        if np.max(np.abs(q)) > _EXP_CLAMP:
-            return True
-    return False
+    q = _weight_exponent(state, _p_of(state))
+    return bool(np.max(np.abs(q)) > _EXP_CLAMP)
 
 
 def conformal_weight(state: FieldState) -> ScalarField:
-    """The kind's conformal weight W multiplying the background area form.
+    """The conformal weight W = exp(4 alpha tau f - 2 alpha P - 2 c v + 2 c').
 
-    1 for vortex; exp(4 alpha tau f - 2 alpha P - 2 c v + 2 c') for
-    gravitating; e^{2u} (the same expression with v = 0, c = 0) for EB.
+    W multiplies the background area form: exactly 1 for vortex states
+    (alpha = c = c' = 0) and e^{2u} for EB states (c = 0, v = 0).
     """
-    if state.spec.kind is EquationKind.VORTEX:
-        return constant_field(state.spec.grid, 1.0)
     p = _p_of(state)
     return ScalarField(state.spec.grid, _clamped_exp(_weight_exponent(state, p)))
 
 
 # ---------------------------------------------------------------------------
-# residuals
+# the residual
 # ---------------------------------------------------------------------------
 
 
-def vortex_residual(state: FieldState) -> ScalarField:
-    """Delta f + (1/2)(e^{2f} a - tau) + N for a vortex-kind state."""
-    if state.spec.kind is not EquationKind.VORTEX:
-        raise ValueError("state is not a vortex problem")
-    s = state.spec
-    p = _p_of(state)
-    lap = laplacian_apply(state.f)
-    return ScalarField(s.grid, lap.values + 0.5 * (p - s.tau) + s.degree)
+def residual_fields(state: FieldState) -> tuple[ScalarField, ...]:
+    """(R1,) for vortex and EB states, (R1, R2) for gravitating states.
 
-
-def gravortex_residual(state: FieldState) -> tuple[ScalarField, ScalarField]:
-    """The gravitating pair (R1, R2) = (f-equation, conformal-factor equation)."""
-    if state.spec.kind is not EquationKind.GRAVITATING:
-        raise ValueError("state is not a gravitating problem")
+    R1 = Delta f + (1/2)(P - tau) W + N and R2 = Delta v + W - 1, with the
+    conformal weight W of :func:`conformal_weight`.
+    """
     s = state.spec
     p = _p_of(state)
     w = _clamped_exp(_weight_exponent(state, p))
     r1 = laplacian_apply(state.f).values + 0.5 * (p - s.tau) * w + s.degree
+    if s.kind is not EquationKind.GRAVITATING:
+        return (ScalarField(s.grid, r1),)
     r2 = laplacian_apply(state.v).values + w - 1.0
     return ScalarField(s.grid, r1), ScalarField(s.grid, r2)
-
-
-def eb_residual(state: FieldState) -> ScalarField:
-    """Delta f + (1/2) e^{2u} (e^{2f} a - tau) + N for an EB-kind state."""
-    if state.spec.kind is not EquationKind.EINSTEIN_BOGOMOLNYI:
-        raise ValueError("state is not an Einstein-Bogomol'nyi problem")
-    s = state.spec
-    p = _p_of(state)
-    e2u = _clamped_exp(_weight_exponent(state, p))
-    r = laplacian_apply(state.f).values + 0.5 * (p - s.tau) * e2u + s.degree
-    return ScalarField(s.grid, r)
-
-
-def residual_fields(state: FieldState) -> tuple[ScalarField, ...]:
-    """The state's residual components as a tuple (1 or 2 fields)."""
-    kind = state.spec.kind
-    if kind is EquationKind.VORTEX:
-        return (vortex_residual(state),)
-    if kind is EquationKind.GRAVITATING:
-        return gravortex_residual(state)
-    return (eb_residual(state),)
-
-
-# ---------------------------------------------------------------------------
-# linearisation (at frozen c')
-# ---------------------------------------------------------------------------
-
-
-def linearize_apply(state: FieldState, df: ScalarField, dv: ScalarField | None = None):
-    """Directional derivative of the state's residual at fixed c'.
-
-    For vortex and EB states returns a single field (dv must be omitted or
-    zero); for gravitating states returns the pair (dR1, dR2).  Matches the
-    residuals to first order: finite-difference quotients of the residuals
-    converge to this map with O(eps) error.
-    """
-    s = state.spec
-    kind = s.kind
-    if kind is EquationKind.VORTEX:
-        if dv is not None and np.any(dv.values != 0.0):
-            raise ValueError("vortex linearisation has no dv argument")
-        p = _p_of(state)
-        return ScalarField(s.grid, laplacian_apply(df).values + p * df.values)
-    if kind is EquationKind.EINSTEIN_BOGOMOLNYI:
-        if dv is not None and np.any(dv.values != 0.0):
-            raise ValueError("EB linearisation has no dv argument")
-        p = _p_of(state)
-        e2u = _clamped_exp(_weight_exponent(state, p))
-        mult = e2u * (p - 2.0 * s.alpha * (p - s.tau) ** 2)
-        return ScalarField(s.grid, laplacian_apply(df).values + mult * df.values)
-    if dv is None:
-        dv = constant_field(s.grid, 0.0)
-    p = _p_of(state)
-    w = _clamped_exp(_weight_exponent(state, p))
-    dw = w * (4.0 * s.alpha * (s.tau - p) * df.values - 2.0 * s.c * dv.values)
-    dr1 = laplacian_apply(df).values + p * w * df.values + 0.5 * (p - s.tau) * dw
-    dr2 = laplacian_apply(dv).values + dw
-    return ScalarField(s.grid, dr1), ScalarField(s.grid, dr2)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +233,11 @@ def scalar_curvature(grid: SurfaceGrid, u: ScalarField) -> ScalarField:
 def conformal_exponent(state: FieldState) -> ScalarField:
     """u with metric e^{2u} g_0 for the state's kind.
 
-    Vortex: 0.  EB: the explicit exponent.  Gravitating: (1/2) log(1 - Delta v),
-    which requires the density to be positive.
+    Gravitating: (1/2) log(1 - Delta v), which requires the density to be
+    positive.  Vortex and EB: half the weight exponent (0 for vortex).
     """
     s = state.spec
-    if s.kind is EquationKind.VORTEX:
-        return constant_field(s.grid, 0.0)
-    if s.kind is EquationKind.EINSTEIN_BOGOMOLNYI:
+    if s.kind is not EquationKind.GRAVITATING:
         p = _p_of(state)
         return ScalarField(s.grid, 0.5 * _weight_exponent(state, p))
     dens = conformal_density(s.grid, state.v)
@@ -315,14 +247,10 @@ def conformal_exponent(state: FieldState) -> ScalarField:
 
 
 def metric_density(state: FieldState) -> ScalarField:
-    """Conformal density of the solved metric: 1, 1 - Delta v, or e^{2u}."""
-    s = state.spec
-    if s.kind is EquationKind.VORTEX:
-        return constant_field(s.grid, 1.0)
-    if s.kind is EquationKind.GRAVITATING:
-        return conformal_density(s.grid, state.v)
-    p = _p_of(state)
-    return ScalarField(s.grid, _clamped_exp(_weight_exponent(state, p)))
+    """Conformal density of the solved metric: 1 - Delta v (gravitating) or W."""
+    if state.spec.kind is EquationKind.GRAVITATING:
+        return conformal_density(state.spec.grid, state.v)
+    return conformal_weight(state)
 
 
 def direct_gve_residual(state: FieldState) -> tuple[ScalarField, ScalarField]:
@@ -345,14 +273,12 @@ def direct_gve_residual(state: FieldState) -> tuple[ScalarField, ScalarField]:
         raise ValueError("the unreduced system is defined for gravitating/EB states")
     u = conformal_exponent(state)
     p = _p_of(state)
-    e2u = np.exp(2.0 * u.values)
     inv = np.exp(-2.0 * u.values)
     lap_f = laplacian_apply(state.f).values
     r1 = inv * (s.degree + lap_f) + 0.5 * (p - s.tau)
     s_eq = inv * (0.5 * s.grid.base_scalar_curvature + laplacian_apply(u).values)
     lap_p = laplacian_apply(ScalarField(s.grid, p)).values
     r2 = s_eq + s.alpha * (inv * lap_p + s.tau * (p - s.tau)) - s.c
-    del e2u
     return ScalarField(s.grid, r1), ScalarField(s.grid, r2)
 
 

@@ -283,15 +283,19 @@ def mean_value(f: ScalarField) -> float:
     return integrate(f) / TWO_PI
 
 
-def laplacian_apply(f: ScalarField) -> ScalarField:
-    """Positive background Laplacian of f (spectral; exact on band-limited data)."""
-    grid = f.grid
-    v2 = grid.to2d(f.values)
+def laplacian_values(grid: SurfaceGrid, values: np.ndarray) -> np.ndarray:
+    """Positive background Laplacian of raw node values (the hot-loop form)."""
+    v2 = grid.to2d(values)
     if grid.model is SurfaceModel.SPHERE:
         out = grid._sht.apply_multiplier(v2, lambda ls: 2.0 * ls * (ls + 1.0))
     else:
         out = np.real(np.fft.ifft2(np.fft.fft2(v2) * grid._eigs2d))
-    return ScalarField(grid, out.reshape(-1))
+    return out.reshape(-1)
+
+
+def laplacian_apply(f: ScalarField) -> ScalarField:
+    """Positive background Laplacian of f (spectral; exact on band-limited data)."""
+    return ScalarField(f.grid, laplacian_values(f.grid, f.values))
 
 
 def laplacian_invert(rhs: ScalarField) -> ScalarField:
@@ -393,9 +397,3 @@ def node_distances(grid: SurfaceGrid, p) -> np.ndarray:
     dy = np.minimum(dy, 1.0 - dy)
     return math.sqrt(TWO_PI) * np.hypot(dx, dy)
 
-
-def surface_diameter(model: SurfaceModel) -> float:
-    model = SurfaceModel(model)
-    if model is SurfaceModel.SPHERE:
-        return math.pi / math.sqrt(2.0)
-    return math.sqrt(TWO_PI) * math.sqrt(0.5)

@@ -1,6 +1,8 @@
 """Damped Newton solvers with spectral preconditioning and coupling continuation.
 
-One matrix-free Newton engine drives all three equation kinds.  The unknown
+One bordered Newton system, ``_NewtonSystem``, drives all three equation
+kinds: it stacks the residual of ``equations.residual_fields`` with the gauge
+row, and its ``matvec`` is the only Jacobian in the package.  The unknown
 vector is f (vortex), (f, c') (EB), or (f, v, c') (gravitating); the additive
 volume-gauge constant c' of the conformal factor is an explicit Newton
 unknown, paired with the volume/mean constraints:
@@ -11,8 +13,9 @@ unknown, paired with the volume/mean constraints:
   Delta v integrates to zero).
 
 Linear systems are solved with preconditioned LGMRES; the preconditioner is
-the exact spectral (Delta + 1)^{-1} applied blockwise.  Damping is Armijo
-backtracking on the quadratic merit (1/2)||R||^2 in the background L2 norm.
+the exact spectral (Delta + shift)^{-1} applied blockwise.  Damping is Armijo
+backtracking on the quadratic merit (1/2)||R||^2 in the background L2 norm;
+the accepted trial's system becomes the next step's system.
 
 Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
 (nonlinearity exponent beyond the guard), StepFloor (backtracking collapsed).
@@ -49,7 +52,7 @@ from .equations import (
     make_state,
     residual_fields,
 )
-from .geometry import ScalarField, SurfaceGrid, SurfaceModel, constant_field, smoothing_invert
+from .geometry import ScalarField, SurfaceGrid, SurfaceModel, laplacian_values, smoothing_invert
 from .sections import SectionData
 
 TWO_PI = 2.0 * math.pi
@@ -73,15 +76,10 @@ class SolverConfig:
 
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
-    damping: str = "backtracking"  # "backtracking" (Armijo 1e-4) or "none"
     armijo_constant: float = 1e-4
     linear_tol: float = 1e-12
     linear_maxiter: int = 8
     divergence_norm: float = 1e6
-
-    def __post_init__(self):
-        if self.damping not in ("backtracking", "none"):
-            raise ValueError(f"unknown damping mode {self.damping!r}")
 
 
 @dataclass(frozen=True)
@@ -132,116 +130,104 @@ class SolveReport:
 
 
 class _NewtonSystem:
-    """Residual stack, Jacobian action, and preconditioner at a frozen state."""
+    """Bordered residual, Jacobian action, and preconditioner at a frozen state.
+
+    The block layout is fixed per kind in ``__init__``: the f rows; the v rows
+    when v is an unknown (gravitating); then the c' column and its gauge row
+    (gravitating and EB), which reads mean(v) when v is an unknown and
+    (Vol - 2 pi)/(2 pi) otherwise.  Blocks a kind lacks read as zero, so the
+    methods share one code path.
+    """
 
     def __init__(self, state: FieldState):
-        self.state = state
         s = state.spec
-        self.spec = s
-        self.grid = s.grid
+        self.state, self.spec, self.grid = state, s, s.grid
         self.n = s.grid.n_nodes
-        self.kind = s.kind
-        self.p = _p_of(state)
+        self.has_v = s.kind is EquationKind.GRAVITATING
+        self.bordered = s.kind is not EquationKind.VORTEX
+        self.field_rows = (2 if self.has_v else 1) * self.n
+        self.size = self.field_rows + int(self.bordered)
+        self._volume_offset = 0.0 if self.has_v else TWO_PI
+        p = _p_of(state)
+        self.w = _clamped_exp(_weight_exponent(state, p))
+        # pointwise coefficients of the Jacobian: dW = W (a df - 2c dv + 2 dc),
+        # dR1 = Delta df + P W df + (1/2)(P - tau) dW, dR2 = Delta dv + dW
+        self._a = 4.0 * s.alpha * (s.tau - p)
+        self._pw = p * self.w
+        self._half_pt = 0.5 * (p - s.tau)
+        # the alpha = 0 guard keeps 0 * (P - tau)^2 from turning an overflow into NaN
+        curv = 2.0 * s.alpha * (p - s.tau) ** 2 if s.alpha else 0.0
         wq = self.grid.quad_weights
-        if self.kind is EquationKind.VORTEX:
-            self.w = None
-            self.size = self.n
-            self._shift_f = max(1e-6, float(np.dot(wq, self.p)) / TWO_PI)
-            self._shift_v = 1.0
-        else:
-            self.w = _clamped_exp(_weight_exponent(state, self.p))
-            self.size = 2 * self.n + 1 if self.kind is EquationKind.GRAVITATING else self.n + 1
-            mult = self.p * self.w - 2.0 * s.alpha * (self.p - s.tau) ** 2 * self.w
-            self._shift_f = max(1e-6, float(np.dot(wq, np.abs(mult))) / TWO_PI)
-            self._shift_v = max(1e-6, float(np.dot(wq, np.abs(2.0 * s.c * self.w))) / TWO_PI)
+        mult = self._pw - curv * self.w
+        self._shifts = (max(1e-6, float(np.dot(wq, np.abs(mult))) / TWO_PI),)
+        if self.has_v:
+            shift_v = float(np.dot(wq, np.abs(2.0 * s.c * self.w))) / TWO_PI
+            self._shifts += (max(1e-6, shift_v),)
+        self._rv = None
+
+    def _split(self, x: np.ndarray):
+        """(df, dv, dc) of a vector in the block layout; absent blocks read as 0."""
+        n = self.n
+        dv = x[n : 2 * n] if self.has_v else 0.0
+        dc = float(x[-1]) if self.bordered else 0.0
+        return x[:n], dv, dc
+
+    def _stack(self, rows: list, v, w, offset: float) -> np.ndarray:
+        """The field rows, then the gauge row on v (v an unknown) or on w."""
+        if self.bordered:
+            gauge = v if self.has_v else w
+            rows = rows + [[(float(np.dot(self.grid.quad_weights, gauge)) - offset) / TWO_PI]]
+        return np.concatenate(rows)
 
     # -- residual -----------------------------------------------------------
     def residual_vector(self) -> tuple[np.ndarray, float]:
-        """Stacked residual and the sup-norm over the equation components."""
-        cached = getattr(self, "_rv", None)
-        if cached is not None:
-            return cached
-        fields = residual_fields(self.state)
-        sup = max(float(np.max(np.abs(f.values))) for f in fields)
-        parts = [f.values for f in fields]
-        if self.kind is EquationKind.EINSTEIN_BOGOMOLNYI:
-            gauge = (float(np.dot(self.grid.quad_weights, self.w)) - TWO_PI) / TWO_PI
-            parts.append(np.array([gauge]))
-            sup = max(sup, abs(gauge))
-        elif self.kind is EquationKind.GRAVITATING:
-            gauge = float(np.dot(self.grid.quad_weights, self.state.v.values)) / TWO_PI
-            parts.append(np.array([gauge]))
-        self._rv = (np.concatenate(parts), sup)
+        """Stacked residual and its sup norm over every row."""
+        if self._rv is None:
+            rows = [field.values for field in residual_fields(self.state)]
+            r = self._stack(rows, self.state.v.values, self.w, self._volume_offset)
+            self._rv = (r, float(np.max(np.abs(r))))
         return self._rv
 
     # -- Jacobian action ------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        g, s, p = self.grid, self.spec, self.p
-        lap = lambda vals: _lap_values(g, vals)
-        if self.kind is EquationKind.VORTEX:
-            return lap(x) + p * x
-        if self.kind is EquationKind.EINSTEIN_BOGOMOLNYI:
-            df, dc = x[: self.n], x[self.n]
-            dw = self.w * (4.0 * s.alpha * (s.tau - p) * df + 2.0 * dc)
-            dr = lap(df) + p * self.w * df + 0.5 * (p - s.tau) * dw
-            dgauge = float(np.dot(g.quad_weights, dw)) / TWO_PI
-            return np.concatenate([dr, [dgauge]])
-        df, dv, dc = x[: self.n], x[self.n : 2 * self.n], x[2 * self.n]
-        dw = self.w * (4.0 * s.alpha * (s.tau - p) * df - 2.0 * s.c * dv + 2.0 * dc)
-        dr1 = lap(df) + p * self.w * df + 0.5 * (p - s.tau) * dw
-        dr2 = lap(dv) + dw
-        dmean = float(np.dot(g.quad_weights, dv)) / TWO_PI
-        return np.concatenate([dr1, dr2, [dmean]])
+        g = self.grid
+        df, dv, dc = self._split(x)
+        dw = self.w * (self._a * df - 2.0 * self.spec.c * dv + 2.0 * dc)
+        rows = [laplacian_values(g, df) + self._pw * df + self._half_pt * dw]
+        if self.has_v:
+            rows.append(laplacian_values(g, dv) + dw)
+        return self._stack(rows, dv, dw, 0.0)
 
     # -- preconditioner -------------------------------------------------------
     def precond(self, x: np.ndarray) -> np.ndarray:
-        g = self.grid
-        if self.kind is EquationKind.VORTEX:
-            return smoothing_invert(x, g, self._shift_f)
-        if self.kind is EquationKind.EINSTEIN_BOGOMOLNYI:
-            return np.concatenate([smoothing_invert(x[: self.n], g, self._shift_f), x[self.n :]])
-        return np.concatenate(
-            [
-                smoothing_invert(x[: self.n], g, self._shift_f),
-                smoothing_invert(x[self.n : 2 * self.n], g, self._shift_v),
-                x[2 * self.n :],
-            ]
-        )
+        """(Delta + shift)^{-1} on each field block; identity on the gauge entry."""
+        n, g = self.n, self.grid
+        parts = [smoothing_invert(x[k * n : (k + 1) * n], g, shift)
+                 for k, shift in enumerate(self._shifts)]
+        parts.append(x[self.field_rows :])
+        return np.concatenate(parts)
 
     # -- merit weights --------------------------------------------------------
     def merit(self, vec: np.ndarray) -> float:
-        w = self.grid.quad_weights
-        if self.kind is EquationKind.VORTEX:
-            return 0.5 * float(np.dot(w, vec * vec))
-        if self.kind is EquationKind.EINSTEIN_BOGOMOLNYI:
-            r = vec[: self.n]
-            return 0.5 * (float(np.dot(w, r * r)) + TWO_PI * vec[self.n] ** 2)
-        r1, r2 = vec[: self.n], vec[self.n : 2 * self.n]
-        return 0.5 * (
-            float(np.dot(w, r1 * r1)) + float(np.dot(w, r2 * r2)) + TWO_PI * vec[2 * self.n] ** 2
-        )
+        """(1/2) ||vec||^2: L2 on the field rows, 2 pi times the square on the gauge row."""
+        wq = self.grid.quad_weights
+        total = 0.0
+        for r in vec[: self.field_rows].reshape(-1, self.n):
+            total += float(np.dot(wq, r * r))
+        gauge = vec[self.field_rows :]
+        return 0.5 * (total + TWO_PI * float(np.dot(gauge, gauge)))
 
     def apply_update(self, x: np.ndarray, t: float) -> FieldState:
-        st, s = self.state, self.spec
-        if self.kind is EquationKind.VORTEX:
-            return FieldState(ScalarField(self.grid, st.f.values + t * x), st.v, s)
-        if self.kind is EquationKind.EINSTEIN_BOGOMOLNYI:
-            new_spec = replace(s, c_prime=s.c_prime + t * float(x[self.n]))
-            return FieldState(ScalarField(self.grid, st.f.values + t * x[: self.n]), st.v, new_spec)
-        new_spec = replace(s, c_prime=s.c_prime + t * float(x[2 * self.n]))
-        new_v = st.v.values + t * x[self.n : 2 * self.n]
-        new_v = new_v - float(np.dot(self.grid.quad_weights, new_v)) / TWO_PI
+        """The state moved by t times the Newton direction x (v kept mean-zero)."""
+        st, s, g = self.state, self.spec, self.grid
+        df, dv, dc = self._split(x)
+        new_v = st.v.values + t * dv
+        new_v = new_v - float(np.dot(g.quad_weights, new_v)) / TWO_PI
         return FieldState(
-            ScalarField(self.grid, st.f.values + t * x[: self.n]),
-            ScalarField(self.grid, new_v),
-            new_spec,
+            ScalarField(g, st.f.values + t * df),
+            ScalarField(g, new_v),
+            replace(s, c_prime=s.c_prime + t * dc),
         )
-
-
-def _lap_values(grid: SurfaceGrid, vals: np.ndarray) -> np.ndarray:
-    from .geometry import laplacian_apply
-
-    return laplacian_apply(ScalarField(grid, vals)).values
 
 
 # ---------------------------------------------------------------------------
@@ -252,40 +238,31 @@ def _lap_values(grid: SurfaceGrid, vals: np.ndarray) -> np.ndarray:
 def newton_step(state: FieldState, config: SolverConfig = SolverConfig(), _system=None):
     """One damped Newton step.
 
-    Returns (new_state, info) where info records residual_norm (entry sup
-    norm), new_residual_norm, step_scale (0.0 when no step was taken), and
-    flag in {None, "overflow", "step_floor"}.
+    Returns (new_state, info) where info records residual_norm (sup norm over
+    every row of the bordered residual), new_residual_norm, step_scale (0.0
+    when no step was taken), flag in {None, "overflow", "step_floor"}, and
+    system, the Newton system at new_state (the next step reuses it).
     """
     sys = _system if _system is not None else _NewtonSystem(state)
     r, sup = sys.residual_vector()
-    info = {"residual_norm": sup, "new_residual_norm": sup, "step_scale": 0.0, "flag": None}
+    info = {"residual_norm": sup, "new_residual_norm": sup, "step_scale": 0.0, "flag": None,
+            "system": sys}
     if exponent_overflow(state):
         info["flag"] = "overflow"
         return state, info
     op = LinearOperator((sys.size, sys.size), matvec=sys.matvec)
     pre = LinearOperator((sys.size, sys.size), matvec=sys.precond)
-    d, lin_info = lgmres(
-        op,
-        -r,
-        M=pre,
-        rtol=config.linear_tol,
-        atol=0.0,
-        maxiter=config.linear_maxiter,
-        inner_m=30,
-    )
+    d, _ = lgmres(op, -r, M=pre, rtol=config.linear_tol, atol=0.0,
+                  maxiter=config.linear_maxiter, inner_m=30)
     theta0 = sys.merit(r)
-    if config.damping == "none":
-        new_state = sys.apply_update(d, 1.0)
-        r2, sup2 = _NewtonSystem(new_state).residual_vector()
-        info.update(new_residual_norm=sup2, step_scale=1.0)
-        return new_state, info
     t = 1.0
     while True:
         trial = sys.apply_update(d, t)
         if not exponent_overflow(trial):
-            r2, sup2 = _NewtonSystem(trial).residual_vector()
+            trial_sys = _NewtonSystem(trial)
+            r2, sup2 = trial_sys.residual_vector()
             if sys.merit(r2) <= (1.0 - 2.0 * config.armijo_constant * t) * theta0:
-                info.update(new_residual_norm=sup2, step_scale=t)
+                info.update(new_residual_norm=sup2, step_scale=t, system=trial_sys)
                 return trial, info
         t *= 0.5
         if t < _STEP_FLOOR:
@@ -302,13 +279,19 @@ class _LoopResult:
     message: str = ""
 
 
+_FLAG_FAILURES = {
+    "overflow": (FailureReason.OVERFLOW, "nonlinearity exponent exceeded the overflow guard"),
+    "step_floor": (FailureReason.STEP_FLOOR,
+                   "backtracking line search collapsed below the step floor"),
+}
+
+
 def _newton_loop(state: FieldState, config: SolverConfig) -> _LoopResult:
+    if exponent_overflow(state):
+        return _LoopResult(state, 0, math.inf, *_FLAG_FAILURES["overflow"])
+    sys = _NewtonSystem(state)
     iterations = 0
     while True:
-        if exponent_overflow(state):
-            return _LoopResult(state, iterations, math.inf, FailureReason.OVERFLOW,
-                               "nonlinearity exponent exceeded the overflow guard")
-        sys = _NewtonSystem(state)
         _, sup = sys.residual_vector()
         norms = max(
             float(np.max(np.abs(state.f.values))), float(np.max(np.abs(state.v.values)))
@@ -323,12 +306,10 @@ def _newton_loop(state: FieldState, config: SolverConfig) -> _LoopResult:
                                f"residual {sup:.3e} after {iterations} iterations")
         state, info = newton_step(state, config, _system=sys)
         iterations += 1
-        if info["flag"] == "overflow":
-            return _LoopResult(state, iterations, info["residual_norm"], FailureReason.OVERFLOW,
-                               "nonlinearity exponent exceeded the overflow guard")
-        if info["flag"] == "step_floor":
-            return _LoopResult(state, iterations, info["residual_norm"], FailureReason.STEP_FLOOR,
-                               "backtracking line search collapsed below the step floor")
+        if info["flag"] is not None:
+            return _LoopResult(state, iterations, info["residual_norm"],
+                               *_FLAG_FAILURES[info["flag"]])
+        sys = info["system"]
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +406,11 @@ def solve_vortex(
     return loop.state, _certify(loop, 0.0, gate)
 
 
-def _default_schedule(alpha: float) -> ContinuationSchedule:
+def default_alpha_targets(alpha: float) -> tuple:
+    """The default continuation targets 0, alpha/4, alpha/2, 3 alpha/4, alpha."""
     if alpha == 0.0:
-        return ContinuationSchedule((0.0,))
-    return ContinuationSchedule(tuple(alpha * k / 4.0 for k in range(5)))
+        return (0.0,)
+    return tuple(alpha * k / 4.0 for k in range(5))
 
 
 def _continue_in_alpha(
@@ -483,7 +465,7 @@ def solve_gravitating(
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
     if schedule is None:
-        schedule = _default_schedule(alpha)
+        schedule = ContinuationSchedule(default_alpha_targets(alpha))
     if schedule.alpha_targets[-1] != alpha:
         raise ValueError("the continuation schedule must end at the requested alpha")
     n = section.divisor.total_degree
@@ -516,19 +498,13 @@ def solve_gravitating(
         loop = _LoopResult(anchor, vortex_report.iterations, vortex_report.final_residual, None)
         return anchor, _certify(loop, 0.0, None)
     state, reached, last, iters = _continue_in_alpha(anchor, schedule, spec_at, lift, config)
-    loop = _LoopResult(
-        state if last.failure is None else last.state,
-        iters + vortex_report.iterations,
-        last.residual,
-        last.failure,
-        last.message,
-    )
+    message = last.message
     if last.failure is not None:
-        loop.state = state  # report the last certified state, not the failed trial
-        loop.message = (
-            f"continuation stalled at alpha = {reached} (target {alpha}): {last.message}"
-        )
-    return loop.state, _certify(loop, reached, None)
+        message = f"continuation stalled at alpha = {reached} (target {alpha}): {message}"
+    # report the last certified state, not the failed trial
+    loop = _LoopResult(state, iters + vortex_report.iterations, last.residual, last.failure,
+                       message)
+    return state, _certify(loop, reached, None)
 
 
 def advance_gravitating(
@@ -581,7 +557,7 @@ def solve_eb(
         raise ValueError(f"solve_eb requires N < tau/2 (got N = {n}, tau = {tau})")
     alpha_eb = float(stability.eb_coupling(tau, n))
     if schedule is None:
-        schedule = ContinuationSchedule(tuple(alpha_eb * k / 4.0 for k in range(5)))
+        schedule = ContinuationSchedule(default_alpha_targets(alpha_eb))
     if schedule.alpha_targets[-1] != alpha_eb:
         raise ValueError("the EB continuation schedule must end at alpha = 1/(tau N)")
 

@@ -7,6 +7,7 @@ loosen them to make a failing build green.
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -29,7 +30,6 @@ from gravortex import (
     field,
     identity_report,
     laplacian_apply,
-    linearize_apply,
     make_state,
     rescale,
     residual_fields,
@@ -40,6 +40,7 @@ from gravortex import (
     topological_constant,
 )
 from gravortex.radial import solve_eb_radial
+from gravortex.solvers import _NewtonSystem
 
 WALL_LIMIT = 10.0  # seconds per individual solve
 
@@ -251,53 +252,73 @@ def _mean_zero(grid, values):
     return values - np.average(values, weights=grid.quad_weights)
 
 
-@pytest.mark.acceptance(criterion=7, label="linearizations, manufactured solutions, eigenvalues")
-@pytest.mark.parametrize("kind", ["vortex", "gravitating", "eb"])
-def test_linearization_fd_twenty_trials(kind):
-    eps = 1e-4
+def _fd_spec(kind):
     if kind == "eb":
         grid = build_grid("sphere", 16)
         section = build_section(
             grid, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1))
         )
-        spec = ProblemSpec(grid=grid, section=section, tau=8.0,
+        return ProblemSpec(grid=grid, section=section, tau=8.0,
                            kind=EquationKind.EINSTEIN_BOGOMOLNYI,
                            alpha=1.0 / 16.0, c_prime=-0.4)
-    else:
-        grid = build_grid("torus", 24)
-        section = build_section(grid, Divisor(((0.25, 0.25),), (1,)))
-        if kind == "gravitating":
-            spec = ProblemSpec(grid=grid, section=section, tau=2.5,
-                               kind=EquationKind.GRAVITATING, alpha=0.05,
-                               c=-2 * 0.05 * 2.5 * 1, c_prime=0.1)
-        else:
-            spec = ProblemSpec(grid=grid, section=section, tau=2.5,
-                               kind=EquationKind.VORTEX)
+    grid = build_grid("torus", 24)
+    section = build_section(grid, Divisor(((0.25, 0.25),), (1,)))
+    if kind == "gravitating":
+        return ProblemSpec(grid=grid, section=section, tau=2.5,
+                           kind=EquationKind.GRAVITATING, alpha=0.05,
+                           c=-2 * 0.05 * 2.5 * 1, c_prime=0.1)
+    return ProblemSpec(grid=grid, section=section, tau=2.5, kind=EquationKind.VORTEX)
 
+
+def _fd_errors(kind, jacobian=lambda system, x: system.matvec(x), trials=20):
+    """Relative gaps between central differences of the solver's bordered
+    residual in (f, v, c') and its Jacobian action, one per random direction."""
+    eps = 1e-4
+    spec = _fd_spec(kind)
+    grid = spec.grid
     rng = np.random.default_rng(11)
     f0 = _random_band_limited(grid, rng)
     v0 = _mean_zero(grid, _random_band_limited(grid, rng, 0.01)) \
         if kind == "gravitating" else None
-    state = make_state(spec, f0, v0)
+    system = _NewtonSystem(make_state(spec, f0, v0))
 
-    for _ in range(20):
+    errors = []
+    for _ in range(trials):
         df = _random_band_limited(grid, rng)
         dv = _mean_zero(grid, _random_band_limited(grid, rng, 0.01)) \
             if kind == "gravitating" else None
+        dc = rng.uniform(-0.5, 0.5) if kind != "vortex" else 0.0
 
         def residuals(scale):
             f_t = f0 + scale * df
             v_t = None if dv is None else (v0 + scale * dv)
-            return np.stack(
-                [r.values for r in residual_fields(make_state(spec, f_t, v_t))]
-            )
+            spec_t = replace(spec, c_prime=spec.c_prime + scale * dc)
+            return _NewtonSystem(make_state(spec_t, f_t, v_t)).residual_vector()[0]
 
         fd = (residuals(eps) - residuals(-eps)) / (2.0 * eps)
-        lin = linearize_apply(state, field(grid, df),
-                              None if dv is None else field(grid, dv))
-        lin = np.stack([r.values for r in (lin if isinstance(lin, tuple) else (lin,))])
-        denom = np.max(np.abs(lin)) + 1.0
-        assert np.max(np.abs(fd - lin)) / denom < 1e-5
+        blocks = [df] if dv is None else [df, dv]
+        if kind != "vortex":
+            blocks.append([dc])
+        x = np.concatenate(blocks)
+        assert x.shape == (system.size,)
+        lin = jacobian(system, x)
+        errors.append(np.max(np.abs(fd - lin)) / (np.max(np.abs(lin)) + 1.0))
+    return errors
+
+
+@pytest.mark.acceptance(criterion=7, label="linearizations, manufactured solutions, eigenvalues")
+@pytest.mark.parametrize("kind", ["vortex", "gravitating", "eb"])
+def test_linearization_fd_twenty_trials(kind):
+    assert max(_fd_errors(kind)) < 1e-5
+
+
+@pytest.mark.parametrize("kind", ["gravitating", "eb"])
+def test_linearization_fd_rejects_dropped_c_prime_column(kind):
+    def without_c_prime(system, x):
+        return system.matvec(np.concatenate([x[:-1], [0.0]]))
+
+    # every trial fails the acceptance bound of 1e-5
+    assert min(_fd_errors(kind, without_c_prime)) > 1e-5
 
 
 @pytest.mark.acceptance(criterion=7, label="linearizations, manufactured solutions, eigenvalues")

@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from gravortex.cli import ConfigError, RunConfig, config_from_dict, main, parse_real
+from gravortex.cli import (
+    ConfigError,
+    RunConfig,
+    _schedule_for,
+    config_from_dict,
+    main,
+    parse_real,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +260,31 @@ def test_eb_subcommand_rejects_explicit_alpha(capsys):
     ])
     assert code == 1
     assert json.loads(err)["error"]["field"] == "alpha"
+
+
+@pytest.mark.parametrize("override", ["schedule.max_step_halvings=3",
+                                      "schedule.alpha_targets=[0,0.02]"])
+def test_eb_vortex_and_sweep_reject_schedule(capsys, override):
+    eb = ["solve", "--kind", "eb", "--model", "sphere", "--resolution", "8", "--tau", "8",
+          "--set", 'divisor=[[0,0,1],["inf",1]]', "--set", override]
+    vortex = ["solve", "--kind", "vortex", "--model", "torus", "--resolution", "8",
+              "--tau", "2.5", "--set", "divisor=[[0.25,0.25,1]]", "--set", override]
+    sweep = ["sweep", "--model", "torus", "--resolution", "16", "--tau", "2.5",
+             "--set", "divisor=[[0.25,0.25,1]]", "--alphas", "0,0.02", "--set", override]
+    for argv in (eb, vortex, sweep):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["field"] == "schedule"
+
+
+def test_gravitating_schedule_defaults_targets():
+    config = config_from_dict({"command": "SolveGravitating", "divisor": [[0.25, 0.25, 1]],
+                               "schedule": {"max_step_halvings": 3}})
+    schedule = _schedule_for(config, 0.08)
+    assert schedule.alpha_targets == (0.0, 0.02, 0.04, 0.06, 0.08)
+    assert schedule.max_step_halvings == 3
+    assert _schedule_for(config_from_dict({"command": "SolveGravitating"}), 0.08) is None
+    empty = config_from_dict({"command": "SolveGravitating", "schedule": {"alpha_targets": []}})
+    with pytest.raises(ConfigError) as err:
+        _schedule_for(empty, 0.08)
+    assert err.value.path == "schedule.alpha_targets"

@@ -1,6 +1,7 @@
-"""Residuals, linearizations, conformal diagnostics, integral identities."""
+"""The residual, the solver's Jacobian, conformal diagnostics, integral identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,20 +12,17 @@ from gravortex.equations import (
     ProblemSpec,
     conformal_exponent,
     direct_gve_residual,
-    eb_residual,
     exponent_overflow,
-    gravortex_residual,
     identity_report,
     initial_state,
-    linearize_apply,
     make_state,
     metric_density,
     residual_fields,
     scalar_curvature,
-    vortex_residual,
 )
-from gravortex.geometry import build_grid, constant_field, field, integrate, laplacian_apply
+from gravortex.geometry import field, integrate, laplacian_apply
 from gravortex.sections import Divisor, SectionData
+from gravortex.solvers import _NewtonSystem
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,12 +107,10 @@ def test_vortex_residual_formula(torus24, torus24_section):
                        kind=EquationKind.VORTEX)
     f_vals = _smooth(torus24, 2)
     state = make_state(spec, f_vals)
-    r = vortex_residual(state)
+    (r,) = residual_fields(state)
     p = np.exp(2.0 * f_vals) * torus24_section.norm_sq.values
     expected = laplacian_apply(state.f).values + 0.5 * (p - 2.5) + 1
     assert np.max(np.abs(r.values - expected)) < 1e-12
-    (only,) = residual_fields(state)
-    assert np.array_equal(only.values, r.values)
 
 
 def test_direct_residual_reduces_to_vortex_at_alpha_zero(torus24, torus24_section,
@@ -131,7 +127,7 @@ def test_direct_residual_reduces_to_vortex_at_alpha_zero(torus24, torus24_sectio
         state = make_state(gspec, f_vals, zeros)
         r1, r2 = direct_gve_residual(state)
         vspec = ProblemSpec(grid=grid, section=section, tau=tau, kind=EquationKind.VORTEX)
-        rv = vortex_residual(make_state(vspec, f_vals))
+        (rv,) = residual_fields(make_state(vspec, f_vals))
         assert np.max(np.abs(r1.values - rv.values)) < 1e-10
         # at u = 0 the curvature equation reads S0/2 - chi = 0 on both models
         assert np.max(np.abs(r2.values)) < 1e-10
@@ -140,6 +136,8 @@ def test_direct_residual_reduces_to_vortex_at_alpha_zero(torus24, torus24_sectio
 @pytest.mark.parametrize("kind", ["vortex", "gravitating", "eb"])
 def test_linearization_matches_finite_differences(kind, torus24, torus24_section,
                                                   sphere16, antipodal_section16):
+    # the solver's bordered Jacobian in (f, v, c') against central differences
+    # of its residual vector, along smooth deterministic directions
     eps = 1e-4
     if kind == "eb":
         grid, section = sphere16, antipodal_section16
@@ -159,39 +157,43 @@ def test_linearization_matches_finite_differences(kind, torus24, torus24_section
 
     f0 = _smooth(grid, 4)
     v0 = _mean_zero(grid, _smooth(grid, 5, 0.01)) if kind == "gravitating" else None
-    state = make_state(spec, f0, v0)
+    system = _NewtonSystem(make_state(spec, f0, v0))
 
     for trial in range(3):
         df = _smooth(grid, 10 + trial)
         dv = _mean_zero(grid, _smooth(grid, 20 + trial, 0.01)) if kind == "gravitating" else None
+        dc = 0.0 if kind == "vortex" else 0.3 - 0.2 * trial
 
         def residuals(scale):
             f_t = f0 + scale * df
             v_t = None if dv is None else (v0 + scale * dv)
-            return np.stack([r.values for r in residual_fields(make_state(spec, f_t, v_t))])
+            spec_t = replace(spec, c_prime=spec.c_prime + scale * dc)
+            return _NewtonSystem(make_state(spec_t, f_t, v_t)).residual_vector()[0]
 
         fd = (residuals(eps) - residuals(-eps)) / (2.0 * eps)
-        lin = linearize_apply(state, field(grid, df),
-                              None if dv is None else field(grid, dv))
-        lin = np.stack([r.values for r in (lin if isinstance(lin, tuple) else (lin,))])
+        blocks = [df] if dv is None else [df, dv]
+        if kind != "vortex":
+            blocks.append([dc])
+        lin = system.matvec(np.concatenate(blocks))
         scale = np.max(np.abs(lin)) + 1.0
         assert np.max(np.abs(fd - lin)) / scale < 1e-5
 
 
 def test_linearized_operator_eigenvalues(torus24):
-    # constant section and constant f make the vortex linearisation Delta + p
+    # constant section and constant f make the vortex Jacobian Delta + p
     tau = 3.0
     section = _constant_section(torus24, value=1.0)
     spec = ProblemSpec(grid=torus24, section=section, tau=tau, kind=EquationKind.VORTEX)
     f0 = np.full(torus24.node_coords.shape[0], 0.5 * math.log(tau / 2.0))
-    state = make_state(spec, f0)
+    system = _NewtonSystem(make_state(spec, f0))
+    assert system.size == torus24.n_nodes
     x = torus24.node_coords[:, 0]
     y = torus24.node_coords[:, 1]
     for k, m in [(1, 0), (2, 1)]:
-        mode = field(torus24, np.cos(2 * math.pi * k * x) * np.cos(2 * math.pi * m * y))
-        out = linearize_apply(state, mode)
+        mode = np.cos(2 * math.pi * k * x) * np.cos(2 * math.pi * m * y)
+        out = system.matvec(mode)
         lam = TWO_PI * (k * k + m * m) + tau / 2.0
-        assert np.max(np.abs(out.values - lam * mode.values)) < 1e-10
+        assert np.max(np.abs(out - lam * mode)) < 1e-10
 
 
 def test_scalar_curvature_gauss_bonnet(torus24, sphere16):
@@ -259,7 +261,8 @@ def test_eb_residual_formula(sphere16, antipodal_section16):
     p = np.exp(2.0 * f_vals) * antipodal_section16.norm_sq.values
     e2u = np.exp(4 * alpha * 8.0 * f_vals - 2 * alpha * p + 2 * -0.5)
     expected = laplacian_apply(state.f).values + 0.5 * e2u * (p - 8.0) + 2
-    assert np.max(np.abs(eb_residual(state).values - expected)) < 1e-11
+    (r,) = residual_fields(state)
+    assert np.max(np.abs(r.values - expected)) < 1e-11
 
 
 def test_gravitating_residual_pair(torus24, torus24_section):
@@ -270,7 +273,7 @@ def test_gravitating_residual_pair(torus24, torus24_section):
     f_vals = _smooth(torus24, 12)
     v_vals = _mean_zero(torus24, _smooth(torus24, 13, 0.01))
     state = make_state(gspec, f_vals, v_vals)
-    r1, r2 = gravortex_residual(state)
+    r1, r2 = residual_fields(state)
     p = np.exp(2.0 * f_vals) * torus24_section.norm_sq.values
     w = np.exp(4 * alpha * 2.5 * f_vals - 2 * alpha * p - 2 * gspec.c * v_vals)
     assert np.max(np.abs(r1.values - (laplacian_apply(state.f).values

@@ -19,7 +19,6 @@ from gravortex.geometry import (
     laplacian_invert,
     mean_value,
     smoothing_invert,
-    surface_diameter,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -162,7 +161,6 @@ def test_geodesic_distances():
     assert geodesic_distance("torus", (0.0, 0.0), (0.9, 0.0)) == pytest.approx(
         0.1 * math.sqrt(TWO_PI), rel=1e-12
     )
-    assert surface_diameter("sphere") == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-12)
 
 
 def test_build_grid_validation():

@@ -29,8 +29,8 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(damping="chaotic")
+    with pytest.raises(TypeError):  # backtracking is the only damping; there is no knob
+        SolverConfig(damping="none")
     assert SolverConfig().newton_tol == 1e-10
 
 
