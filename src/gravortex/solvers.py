@@ -12,13 +12,18 @@ unknown, paired with the volume/mean constraints:
   (the volume constraint is already the mean of the second equation, since
   Delta v integrates to zero).
 
-Linear systems are solved with preconditioned LGMRES; the preconditioner is
-the exact spectral (Delta + shift)^{-1} applied blockwise.  Damping is Armijo
-backtracking on the quadratic merit (1/2)||R||^2 in the background L2 norm;
-the accepted trial's system becomes the next step's system.
+Linear systems are solved with preconditioned LGMRES to an Eisenstat-Walker
+forcing tolerance floored at the Newton tolerance (inexact Newton-Krylov;
+see ``_forcing``); the preconditioner is the exact spectral
+(Delta + shift)^{-1} applied blockwise.  Damping is Armijo backtracking on
+the quadratic merit (1/2)||R||^2 in the background L2 norm; the accepted
+trial's system becomes the next step's system.
 
 Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
-(nonlinearity exponent beyond the guard), StepFloor (backtracking collapsed).
+(nonlinearity exponent beyond the guard), StepFloor (backtracking collapsed),
+NoSolution (the residual converged but the exact existence gate rules a
+solution out).  A MaxIters or StepFloor message names the LGMRES exit code
+when the last linear solve stopped short of its tolerance.
 Reports are certified: ``converged`` additionally requires the integral
 identities (degree, volume, Gauss-Bonnet, metric positivity) to hold at
 their standard tolerances, and the exact degree bound N < tau * Vol/(4 pi)
@@ -62,22 +67,38 @@ VOLUME_IDENTITY_TOL = 1e-8
 GAUSS_BONNET_TOL = 1e-4
 _STEP_FLOOR = 2.0**-25
 
+# Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 17, 1996).  eta_max stays
+# small because LGMRES minimises the Euclidean norm of the stacked residual
+# while the Armijo merit weighs it by quadrature and 2 pi on the gauge row: a
+# loose direction need not descend the merit (eta_max = 0.9 stalls the torus
+# continuation at the step floor).
+_EW_GAMMA = 0.9
+_EW_EXPONENT = 2.0
+_EW_SAFEGUARD = 0.1
+_ETA_MAX = 0.1
+
 
 class FailureReason(str, Enum):
     MAX_ITERS = "MaxIters"
     DIVERGENCE = "Divergence"
     OVERFLOW = "Overflow"
     STEP_FLOOR = "StepFloor"
+    NO_SOLUTION = "NoSolution"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton iteration controls."""
+    """Newton iteration controls.
+
+    Each linear solve runs to the Eisenstat-Walker forcing tolerance (see
+    ``_forcing``), for at most ``linear_maxiter`` LGMRES restarts; the
+    tolerance is derived from the residual history and ``newton_tol``, so it
+    is not a field.
+    """
 
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
     armijo_constant: float = 1e-4
-    linear_tol: float = 1e-12
     linear_maxiter: int = 8
     divergence_norm: float = 1e6
 
@@ -235,25 +256,50 @@ class _NewtonSystem:
 # ---------------------------------------------------------------------------
 
 
-def newton_step(state: FieldState, config: SolverConfig = SolverConfig(), _system=None):
-    """One damped Newton step.
+def _forcing(norm: float, prev_norm: Optional[float], prev_eta: float,
+             newton_tol: float) -> float:
+    """Relative LGMRES tolerance for a Newton step with residual 2-norm ``norm``.
+
+    Eisenstat-Walker choice 2, eta = gamma (||F_k|| / ||F_{k-1}||)^2, raised to
+    gamma eta_{k-1}^2 when that exceeds 0.1 (so eta cannot collapse after one
+    lucky step), capped at eta_max (the first step of a loop uses eta_max),
+    then floored at 0.5 newton_tol / ||F_k|| (Kelley, Solving Nonlinear
+    Equations with Newton's Method, 2003): LGMRES never solves past the Newton
+    tolerance, and since ||.||_2 bounds the sup norm the stopping test still
+    holds.
+    """
+    if prev_norm is None:
+        eta = _ETA_MAX
+    else:
+        eta = _EW_GAMMA * (norm / prev_norm) ** _EW_EXPONENT
+        safeguard = _EW_GAMMA * prev_eta**_EW_EXPONENT
+        if safeguard > _EW_SAFEGUARD:
+            eta = max(eta, safeguard)
+    return max(min(eta, _ETA_MAX), 0.5 * newton_tol / norm)
+
+
+def newton_step(state: FieldState, config: SolverConfig = SolverConfig(), _system=None,
+                rtol: float = _ETA_MAX):
+    """One damped Newton step, its linear system solved to relative tolerance rtol.
 
     Returns (new_state, info) where info records residual_norm (sup norm over
     every row of the bordered residual), new_residual_norm, step_scale (0.0
-    when no step was taken), flag in {None, "overflow", "step_floor"}, and
-    system, the Newton system at new_state (the next step reuses it).
+    when no step was taken), flag in {None, "overflow", "step_floor"},
+    krylov_info (the LGMRES exit code: 0 converged, > 0 iterations spent
+    short of rtol, < 0 breakdown; None when no linear solve ran), and system,
+    the Newton system at new_state (the next step reuses it).
     """
     sys = _system if _system is not None else _NewtonSystem(state)
     r, sup = sys.residual_vector()
     info = {"residual_norm": sup, "new_residual_norm": sup, "step_scale": 0.0, "flag": None,
-            "system": sys}
+            "krylov_info": None, "system": sys}
     if exponent_overflow(state):
         info["flag"] = "overflow"
         return state, info
     op = LinearOperator((sys.size, sys.size), matvec=sys.matvec)
     pre = LinearOperator((sys.size, sys.size), matvec=sys.precond)
-    d, _ = lgmres(op, -r, M=pre, rtol=config.linear_tol, atol=0.0,
-                  maxiter=config.linear_maxiter, inner_m=30)
+    d, info["krylov_info"] = lgmres(op, -r, M=pre, rtol=rtol, atol=0.0,
+                                    maxiter=config.linear_maxiter, inner_m=30)
     theta0 = sys.merit(r)
     t = 1.0
     while True:
@@ -286,13 +332,19 @@ _FLAG_FAILURES = {
 }
 
 
+def _krylov_note(code: Optional[int]) -> str:
+    """Message suffix naming an LGMRES exit code that stopped short of its tolerance."""
+    return "" if not code else f" (last LGMRES exit code {code})"
+
+
 def _newton_loop(state: FieldState, config: SolverConfig) -> _LoopResult:
     if exponent_overflow(state):
         return _LoopResult(state, 0, math.inf, *_FLAG_FAILURES["overflow"])
     sys = _NewtonSystem(state)
     iterations = 0
+    prev_norm, eta, krylov_info = None, _ETA_MAX, None
     while True:
-        _, sup = sys.residual_vector()
+        r, sup = sys.residual_vector()
         norms = max(
             float(np.max(np.abs(state.f.values))), float(np.max(np.abs(state.v.values)))
         )
@@ -303,12 +355,18 @@ def _newton_loop(state: FieldState, config: SolverConfig) -> _LoopResult:
                                f"iterate sup-norm {norms:.3e} exceeded the divergence guard")
         if iterations >= config.max_newton_iters:
             return _LoopResult(state, iterations, sup, FailureReason.MAX_ITERS,
-                               f"residual {sup:.3e} after {iterations} iterations")
-        state, info = newton_step(state, config, _system=sys)
+                               f"residual {sup:.3e} after {iterations} iterations"
+                               + _krylov_note(krylov_info))
+        norm = float(np.linalg.norm(r))
+        eta = _forcing(norm, prev_norm, eta, config.newton_tol)
+        prev_norm = norm
+        state, info = newton_step(state, config, _system=sys, rtol=eta)
         iterations += 1
+        krylov_info = info["krylov_info"]
         if info["flag"] is not None:
-            return _LoopResult(state, iterations, info["residual_norm"],
-                               *_FLAG_FAILURES[info["flag"]])
+            failure, message = _FLAG_FAILURES[info["flag"]]
+            return _LoopResult(state, iterations, info["residual_norm"], failure,
+                               message + _krylov_note(krylov_info))
         sys = info["system"]
 
 
@@ -336,7 +394,7 @@ def _certify(loop: _LoopResult, alpha_reached: float, extra_gate: Optional[str])
     if numeric_ok and extra_gate is not None:
         # residual-small iterate of an unsolvable problem: collapse artefact
         converged = False
-        failure = FailureReason.DIVERGENCE
+        failure = FailureReason.NO_SOLUTION
         message = extra_gate
     elif not numeric_ok and extra_gate is not None:
         message = f"{extra_gate}; {message}" if message else extra_gate

@@ -53,6 +53,18 @@ def test_config_round_trip_is_identity():
     assert echoed["solver"]["newton_tol"] == 1e-10
 
 
+def test_config_rejects_removed_linear_tol():
+    # records written while the linear tolerance was a solver field carry it;
+    # the forcing term replaced it, so re-running such a record names the key
+    record = config_from_dict({"command": "SolveVortex", "divisor": [[0.25, 0.25, 1]],
+                               "tau": 2.5}).to_dict()
+    assert "linear_tol" not in record["solver"]
+    record["solver"]["linear_tol"] = 1e-12
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(record)
+    assert err.value.path == "solver.linear_tol"
+
+
 def test_config_rational_strings_stay_exact():
     config = config_from_dict({"command": "Oracle", "divisor": [[0, 0, 1], ["inf", 1]],
                                "tau": "8", "alpha": "1/16"})

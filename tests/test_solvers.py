@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gravortex import solvers
 from gravortex.equations import (
     EquationKind,
     ProblemSpec,
@@ -31,6 +32,8 @@ TWO_PI = 2.0 * math.pi
 def test_solver_config_validation():
     with pytest.raises(TypeError):  # backtracking is the only damping; there is no knob
         SolverConfig(damping="none")
+    with pytest.raises(TypeError):  # the forcing term sets the linear tolerance
+        SolverConfig(linear_tol=1e-12)
     assert SolverConfig().newton_tol == 1e-10
 
 
@@ -85,6 +88,65 @@ def test_newton_step_decreases_residual(torus24, torus24_section):
     state2, info = newton_step(state, SolverConfig())
     assert info["new_residual_norm"] < r0
     assert 0 < info["step_scale"] <= 1.0
+    assert info["krylov_info"] == 0
+
+
+def test_forcing_terms():
+    tol = 1e-10
+    eta_max = solvers._ETA_MAX
+    # first step of a loop
+    assert solvers._forcing(1.0, None, eta_max, tol) == eta_max
+    # choice 2: gamma (||F_k|| / ||F_{k-1}||)^2, here below the safeguard threshold
+    eta = solvers._forcing(0.01, 1.0, 0.01, tol)
+    assert eta == pytest.approx(solvers._EW_GAMMA * 1e-4)
+    # a slow step would ask for more than eta_max: capped
+    assert solvers._forcing(0.9, 1.0, 0.01, tol) == eta_max
+    # near the root the floor 0.5 tol / ||F|| wins over the quadratic rate
+    assert solvers._forcing(1e-8, 1e-4, 1e-3, tol) == 0.5 * tol / 1e-8
+    # the floor wins over the cap, so LGMRES never solves past the Newton tolerance
+    assert solvers._forcing(2e-10, 1e-4, 1e-3, tol) == 0.25
+    # safeguard: gamma eta_{k-1}^2 > 0.1 keeps eta from collapsing after one lucky step
+    prev_eta = 0.5
+    assert solvers._EW_GAMMA * prev_eta**2 > solvers._EW_SAFEGUARD
+    eta = solvers._forcing(1e-3, 1.0, prev_eta, tol)
+    assert eta == pytest.approx(min(eta_max, solvers._EW_GAMMA * prev_eta**2))
+    # below the threshold the safeguard stays off
+    assert solvers._forcing(1e-3, 1.0, 0.3, tol) == pytest.approx(solvers._EW_GAMMA * 1e-6)
+
+
+def test_eb_linear_solves_meet_forcing_tolerance(monkeypatch, sphere16):
+    calls = []
+    lgmres = solvers.lgmres
+
+    def spy(op, b, **kwargs):
+        out = lgmres(op, b, **kwargs)
+        calls.append((kwargs["rtol"], float(np.linalg.norm(b)), out[1]))
+        return out
+
+    monkeypatch.setattr(solvers, "lgmres", spy)
+    section = build_section(sphere16, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1)))
+    config = SolverConfig()
+    _, report = solve_eb(sphere16, section, 8.0, config)
+    assert report.converged
+    assert len(calls) == report.iterations
+    assert all(code == 0 for _, _, code in calls)
+    assert all(rtol >= 0.5 * config.newton_tol / norm for rtol, norm, _ in calls)
+    assert all(rtol <= solvers._ETA_MAX for rtol, norm, _ in calls
+               if norm > 5.0 * config.newton_tol)
+
+
+def test_step_floor_names_lgmres_exit_code(monkeypatch, torus24, torus24_section):
+    # a linear solve that gives up at once returns the zero direction: no step descends
+    monkeypatch.setattr(solvers, "lgmres", lambda op, b, **kwargs: (np.zeros_like(b), 8))
+    _, report = solve_vortex(torus24, torus24_section, 2.5)
+    assert not report.converged
+    assert report.failure_reason is FailureReason.STEP_FLOOR
+    assert "LGMRES exit code 8" in report.message
+    spec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
+                       kind=EquationKind.VORTEX)
+    _, info = newton_step(initial_state(spec))
+    assert info["krylov_info"] == 8
+    assert info["flag"] == "step_floor"
 
 
 def test_gravitating_torus_weak_coupling(torus24, torus24_section):
@@ -149,7 +211,7 @@ def test_eb_halts_on_unstable_divisor(sphere16):
     section = build_section(sphere16, divisor)
     state, report = solve_eb(sphere16, section, 8.0)
     assert not report.converged
-    assert report.failure_reason is FailureReason.DIVERGENCE
+    assert report.failure_reason is FailureReason.NO_SOLUTION
     assert "polystable" in report.message
 
 
