@@ -1,26 +1,23 @@
 """Spectral geometry on two model surfaces of total area 2*pi.
 
-Two backgrounds are supported:
-
 * ``sphere`` -- the round sphere of radius 1/sqrt(2) (area 2*pi, scalar
-  curvature 4), sampled on a Gauss-Legendre x equispaced-longitude grid.
-  The resolution parameter is the spherical-harmonic band limit L; the
-  grid has (L+1) latitudes and 2(L+1) longitudes.
+  curvature 4), sampled on (L+1) Gauss-Legendre latitudes x 2(L+1)
+  equispaced longitudes for the spherical-harmonic band limit L.
 * ``torus`` -- the flat square torus C/(Z+iZ) rescaled to area 2*pi,
-  sampled on an n x n equispaced grid.  The resolution parameter is n.
+  sampled on an n x n equispaced grid (FFT).
 
-The sign convention for the Laplacian is geometer's: ``laplacian_apply``
-returns a positive semidefinite operator (minus the analyst's Laplacian),
-normalised so that on the torus the Fourier mode exp(2*pi*i(kx+my)) has
-eigenvalue 2*pi*(k^2+m^2) and on the sphere the degree-l harmonics have
-eigenvalue 2*l*(l+1).  Equivalently, in a local conformal chart with
-euclidean density lambda (area element lambda dx dy, total area 2*pi),
-``laplacian_apply(f) = -(1/lambda) * (f_xx + f_yy)``.
+The Laplacian is the geometer's (positive semidefinite, minus the
+analyst's): the torus mode exp(2*pi*i(kx+my)) has eigenvalue
+2*pi*(k^2+m^2), the degree-l sphere harmonics 2*l*(l+1).  In a conformal
+chart with area element lambda dx dy, ``laplacian_apply(f) =
+-(1/lambda) * (f_xx + f_yy)``.  Every operator is a multiplier on the
+cached eigenvalue array ``grid._eigs`` (``_spectral``).
 
-All transforms are spectral: exact on band-limited data, spectrally
-accurate on smooth data.  Quadrature weights integrate band-limited
-products exactly (Gauss-Legendre in latitude; trapezoid == exact in the
-periodic directions).
+The sphere transform (``_SphereTransform``) does its longitude DFT as one
+real GEMM and its Legendre stage on the northern nodes only, split by the
+parity of l - m (one tensor pair for both directions).  Transforms are exact
+on band-limited data: Gauss-Legendre in latitude and the trapezoid rule in
+the periodic directions integrate band-limited products exactly.
 """
 
 from __future__ import annotations
@@ -80,11 +77,17 @@ def _legendre_tables(lmax: int, xi: np.ndarray) -> list[np.ndarray]:
 
 
 class _SphereTransform:
-    """Forward/inverse spherical-harmonic transform on the GL x FFT grid.
+    """Real spherical-harmonic transform on the Gauss-Legendre x equispaced grid.
 
-    The Legendre stage is stored as one padded (order, node, degree) tensor
-    so analysis/synthesis are batched matmuls (BLAS) instead of per-order
-    Python loops; entries with l < m are structurally zero.
+    Coefficients are one real (2, L+1, 2, K) array, K = L//2 + 1, indexed by
+    (parity of l - m, order m, real/imaginary part, k) for degree
+    l = m + 2k + parity (``degrees``); slots with l > L are zero.  Longitude:
+    one GEMM with the n_lon x 2(L+1) (cos m phi, -sin m phi) matrix, and its
+    transpose (orders m >= 1 doubled) back.  Latitude: P_lm(-x) =
+    (-1)^{l-m} P_lm(x) on the symmetric nodes, so P_lm is kept on the northern
+    nodes only, in one (m, k, node) tensor per parity that serves both
+    directions; analysis projects north +/- mirrored south (equator node at
+    half weight), synthesis writes north = E + O, south = E - O.
     """
 
     def __init__(self, lmax: int):
@@ -97,34 +100,44 @@ class _SphereTransform:
         self.xi = nodes[::-1].copy()
         self.wgl = wgl[::-1].copy()
         self.phi = TWO_PI * np.arange(self.n_lon) / self.n_lon
-        tables = _legendre_tables(lmax, self.xi)
-        t3 = np.zeros((lmax + 1, self.n_lat, lmax + 1))
-        for m, t in enumerate(tables):
-            t3[m, :, m:] = t
-        self._t3 = t3  # (m, node, l)
-        self._t3t = np.ascontiguousarray(t3.transpose(0, 2, 1))  # (m, l, node)
-        self.degrees = np.arange(lmax + 1)
+        n_north = (self.n_lat + 1) // 2
+        # analysis weights of the northern nodes, with the DFT's 1/n_lon
+        self._w_north = self.wgl[:n_north, None] / self.n_lon
+        self._w_north[self.n_lat // 2 :] *= 0.5  # the equator node; empty when n_lat is even
+        mphi = np.outer(self.phi, np.arange(lmax + 1))
+        self._dft = np.stack([np.cos(mphi), -np.sin(mphi)], axis=-1).reshape(self.n_lon, -1)
+        self._p_even = np.zeros((lmax + 1, lmax // 2 + 1, n_north))  # (m, k, node)
+        self._p_odd = np.zeros((lmax + 1, (lmax + 1) // 2, n_north))
+        for m, t in enumerate(_legendre_tables(lmax, self.xi[:n_north])):
+            self._p_even[m, : (lmax - m) // 2 + 1] = t[:, 0::2].T
+            self._p_odd[m, : (lmax - m + 1) // 2] = t[:, 1::2].T
+
+    def degrees(self) -> np.ndarray:
+        """Degree l of every coefficient slot, shape (2, L+1, 1, K)."""
+        orders = np.arange(self.lmax + 1)[:, None, None]
+        return np.arange(2)[:, None, None, None] + orders + 2 * np.arange(self.lmax // 2 + 1)
 
     def analyze(self, f2d: np.ndarray) -> np.ndarray:
-        """Packed coefficients A[m, l] (zero for l < m) of a real field."""
-        c = np.fft.fft(f2d, axis=1)[:, : self.lmax + 1] / self.n_lon  # (node, m)
-        b = c * self.wgl[:, None]
-        br = np.stack([b.real.T[:, :, None], b.imag.T[:, :, None]], axis=-1)[..., 0, :]
-        ab = np.matmul(self._t3t, br)  # (m, l, 2)
-        return ab[..., 0] + 1j * ab[..., 1]
+        """Coefficients, in the layout of the class docstring, of a real field."""
+        n_north = self._w_north.shape[0]
+        north, south = f2d[:n_north], f2d[::-1][:n_north]
+        sym = np.stack([north + south, north - south]) * self._w_north
+        # (m, re/im, parity, node): the DFT of both parity halves in one GEMM
+        spec = (self._dft.T @ sym.reshape(2 * n_north, -1).T).reshape(-1, 2, 2, n_north)
+        coef = np.zeros((2, self.lmax + 1, 2, self.lmax // 2 + 1))
+        coef[0] = spec[:, :, 0] @ self._p_even.transpose(0, 2, 1)
+        coef[1, ..., : self._p_odd.shape[1]] = spec[:, :, 1] @ self._p_odd.transpose(0, 2, 1)
+        return coef
 
-    def synthesize(self, packed: np.ndarray) -> np.ndarray:
-        ar = np.stack([packed.real, packed.imag], axis=-1)  # (m, l, 2)
-        gb = np.matmul(self._t3, ar)  # (m, node, 2)
-        g = (gb[..., 0] + 1j * gb[..., 1]).T  # (node, m)
-        c = np.zeros((self.n_lat, self.n_lon), dtype=complex)
-        c[:, : self.lmax + 1] = g
-        c[:, self.n_lon - self.lmax :] = np.conj(g[:, 1:][:, ::-1])
-        return np.real(np.fft.ifft(c, axis=1)) * self.n_lon
-
-    def apply_multiplier(self, f2d: np.ndarray, mult) -> np.ndarray:
-        packed = self.analyze(f2d)
-        return self.synthesize(packed * mult(self.degrees)[None, :])
+    def synthesize(self, coef: np.ndarray) -> np.ndarray:
+        """Real field on the grid from coefficients in the class docstring's layout."""
+        n_north = self._w_north.shape[0]
+        even = coef[0] @ self._p_even  # (m, re/im, node)
+        odd = coef[1, ..., : self._p_odd.shape[1]] @ self._p_odd
+        south = (even - odd)[..., self.n_lat - n_north - 1 :: -1]
+        rows = np.concatenate([even + odd, south], axis=-1)  # (m, re/im, node)
+        rows[1:] *= 2.0  # order m stands for m and -m
+        return rows.reshape(-1, self.n_lat).T @ self._dft.T
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +188,8 @@ class SurfaceGrid:
             w2 = 0.5 * sht.wgl[:, None] * (TWO_PI / sht.n_lon) * np.ones((1, sht.n_lon))
             self.quad_weights = w2.reshape(-1)
             self._xi_flat = xi2.reshape(-1)
+            ls = sht.degrees()
+            self._eigs = 2.0 * ls * (ls + 1.0)
         else:
             self.genus = 1
             self.base_scalar_curvature = 0.0
@@ -186,7 +201,7 @@ class SurfaceGrid:
             self.quad_weights = np.full(n * n, TWO_PI / (n * n))
             k = np.fft.fftfreq(n, d=1.0 / n)
             kx, ky = np.meshgrid(k, k, indexing="ij")
-            self._eigs2d = TWO_PI * (kx * kx + ky * ky)
+            self._eigs = TWO_PI * (kx * kx + ky * ky)
         self.n_nodes = self.node_coords.shape[0]
         h = hashlib.sha256()
         h.update(f"{self.model.value}:{self.resolution}:".encode())
@@ -202,9 +217,6 @@ class SurfaceGrid:
     @property
     def area(self) -> float:
         return TWO_PI
-
-    def to2d(self, values: np.ndarray) -> np.ndarray:
-        return values.reshape(self._shape)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SurfaceGrid({self.model.value}, resolution={self.resolution})"
@@ -245,10 +257,6 @@ class ScalarField:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def grid_id(self) -> str:
-        return self.grid.checksum
-
 
 def field(grid: SurfaceGrid, values) -> ScalarField:
     """Wrap node values (flat or 2-d) as a :class:`ScalarField`."""
@@ -261,11 +269,6 @@ def constant_field(grid: SurfaceGrid, value: float) -> ScalarField:
 
 def same_grid(a: SurfaceGrid, b: SurfaceGrid) -> bool:
     return a is b or a.checksum == b.checksum
-
-
-def _require_same_grid(f: ScalarField, grid: SurfaceGrid) -> None:
-    if not same_grid(f.grid, grid):
-        raise ValueError("field does not live on the given grid")
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +286,20 @@ def mean_value(f: ScalarField) -> float:
     return integrate(f) / TWO_PI
 
 
+def _spectral(grid: SurfaceGrid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Apply a spectral multiplier, an array shaped like ``grid._eigs``, to raw node values."""
+    v2 = values.reshape(grid._shape)
+    if grid.model is SurfaceModel.SPHERE:
+        sht = grid._sht
+        out = sht.synthesize(sht.analyze(v2) * mult)
+    else:
+        out = np.real(np.fft.ifft2(np.fft.fft2(v2) * mult))
+    return out.reshape(-1)
+
+
 def laplacian_values(grid: SurfaceGrid, values: np.ndarray) -> np.ndarray:
     """Positive background Laplacian of raw node values (the hot-loop form)."""
-    v2 = grid.to2d(values)
-    if grid.model is SurfaceModel.SPHERE:
-        out = grid._sht.apply_multiplier(v2, lambda ls: 2.0 * ls * (ls + 1.0))
-    else:
-        out = np.real(np.fft.ifft2(np.fft.fft2(v2) * grid._eigs2d))
-    return out.reshape(-1)
+    return _spectral(grid, values, grid._eigs)
 
 
 def laplacian_apply(f: ScalarField) -> ScalarField:
@@ -313,24 +322,9 @@ def laplacian_invert(rhs: ScalarField) -> ScalarField:
             f"laplacian_invert needs a mean-zero right-hand side; "
             f"got mean {total / TWO_PI:.3e}"
         )
-    v2 = grid.to2d(rhs.values)
-    if grid.model is SurfaceModel.SPHERE:
-
-        def mult(ls):
-            lam = 2.0 * ls * (ls + 1.0)
-            with np.errstate(divide="ignore"):
-                inv = np.where(lam > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
-            return inv
-
-        out = grid._sht.apply_multiplier(v2, mult)
-    else:
-        spec = np.fft.fft2(v2)
-        lam = grid._eigs2d.copy()
-        lam[0, 0] = 1.0
-        spec = spec / lam
-        spec[0, 0] = 0.0
-        out = np.real(np.fft.ifft2(spec))
-    u = ScalarField(grid, out.reshape(-1))
+    lam = grid._eigs
+    inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
+    u = ScalarField(grid, _spectral(grid, rhs.values, inverse))
     # remove quadrature-level residue of the mean so the result is mean-zero
     return ScalarField(grid, u.values - mean_value(u))
 
@@ -338,14 +332,13 @@ def laplacian_invert(rhs: ScalarField) -> ScalarField:
 def smoothing_invert(f_values: np.ndarray, grid: SurfaceGrid, shift: float = 1.0) -> np.ndarray:
     """Apply the exact spectral (Laplacian + shift)^{-1} to raw node values.
 
-    Preconditioner helper; shift must be positive.
+    Preconditioner helper.  Raises ValueError unless shift is finite and
+    positive: at zero the operator is singular, and below zero it is not
+    positive definite.
     """
-    v2 = grid.to2d(np.asarray(f_values, dtype=float))
-    if grid.model is SurfaceModel.SPHERE:
-        out = grid._sht.apply_multiplier(v2, lambda ls: 1.0 / (2.0 * ls * (ls + 1.0) + shift))
-    else:
-        out = np.real(np.fft.ifft2(np.fft.fft2(v2) / (grid._eigs2d + shift)))
-    return out.reshape(-1)
+    if not (math.isfinite(shift) and shift > 0.0):
+        raise ValueError(f"smoothing_invert needs a finite positive shift; got {shift!r}")
+    return _spectral(grid, np.asarray(f_values, dtype=float), 1.0 / (grid._eigs + shift))
 
 
 def conformal_density(grid: SurfaceGrid, v: ScalarField) -> ScalarField:
@@ -354,7 +347,8 @@ def conformal_density(grid: SurfaceGrid, v: ScalarField) -> ScalarField:
     Positivity is the caller's concern: the field is returned as computed and
     ``min(density.values) > 0`` is the metric-positivity flag.
     """
-    _require_same_grid(v, grid)
+    if not same_grid(v.grid, grid):
+        raise ValueError("field does not live on the given grid")
     lap = laplacian_apply(v)
     return ScalarField(grid, 1.0 - lap.values)
 

@@ -22,8 +22,10 @@ trial's system becomes the next step's system.
 Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
 (nonlinearity exponent beyond the guard), StepFloor (backtracking collapsed),
 NoSolution (the residual converged but the exact existence gate rules a
-solution out).  A MaxIters or StepFloor message names the LGMRES exit code
-when the last linear solve stopped short of its tolerance.
+solution out), IdentityFailure (the residual converged but the integral
+identities fail at the converged state).  A MaxIters or StepFloor message
+names the LGMRES exit code when the last linear solve stopped short of its
+tolerance.
 Reports are certified: ``converged`` additionally requires the integral
 identities (degree, volume, Gauss-Bonnet, metric positivity) to hold at
 their standard tolerances, and the exact degree bound N < tau * Vol/(4 pi)
@@ -84,6 +86,7 @@ class FailureReason(str, Enum):
     OVERFLOW = "Overflow"
     STEP_FLOOR = "StepFloor"
     NO_SOLUTION = "NoSolution"
+    IDENTITY_FAILURE = "IdentityFailure"
 
 
 @dataclass(frozen=True)
@@ -400,7 +403,7 @@ def _certify(loop: _LoopResult, alpha_reached: float, extra_gate: Optional[str])
         message = f"{extra_gate}; {message}" if message else extra_gate
     if converged and not _identity_ok(rep):
         converged = False
-        failure = FailureReason.MAX_ITERS
+        failure = FailureReason.IDENTITY_FAILURE
         message = "integral identities failed at the residual-converged state"
     return SolveReport(
         converged=converged,

@@ -2,9 +2,11 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
+from gravortex import solvers
 from gravortex.cli import (
     ConfigError,
     RunConfig,
@@ -186,6 +188,20 @@ def test_solve_failure_exit_code(capsys):
     record = json.loads(out)
     assert not record["report"]["converged"]
     assert record["report"]["failure_reason"]
+
+
+def test_solve_record_names_identity_failure(capsys, monkeypatch):
+    real = solvers.identity_report
+    monkeypatch.setattr(solvers, "identity_report",
+                        lambda state: replace(real(state), volume_identity=1e-3))
+    code, out, _ = _run(capsys, [
+        "solve", "--kind", "vortex", "--model", "torus", "--resolution", "16",
+        "--tau", "2.5", "--set", "divisor=[[0.25,0.25,1]]",
+    ])
+    assert code == 2
+    report = json.loads(out)["report"]
+    assert not report["converged"]
+    assert report["failure_reason"] == "IdentityFailure"
 
 
 def test_solve_fields_csv(capsys, tmp_path):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from gravortex.geometry import (
     ScalarField,
+    _legendre_tables,
+    _SphereTransform,
     build_grid,
     conformal_density,
     constant_field,
@@ -64,6 +66,78 @@ def test_sphere_laplacian_eigenmodes(sphere16):
         assert np.max(np.abs(got - expected * f.values)) < 1e-11
 
 
+def _random_coefficients(sht, rng):
+    """Random coefficients in the transform's layout, zero where no harmonic lives."""
+    coef = rng.standard_normal((2, sht.lmax + 1, 2, sht.lmax // 2 + 1))
+    coef *= sht.degrees() <= sht.lmax
+    coef[:, 0, 1] = 0.0  # a real field has real m = 0 coefficients
+    return coef
+
+
+def _as_lm(sht, coef):
+    """The layout's coefficients as a complex A[m, l] table."""
+    table = np.zeros((sht.lmax + 1, sht.lmax + 1), dtype=complex)
+    ls = np.broadcast_to(sht.degrees()[:, :, 0], coef[:, :, 0].shape)
+    for parity, m, k in zip(*np.nonzero(ls <= sht.lmax)):
+        table[m, ls[parity, m, k]] = coef[parity, m, 0, k] + 1j * coef[parity, m, 1, k]
+    return table
+
+
+@pytest.mark.parametrize("lmax", [23, 24, 96])
+def test_sht_round_trip_every_degree_and_order(lmax):
+    # odd and even n_lat (equator node or not); n_lon = 194 = 2 * 97 at L = 96
+    sht = _SphereTransform(lmax)
+    coef = _random_coefficients(sht, np.random.default_rng(lmax))
+    back = sht.analyze(sht.synthesize(coef))
+    # relative to the largest coefficient: the old complex-FFT transform
+    # missed 1e-12 absolute at L = 96 too (1.6e-12)
+    assert np.max(np.abs(back - coef)) <= 1e-12 * np.max(np.abs(coef))
+
+
+@pytest.mark.parametrize("lmax", [12, 13])
+def test_sht_matches_dense_quadrature(lmax):
+    sht = _SphereTransform(lmax)
+    tables = _legendre_tables(lmax, sht.xi)
+    m = np.arange(lmax + 1)
+    cos = np.cos(np.outer(m, sht.phi))  # (m, lon)
+    sin = np.sin(np.outer(m, sht.phi))
+    rng = np.random.default_rng(lmax)
+    # analysis: A[m, l] = sum_j w_j P_lm(x_j) (1/n_lon) sum_k f_jk exp(-i m phi_k)
+    f2d = rng.standard_normal((sht.n_lat, sht.n_lon))
+    ref = np.zeros((lmax + 1, lmax + 1), dtype=complex)
+    for mm, t in enumerate(tables):
+        c = (f2d @ cos[mm] - 1j * (f2d @ sin[mm])) / sht.n_lon
+        ref[mm, mm:] = t.T @ (sht.wgl * c)
+    assert np.max(np.abs(_as_lm(sht, sht.analyze(f2d)) - ref)) < 1e-13
+    # synthesis: f_jk = sum_{l,m} (1 or 2) P_lm(x_j) Re(A[m, l] exp(i m phi_k))
+    coef = _random_coefficients(sht, rng)
+    table = _as_lm(sht, coef)
+    ref = np.zeros((sht.n_lat, sht.n_lon))
+    for mm, t in enumerate(tables):
+        g = t @ table[mm, mm:]
+        ref += (1.0 if mm == 0 else 2.0) * (np.outer(g.real, cos[mm]) - np.outer(g.imag, sin[mm]))
+    assert np.max(np.abs(sht.synthesize(coef) - ref)) < 1e-12
+
+
+def test_sphere_laplacian_of_nonzonal_harmonics():
+    grid = build_grid("sphere", 20)
+    sht = grid._sht
+    tables = _legendre_tables(sht.lmax, sht.xi)
+    for l, m in [(3, 2), (4, 1), (7, 7), (12, 5)]:  # even and odd l - m
+        y = np.outer(tables[m][:, l - m], np.cos(m * sht.phi) + 0.4 * np.sin(m * sht.phi))
+        got = laplacian_apply(field(grid, y)).values
+        expected = 2.0 * l * (l + 1) * y.reshape(-1)
+        assert np.max(np.abs(got - expected)) < 1e-11 * np.max(np.abs(expected))
+
+
+def test_sht_storage_at_l96():
+    # two parity-split tensors on the northern nodes plus one DFT matrix;
+    # the padded (L+1)^3 pair it replaced held 14.6 MB
+    sht = _SphereTransform(96)
+    stored = sum(a.nbytes for a in vars(sht).values() if isinstance(a, np.ndarray))
+    assert stored <= 4_000_000
+
+
 def test_laplacian_annihilates_constants(torus24, sphere16):
     for grid in (torus24, sphere16):
         f = constant_field(grid, 3.7)
@@ -98,6 +172,13 @@ def test_smoothing_invert_solves_shifted_problem(sphere16, torus24):
     u = smoothing_invert(noise, torus24, shift=0.7)
     residual = laplacian_apply(field(torus24, u)).values + 0.7 * u - noise
     assert np.max(np.abs(residual)) < 1e-9
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.5, math.nan, math.inf])
+def test_smoothing_invert_rejects_nonpositive_shift(sphere16, torus24, shift):
+    for grid in (sphere16, torus24):
+        with pytest.raises(ValueError, match="shift"):
+            smoothing_invert(np.zeros(grid.n_nodes), grid, shift=shift)
 
 
 def test_integration_by_parts(torus24):

@@ -1,6 +1,7 @@
 """Newton solves: convergence, certification gates, continuation, invariance."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +214,22 @@ def test_eb_halts_on_unstable_divisor(sphere16):
     assert not report.converged
     assert report.failure_reason is FailureReason.NO_SOLUTION
     assert "polystable" in report.message
+
+
+def _failing_volume_identity(monkeypatch):
+    real = solvers.identity_report
+    monkeypatch.setattr(solvers, "identity_report",
+                        lambda state: replace(real(state), volume_identity=1e-3))
+
+
+def test_identity_failure_has_its_own_reason(monkeypatch, torus24, torus24_section):
+    _failing_volume_identity(monkeypatch)
+    _, report = solve_vortex(torus24, torus24_section, 2.5)
+    assert report.final_residual <= 1e-10  # the residual converged ...
+    assert not report.converged  # ... but the certificate fails
+    assert report.failure_reason is FailureReason.IDENTITY_FAILURE
+    assert "integral identities" in report.message
+    assert report.to_dict()["failure_reason"] == "IdentityFailure"
 
 
 def test_gravitating_sphere_unstable_stalls(sphere16):
