@@ -13,6 +13,11 @@ breaking parameter:
                  Delta f + (1/2) e^{2u} (P - tau) + N = 0
                  e^{2u} = exp(4 alpha tau f - 2 alpha P + 2 c')
 
+The coupling sign c is not an input: ``ProblemSpec`` derives it from the
+topological constraint, c = chi - 2 alpha tau N for gravitating problems and
+c = 0 for vortex and EB problems, so re-posing a spec at another kind or
+coupling (``dataclasses.replace``) is consistent by construction.
+
 The additive constant c' is the volume gauge of the conformal factor: it is
 determined by Vol(e^{2u} omega_0) = 2*pi and is stored on the problem spec
 (0 for a freshly posed problem; the solvers treat it as an unknown).  The
@@ -31,7 +36,7 @@ they came from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -61,48 +66,46 @@ class EquationKind(str, Enum):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Equation kind plus all of its scalar data on a fixed grid/section."""
+    """Equation kind plus all of its scalar data on a fixed grid/section.
+
+    ``c`` is derived, not passed: chi - 2 alpha tau N for gravitating
+    problems, 0 for vortex and EB problems.
+    """
 
     grid: SurfaceGrid
     section: SectionData
     tau: float
     kind: EquationKind
     alpha: float = 0.0
-    c: float = 0.0
     c_prime: float = 0.0
+    c: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", EquationKind(self.kind))
-        object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "c_prime", float(self.c_prime))
+        for name in ("tau", "alpha", "c_prime"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not same_grid(self.section.grid, self.grid):
             raise ValueError("section was built on a different grid")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         kind = self.kind
+        c = 0.0
         if kind is EquationKind.VORTEX:
-            if self.alpha != 0.0 or self.c != 0.0 or self.c_prime != 0.0:
-                raise ValueError("vortex problems have alpha = c = c' = 0")
+            if self.alpha != 0.0 or self.c_prime != 0.0:
+                raise ValueError("vortex problems have alpha = c' = 0")
         elif kind is EquationKind.EINSTEIN_BOGOMOLNYI:
             if self.grid.model is not SurfaceModel.SPHERE:
                 raise ValueError("the Einstein-Bogomol'nyi equation lives on the sphere")
-            if self.c != 0.0:
-                raise ValueError("Einstein-Bogomol'nyi problems have c = 0")
             if self.alpha <= 0.0:
                 raise ValueError("Einstein-Bogomol'nyi problems need alpha > 0")
         else:
             if self.alpha < 0.0:
                 raise ValueError("gravitating problems need alpha >= 0")
-            chi = self.grid.euler_characteristic
-            n = self.section.divisor.total_degree
-            c_expected = chi - 2.0 * self.alpha * self.tau * n
-            if abs(self.c - c_expected) > 1e-9:
-                raise ValueError(
-                    f"c = {self.c} is inconsistent with the topological constraint "
-                    f"(expected {c_expected})"
-                )
+            c = self.grid.euler_characteristic - 2.0 * self.alpha * self.tau * self.degree
+        object.__setattr__(self, "c", c)
 
     @property
     def degree(self) -> int:

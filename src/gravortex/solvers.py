@@ -32,6 +32,13 @@ their standard tolerances, and the exact degree bound N < tau * Vol/(4 pi)
 (respectively polystability, for EB) to hold for the data -- when the bound
 fails the equations have no solution and residual-small iterates are
 collapse artefacts, so the report says non-converged and cites the bound.
+
+Gravitating and EB solves run through one driver, ``_solve_coupled``
+(natural-parameter continuation; Allgower & Georg, Introduction to Numerical
+Continuation Methods, 2003).  Its anchor is the certified vortex solution at
+alpha = 0, solved outside the continuation; ``_continue_in_alpha`` then
+re-poses the state at each alpha > 0 target with ``dataclasses.replace``
+(the spec derives c) and bisects failed steps.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
@@ -115,6 +122,8 @@ class ContinuationSchedule:
 
     def __post_init__(self):
         targets = tuple(float(a) for a in self.alpha_targets)
+        if not all(math.isfinite(a) for a in targets):
+            raise ValueError("continuation targets must be finite")
         if not targets or targets[0] != 0.0:
             raise ValueError("the first continuation target must be 0")
         if any(b <= a for a, b in zip(targets, targets[1:])):
@@ -476,12 +485,16 @@ def default_alpha_targets(alpha: float) -> tuple:
 
 def _continue_in_alpha(
     anchor: FieldState,
+    kind: EquationKind,
     schedule: ContinuationSchedule,
-    spec_at: Callable[[float, float], ProblemSpec],
-    lift: Callable[[FieldState, ProblemSpec], FieldState],
     config: SolverConfig,
 ) -> tuple[FieldState, float, _LoopResult, int]:
-    """March the anchor state along ascending alpha targets with bisection."""
+    """March the anchor state along the alpha > 0 targets with bisection.
+
+    The anchor is the solution at alpha = 0, solved by the caller; every
+    attempt re-poses the last certified state as a ``kind`` problem at the
+    attempted coupling, carrying (f, v, c') forward.
+    """
     state = anchor
     reached = 0.0
     budget = schedule.max_step_halvings
@@ -490,8 +503,8 @@ def _continue_in_alpha(
     for target in schedule.alpha_targets[1:]:
         attempt = target
         while reached < target:
-            trial_spec = spec_at(attempt, state.spec.c_prime)
-            loop = _newton_loop(lift(state, trial_spec), config)
+            trial = FieldState(state.f, state.v, replace(state.spec, kind=kind, alpha=attempt))
+            loop = _newton_loop(trial, config)
             total_iters += loop.iterations
             last = loop
             if loop.failure is None:
@@ -507,6 +520,49 @@ def _continue_in_alpha(
     return state, reached, last, total_iters
 
 
+def _solve_coupled(
+    grid: SurfaceGrid,
+    section: SectionData,
+    tau: float,
+    kind: EquationKind,
+    alpha: float,
+    schedule: Optional[ContinuationSchedule],
+    config: SolverConfig,
+    gate: Optional[str],
+) -> tuple[FieldState, SolveReport]:
+    """Anchor at the vortex solution, then continue in alpha to a ``kind`` problem.
+
+    At alpha = 0, or when the anchor fails, the vortex report stands as the
+    result (with ``gate`` cited first).  ``gate`` is the existence gate of the
+    target problem, None when the data pass it.
+    """
+    if schedule is None:
+        schedule = ContinuationSchedule(default_alpha_targets(alpha))
+    if schedule.alpha_targets[-1] != alpha:
+        raise ValueError(f"the continuation schedule must end at alpha = {alpha}")
+    anchor, report = solve_vortex(grid, section, tau, config=config)
+    if kind is EquationKind.GRAVITATING:
+        anchor = FieldState(anchor.f, anchor.v, replace(anchor.spec, kind=kind))
+    if alpha == 0.0 or not report.converged:
+        if gate is not None:
+            report = replace(report, message=f"{gate}; {report.message}")
+        return anchor, report
+    state, reached, last, iters = _continue_in_alpha(anchor, kind, schedule, config)
+    message = last.message
+    if last.failure is not None:
+        message = f"continuation stalled at alpha = {reached} (target {alpha}): {message}"
+    # report the last certified state, not the failed trial
+    loop = _LoopResult(state, iters + report.iterations, last.residual, last.failure, message)
+    return state, _certify(loop, reached, gate)
+
+
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError("alpha must be finite and >= 0")
+    return alpha
+
+
 def solve_gravitating(
     grid: SurfaceGrid,
     section: SectionData,
@@ -518,54 +574,14 @@ def solve_gravitating(
     """Solve the gravitating system by continuation in the coupling.
 
     The anchor at alpha = 0 is the vortex solution with v = 0, c' = 0 (exact
-    there); each subsequent target re-poses the problem with
-    c = chi - 2*alpha*tau*N and carries (f, v, c') forward, bisecting failed
-    steps until ``schedule.max_step_halvings`` is exhausted.
+    there); each subsequent target re-poses the problem at the new coupling
+    (the spec derives c = chi - 2*alpha*tau*N) and carries (f, v, c')
+    forward, bisecting failed steps until ``schedule.max_step_halvings`` is
+    exhausted.
     """
-    alpha = float(alpha)
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    if schedule is None:
-        schedule = ContinuationSchedule(default_alpha_targets(alpha))
-    if schedule.alpha_targets[-1] != alpha:
-        raise ValueError("the continuation schedule must end at the requested alpha")
-    n = section.divisor.total_degree
-    chi = grid.euler_characteristic
-
-    vortex_state, vortex_report = solve_vortex(grid, section, tau, config=config)
-    if not vortex_report.converged:
-        spec0 = ProblemSpec(
-            grid=grid, section=section, tau=tau, kind=EquationKind.GRAVITATING,
-            alpha=0.0, c=float(chi), c_prime=0.0,
-        )
-        state0 = make_state(spec0, vortex_state.f.values)
-        loop = _LoopResult(
-            state0, vortex_report.iterations, vortex_report.final_residual,
-            vortex_report.failure_reason or FailureReason.MAX_ITERS, vortex_report.message,
-        )
-        return state0, _certify(loop, 0.0, None)
-
-    def spec_at(a: float, c_prime: float) -> ProblemSpec:
-        return ProblemSpec(
-            grid=grid, section=section, tau=tau, kind=EquationKind.GRAVITATING,
-            alpha=a, c=chi - 2.0 * a * tau * n, c_prime=c_prime,
-        )
-
-    def lift(state: FieldState, spec: ProblemSpec) -> FieldState:
-        return FieldState(state.f, state.v, spec)
-
-    anchor = make_state(spec_at(0.0, 0.0), vortex_state.f.values)
-    if alpha == 0.0:
-        loop = _LoopResult(anchor, vortex_report.iterations, vortex_report.final_residual, None)
-        return anchor, _certify(loop, 0.0, None)
-    state, reached, last, iters = _continue_in_alpha(anchor, schedule, spec_at, lift, config)
-    message = last.message
-    if last.failure is not None:
-        message = f"continuation stalled at alpha = {reached} (target {alpha}): {message}"
-    # report the last certified state, not the failed trial
-    loop = _LoopResult(state, iters + vortex_report.iterations, last.residual, last.failure,
-                       message)
-    return state, _certify(loop, reached, None)
+    alpha = _check_alpha(alpha)
+    return _solve_coupled(grid, section, tau, EquationKind.GRAVITATING, alpha, schedule,
+                          config, None)
 
 
 def advance_gravitating(
@@ -580,20 +596,10 @@ def advance_gravitating(
     continuation targets.  On failure the report's ``alpha_reached`` is the
     seed's coupling, the last value actually certified.
     """
-    alpha = float(alpha)
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    old = state.spec
-    n = old.section.divisor.total_degree
-    chi = old.grid.euler_characteristic
-    new_spec = ProblemSpec(
-        grid=old.grid, section=old.section, tau=old.tau,
-        kind=EquationKind.GRAVITATING,
-        alpha=alpha, c=chi - 2.0 * alpha * old.tau * n,
-        c_prime=old.c_prime,
-    )
-    loop = _newton_loop(FieldState(state.f, state.v, new_spec), config)
-    reached = alpha if loop.failure is None else float(old.alpha)
+    alpha = _check_alpha(alpha)
+    spec = replace(state.spec, kind=EquationKind.GRAVITATING, alpha=alpha)
+    loop = _newton_loop(FieldState(state.f, state.v, spec), config)
+    reached = alpha if loop.failure is None else state.spec.alpha
     return loop.state, _certify(loop, reached, None)
 
 
@@ -617,36 +623,5 @@ def solve_eb(
     if not stability.bradlow_check(n, tau):
         raise ValueError(f"solve_eb requires N < tau/2 (got N = {n}, tau = {tau})")
     alpha_eb = float(stability.eb_coupling(tau, n))
-    if schedule is None:
-        schedule = ContinuationSchedule(default_alpha_targets(alpha_eb))
-    if schedule.alpha_targets[-1] != alpha_eb:
-        raise ValueError("the EB continuation schedule must end at alpha = 1/(tau N)")
-
-    vortex_state, vortex_report = solve_vortex(grid, section, tau, config=config)
-    gate = _polystable_gate(section)
-    if not vortex_report.converged:
-        loop = _LoopResult(
-            vortex_state, vortex_report.iterations, vortex_report.final_residual,
-            vortex_report.failure_reason or FailureReason.MAX_ITERS, vortex_report.message,
-        )
-        return vortex_state, _certify(loop, 0.0, gate)
-
-    def spec_at(a: float, c_prime: float) -> ProblemSpec:
-        if a == 0.0:
-            return ProblemSpec(grid=grid, section=section, tau=tau, kind=EquationKind.VORTEX)
-        return ProblemSpec(
-            grid=grid, section=section, tau=tau, kind=EquationKind.EINSTEIN_BOGOMOLNYI,
-            alpha=a, c=0.0, c_prime=c_prime,
-        )
-
-    def lift(state: FieldState, spec: ProblemSpec) -> FieldState:
-        return make_state(spec, state.f.values)
-
-    anchor = make_state(spec_at(0.0, 0.0), vortex_state.f.values)
-    state, reached, last, iters = _continue_in_alpha(anchor, schedule, spec_at, lift, config)
-    failure = last.failure
-    message = last.message
-    if failure is not None:
-        message = f"continuation stalled at alpha = {reached} (target {alpha_eb}): {message}"
-    loop = _LoopResult(state, iters + vortex_report.iterations, last.residual, failure, message)
-    return state, _certify(loop, reached, gate)
+    return _solve_coupled(grid, section, tau, EquationKind.EINSTEIN_BOGOMOLNYI, alpha_eb,
+                          schedule, config, _polystable_gate(section))

@@ -265,8 +265,7 @@ def _fd_spec(kind):
     section = build_section(grid, Divisor(((0.25, 0.25),), (1,)))
     if kind == "gravitating":
         return ProblemSpec(grid=grid, section=section, tau=2.5,
-                           kind=EquationKind.GRAVITATING, alpha=0.05,
-                           c=-2 * 0.05 * 2.5 * 1, c_prime=0.1)
+                           kind=EquationKind.GRAVITATING, alpha=0.05, c_prime=0.1)
     return ProblemSpec(grid=grid, section=section, tau=2.5, kind=EquationKind.VORTEX)
 
 

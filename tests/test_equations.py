@@ -62,7 +62,7 @@ def _mean_zero(grid, values):
     return values - np.average(values, weights=grid.quad_weights)
 
 
-def test_problem_spec_validation(torus24, torus24_section):
+def test_problem_spec_validation(torus24, torus24_section, sphere16, antipodal_section16):
     with pytest.raises(ValueError):
         ProblemSpec(grid=torus24, section=torus24_section, tau=-1.0, kind=EquationKind.VORTEX)
     with pytest.raises(ValueError):
@@ -71,13 +71,34 @@ def test_problem_spec_validation(torus24, torus24_section):
     with pytest.raises(ValueError):  # EB lives on the sphere
         ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
                     kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=0.1)
-    with pytest.raises(ValueError):  # gravitating c must match chi - 2 alpha tau N
+    with pytest.raises(TypeError):  # c is derived from chi, alpha, tau and N
         ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
                     kind=EquationKind.GRAVITATING, alpha=0.1, c=1.0)
     spec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
-                       kind=EquationKind.GRAVITATING, alpha=0.1,
-                       c=-2 * 0.1 * 2.5 * 1)
+                       kind=EquationKind.GRAVITATING, alpha=0.1)
     assert spec.degree == 1
+    assert spec.c == 0 - 2 * 0.1 * 2.5 * 1
+    assert replace(spec, alpha=0.2).c == 0 - 2 * 0.2 * 2.5 * 1
+    vortex = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
+                         kind=EquationKind.VORTEX)
+    assert vortex.c == 0.0
+    assert replace(vortex, kind=EquationKind.GRAVITATING).c == 0.0  # chi = 0 on the torus
+    eb = ProblemSpec(grid=sphere16, section=antipodal_section16, tau=8.0,
+                     kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=1.0 / 16.0)
+    assert eb.c == 0.0
+    assert replace(eb, kind=EquationKind.GRAVITATING).c == 2 - 2.0 * (1.0 / 16.0) * 8.0 * 2
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tau", math.inf), ("tau", math.nan), ("alpha", math.nan), ("alpha", math.inf),
+    ("c_prime", math.nan), ("c_prime", math.inf), ("c_prime", -math.inf),
+])
+def test_problem_spec_rejects_non_finite(torus24, torus24_section, name, value):
+    data = dict(grid=torus24, section=torus24_section, tau=2.5,
+                kind=EquationKind.GRAVITATING, alpha=0.1, c_prime=0.0)
+    data[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ProblemSpec(**data)
 
 
 def test_field_state_validation(torus24, torus24_section):
@@ -87,7 +108,7 @@ def test_field_state_validation(torus24, torus24_section):
     with pytest.raises(ValueError):  # vortex carries no metric potential
         make_state(spec, np.zeros(n), np.ones(n))
     gspec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
-                        kind=EquationKind.GRAVITATING, alpha=0.0, c=0.0)
+                        kind=EquationKind.GRAVITATING, alpha=0.0)
     with pytest.raises(ValueError):  # v must be mean-zero
         make_state(gspec, np.zeros(n), np.ones(n))
     state = make_state(gspec, np.zeros(n), _mean_zero(torus24, _smooth(torus24, 1, 0.01)))
@@ -119,9 +140,8 @@ def test_direct_residual_reduces_to_vortex_at_alpha_zero(torus24, torus24_sectio
         (torus24, torus24_section, 2.5),
         (sphere16, antipodal_section16, 8.0),
     ):
-        chi = grid.euler_characteristic
         gspec = ProblemSpec(grid=grid, section=section, tau=tau,
-                            kind=EquationKind.GRAVITATING, alpha=0.0, c=float(chi))
+                            kind=EquationKind.GRAVITATING, alpha=0.0)
         f_vals = _smooth(grid, 3)
         zeros = np.zeros_like(f_vals)
         state = make_state(gspec, f_vals, zeros)
@@ -149,8 +169,7 @@ def test_linearization_matches_finite_differences(kind, torus24, torus24_section
         grid, section = torus24, torus24_section
         tau, alpha = 2.5, 0.05
         spec = ProblemSpec(grid=grid, section=section, tau=tau,
-                           kind=EquationKind.GRAVITATING, alpha=alpha,
-                           c=-2 * alpha * tau * 1, c_prime=0.1)
+                           kind=EquationKind.GRAVITATING, alpha=alpha, c_prime=0.1)
     else:
         grid, section = torus24, torus24_section
         spec = ProblemSpec(grid=grid, section=section, tau=2.5, kind=EquationKind.VORTEX)
@@ -207,7 +226,7 @@ def test_scalar_curvature_gauss_bonnet(torus24, sphere16):
 
 def test_conformal_exponent_and_density(torus24, torus24_section):
     gspec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
-                        kind=EquationKind.GRAVITATING, alpha=0.0, c=0.0)
+                        kind=EquationKind.GRAVITATING, alpha=0.0)
     n = torus24.node_coords.shape[0]
     v = _mean_zero(torus24, _smooth(torus24, 7, 0.005))
     state = make_state(gspec, np.zeros(n), v)
@@ -233,8 +252,7 @@ def test_exponent_overflow_flag(sphere16, antipodal_section16):
 
 def test_identity_report_matches_manual_integrals(torus24, torus24_section):
     gspec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
-                        kind=EquationKind.GRAVITATING, alpha=0.05,
-                        c=-2 * 0.05 * 2.5 * 1, c_prime=0.02)
+                        kind=EquationKind.GRAVITATING, alpha=0.05, c_prime=0.02)
     f_vals = _smooth(torus24, 9)
     v_vals = _mean_zero(torus24, _smooth(torus24, 10, 0.01))
     state = make_state(gspec, f_vals, v_vals)
@@ -268,8 +286,7 @@ def test_eb_residual_formula(sphere16, antipodal_section16):
 def test_gravitating_residual_pair(torus24, torus24_section):
     alpha = 0.05
     gspec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
-                        kind=EquationKind.GRAVITATING, alpha=alpha,
-                        c=-2 * alpha * 2.5 * 1)
+                        kind=EquationKind.GRAVITATING, alpha=alpha)
     f_vals = _smooth(torus24, 12)
     v_vals = _mean_zero(torus24, _smooth(torus24, 13, 0.01))
     state = make_state(gspec, f_vals, v_vals)

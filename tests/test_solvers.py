@@ -49,6 +49,12 @@ def test_continuation_schedule_validation():
     assert s.alpha_targets == (0.0, 0.1)
 
 
+@pytest.mark.parametrize("targets", [(0.0, math.nan), (0.0, 0.1, math.inf), (math.nan, 0.1)])
+def test_continuation_schedule_rejects_non_finite_targets(targets):
+    with pytest.raises(ValueError, match="finite"):
+        ContinuationSchedule(targets)
+
+
 def test_vortex_converges_above_bound(torus24, torus24_section):
     state, report = solve_vortex(torus24, torus24_section, 2.5)
     assert report.converged
@@ -187,6 +193,28 @@ def test_gravitating_negative_alpha_rejected(torus24, torus24_section):
         solve_gravitating(torus24, torus24_section, 2.5, -0.1)
 
 
+@pytest.mark.parametrize("alpha", [-0.1, math.nan, math.inf])
+def test_gravitating_coupling_must_be_finite(torus24, torus24_section, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        solve_gravitating(torus24, torus24_section, 2.5, alpha)
+    seed = initial_state(ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
+                                     kind=EquationKind.VORTEX))
+    # rejected at the boundary, before a Newton step runs on non-finite data
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        advance_gravitating(seed, alpha)
+
+
+def test_gravitating_anchor_failure_is_the_vortex_report(torus24, torus24_section):
+    state, report = solve_gravitating(torus24, torus24_section, 1.8, 0.05)
+    _, vreport = solve_vortex(torus24, torus24_section, 1.8)
+    assert report.to_dict() == vreport.to_dict()
+    assert report.failure_reason is FailureReason.STEP_FLOOR
+    assert "degree bound fails" in report.message
+    assert report.alpha_reached == 0.0
+    assert state.spec.kind is EquationKind.GRAVITATING
+    assert np.all(state.v.values == 0.0)
+
+
 def test_eb_requires_sphere_and_bound(torus24, torus24_section, sphere16):
     with pytest.raises(ValueError):
         solve_eb(torus24, torus24_section, 2.5)
@@ -214,6 +242,17 @@ def test_eb_halts_on_unstable_divisor(sphere16):
     assert not report.converged
     assert report.failure_reason is FailureReason.NO_SOLUTION
     assert "polystable" in report.message
+
+
+def test_eb_anchor_failure_cites_the_gate_first(sphere16):
+    section = build_section(sphere16, Divisor(points=((0.0, 0.0),), multiplicities=(2,)))
+    _, report = solve_eb(sphere16, section, 8.0, SolverConfig(max_newton_iters=1))
+    assert report.failure_reason is FailureReason.MAX_ITERS
+    assert report.alpha_reached == 0.0
+    assert report.message == (
+        "no solution at this coupling: divisor is not polystable (witness point index 0); "
+        f"residual {report.final_residual:.3e} after 1 iterations"
+    )
 
 
 def _failing_volume_identity(monkeypatch):
