@@ -24,7 +24,6 @@ from .sections import (  # noqa: F401
     Divisor,
     SectionData,
     build_section,
-    curvature_identity_residual,
     rescale,
 )
 from .equations import (  # noqa: F401

@@ -144,7 +144,6 @@ class RunConfig:
     tau: object = 2.5
     alpha: object = 0.0
     alpha_values: tuple = ()
-    warm_start: bool = True
     genus: int = 0
     triple: Optional[tuple] = None
     sigma: Optional[object] = None
@@ -180,7 +179,6 @@ class RunConfig:
             "tau": self.tau,
             "alpha": self.alpha,
             "alpha_values": list(self.alpha_values),
-            "warm_start": self.warm_start,
             "genus": self.genus,
             "triple": None if self.triple is None else list(self.triple),
             "sigma": self.sigma,
@@ -200,8 +198,8 @@ class RunConfig:
 
 
 _TOP_KEYS = (
-    "command", "surface", "divisor", "tau", "alpha", "alpha_values", "warm_start",
-    "genus", "triple", "sigma", "solver", "schedule", "output",
+    "command", "surface", "divisor", "tau", "alpha", "alpha_values", "genus", "triple",
+    "sigma", "solver", "schedule", "output",
 )
 
 
@@ -218,16 +216,17 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(surface, dict):
         raise ConfigError("surface", "expected an object")
     _reject_unknown(surface, ("model", "resolution"), "surface")
-    model = surface.get("model", "torus")
+    model = surface.get("model", RunConfig.surface_model)
     if model not in ("torus", "sphere"):
         raise ConfigError("surface.model", "expected 'torus' or 'sphere'")
-    resolution = _expect_int(surface.get("resolution", 16), "surface.resolution", 4)
+    resolution = _expect_int(surface.get("resolution", RunConfig.surface_resolution),
+                             "surface.resolution", 4)
 
     divisor = _normalize_divisor(data.get("divisor", []), "divisor")
-    tau = _canonical_real(data.get("tau", 2.5), "tau")
+    tau = _canonical_real(data.get("tau", RunConfig.tau), "tau")
     if _as_fraction(tau, "tau") <= 0:
         raise ConfigError("tau", "must be positive")
-    alpha = _canonical_real(data.get("alpha", 0.0), "alpha")
+    alpha = _canonical_real(data.get("alpha", RunConfig.alpha), "alpha")
 
     raw_alphas = data.get("alpha_values", [])
     if not isinstance(raw_alphas, (list, tuple)):
@@ -236,10 +235,7 @@ def config_from_dict(data: dict) -> RunConfig:
         parse_real(a, f"alpha_values[{i}]") for i, a in enumerate(raw_alphas)
     )
 
-    warm_start = data.get("warm_start", True)
-    if not isinstance(warm_start, bool):
-        raise ConfigError("warm_start", "expected true/false")
-    genus = _expect_int(data.get("genus", 0), "genus", 0)
+    genus = _expect_int(data.get("genus", RunConfig.genus), "genus", 0)
 
     triple = data.get("triple")
     if triple is not None:
@@ -253,16 +249,14 @@ def config_from_dict(data: dict) -> RunConfig:
     solver_data = data.get("solver", {})
     if not isinstance(solver_data, dict):
         raise ConfigError("solver", "expected an object")
-    solver_fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    _reject_unknown(solver_data, solver_fields, "solver")
-    kwargs = {}
-    for name in sorted(solver_fields & set(solver_data)):
-        value = solver_data[name]
-        if name in ("max_newton_iters", "linear_maxiter"):
-            kwargs[name] = _expect_int(value, f"solver.{name}", 1)
-        else:
-            kwargs[name] = parse_real(value, f"solver.{name}")
-    solver = SolverConfig(**kwargs)
+    _reject_unknown(solver_data, [f.name for f in dataclasses.fields(SolverConfig)], "solver")
+    kwargs = dict(solver_data)
+    if "newton_tol" in kwargs:
+        kwargs["newton_tol"] = parse_real(kwargs["newton_tol"], "solver.newton_tol")
+    try:
+        solver = SolverConfig(**kwargs)
+    except ValueError as exc:  # SolverConfig's message starts with the field name
+        raise ConfigError(f"solver.{str(exc).split()[0]}", str(exc)) from None
 
     schedule = data.get("schedule", {})
     if not isinstance(schedule, dict):
@@ -290,7 +284,7 @@ def config_from_dict(data: dict) -> RunConfig:
             raise ConfigError(f"output.{key}", "expected a path string or null")
         return value
 
-    summary = _opt_path("summary_csv", "sweep_summary.csv")
+    summary = _opt_path("summary_csv", RunConfig.summary_csv)
     if summary is None:
         raise ConfigError("output.summary_csv", "expected a path string")
 
@@ -302,7 +296,6 @@ def config_from_dict(data: dict) -> RunConfig:
         tau=tau,
         alpha=alpha,
         alpha_values=alpha_values,
-        warm_start=warm_start,
         genus=genus,
         triple=triple,
         sigma=sigma,
@@ -507,7 +500,7 @@ def sweep_alpha(config: RunConfig) -> list[dict]:
     last_good = None
     for alpha in alphas:
         start = time.perf_counter()
-        if alpha == 0.0 or not config.warm_start or last_good is None:
+        if alpha == 0.0 or last_good is None:
             state, report = solve_gravitating(
                 grid, section, tau, alpha, None, config.solver,
             )

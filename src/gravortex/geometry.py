@@ -177,11 +177,6 @@ class SurfaceGrid:
             self._sht = sht
             self._shape = (sht.n_lat, sht.n_lon)
             xi2, phi2 = np.meshgrid(sht.xi, sht.phi, indexing="ij")
-            st = np.sqrt(np.maximum(0.0, 1.0 - xi2 * xi2))
-            # unit-sphere embedding, used for geodesic distances
-            self._embed = np.stack(
-                [st * np.cos(phi2), st * np.sin(phi2), xi2], axis=-1
-            ).reshape(-1, 3)
             r = np.sqrt((1.0 - xi2) / (1.0 + xi2))
             coords = np.stack([r * np.cos(phi2), r * np.sin(phi2)], axis=-1)
             self.node_coords = coords.reshape(-1, 2)
@@ -213,10 +208,6 @@ class SurfaceGrid:
     @property
     def euler_characteristic(self) -> int:
         return 2 - 2 * self.genus
-
-    @property
-    def area(self) -> float:
-        return TWO_PI
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SurfaceGrid({self.model.value}, resolution={self.resolution})"
@@ -377,17 +368,4 @@ def geodesic_distance(model: SurfaceModel, p, q) -> float:
     dx = min(dx, 1.0 - dx)
     dy = min(dy, 1.0 - dy)
     return math.sqrt(TWO_PI) * math.hypot(dx, dy)
-
-
-def node_distances(grid: SurfaceGrid, p) -> np.ndarray:
-    """Geodesic distance from every grid node to the chart point p."""
-    if grid.model is SurfaceModel.SPHERE:
-        v = _sphere_unit_vector(p)
-        dots = np.clip(grid._embed @ v, -1.0, 1.0)
-        return np.arccos(dots) / math.sqrt(2.0)
-    dx = (grid.node_coords[:, 0] - p[0]) % 1.0
-    dy = (grid.node_coords[:, 1] - p[1]) % 1.0
-    dx = np.minimum(dx, 1.0 - dx)
-    dy = np.minimum(dy, 1.0 - dy)
-    return math.sqrt(TWO_PI) * np.hypot(dx, dy)
 

@@ -4,12 +4,9 @@ A divisor D = sum_j n_j p_j of total degree N determines (up to a constant)
 the background pointwise norm-squared a = |phi|_0^2 of a holomorphic section
 vanishing to order n_j at p_j, computed against the degree-N background
 hermitian metric whose curvature is the constant N (in the area-2*pi
-normalisation).  Equivalently, away from the divisor,
+normalisation).  Equivalently, with the positive Laplacian,
 
-    (1/2) Laplacian(log a) + N = 0-localised delta masses,
-
-so a satisfies the curvature identity checked by
-:func:`curvature_identity_residual`.
+    (1/2) Laplacian(log a) = N    away from the divisor.
 
 Closed forms are used on both surfaces:
 
@@ -36,8 +33,7 @@ from .geometry import (
     SurfaceGrid,
     SurfaceModel,
     geodesic_distance,
-    laplacian_apply,
-    node_distances,
+    laplacian_apply,  # noqa: F401  (unused here; perfbench/tracer.py patches this binding)
 )
 
 _THETA_TERMS = 8
@@ -85,9 +81,6 @@ class SectionData:
     norm_sq : ScalarField
         a = |phi|_0^2 at the nodes; grid maximum is exp(normalization - C_raw) = 1
         for freshly built sections.
-    log_norm_reg : ScalarField
-        log(a) minus the exact singular model of the divisor; smooth
-        (constant, up to rounding, for these closed-form constructions).
     normalization : float
         The additive constant C applied to log(a).
     """
@@ -95,7 +88,6 @@ class SectionData:
     divisor: Divisor
     grid: SurfaceGrid
     norm_sq: ScalarField
-    log_norm_reg: ScalarField
     normalization: float
 
 
@@ -151,7 +143,7 @@ def torus_log_norm_raw(divisor: Divisor, xy: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# builder and diagnostics
+# builder
 # ---------------------------------------------------------------------------
 
 
@@ -184,17 +176,10 @@ def build_section(grid: SurfaceGrid, divisor: Divisor) -> SectionData:
     else:
         raw = torus_log_norm_raw(divisor, grid.node_coords)
     c = -float(np.max(raw))
-    norm_sq = np.exp(raw + c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reg = np.log(norm_sq) - raw
-    # a node sitting exactly on the divisor makes both terms -inf; the
-    # regular part's limit there is the constant c
-    reg = np.where(np.isfinite(reg), reg, c)
     return SectionData(
         divisor=divisor,
         grid=grid,
-        norm_sq=ScalarField(grid, norm_sq),
-        log_norm_reg=ScalarField(grid, reg),
+        norm_sq=ScalarField(grid, np.exp(raw + c)),
         normalization=c,
     )
 
@@ -206,26 +191,6 @@ def rescale(section: SectionData, s: float) -> SectionData:
         divisor=section.divisor,
         grid=section.grid,
         norm_sq=ScalarField(section.grid, section.norm_sq.values * math.exp(2.0 * s)),
-        log_norm_reg=ScalarField(section.grid, section.log_norm_reg.values + 2.0 * s),
         normalization=section.normalization + 2.0 * s,
     )
 
-
-def curvature_identity_residual(section: SectionData, exclusion_radius: float = 0.3) -> float:
-    """Max-norm defect of (1/2) Laplacian(log a) + N = 0 away from the divisor.
-
-    The Laplacian is applied to the regular part ``log_norm_reg``; the exact
-    singular model contributes its analytic Laplacian, which equals -2N away
-    from the divisor points on both surfaces, cancelling the background
-    constant.  The maximum runs over nodes at geodesic distance at least
-    ``exclusion_radius`` from every divisor point; returns 0-like values when
-    the construction and the transforms are consistent.
-    """
-    grid = section.grid
-    lap = laplacian_apply(section.log_norm_reg)
-    mask = np.ones(grid.n_nodes, dtype=bool)
-    for p in section.divisor.points:
-        mask &= node_distances(grid, p) >= exclusion_radius
-    if not np.any(mask):
-        raise ValueError("exclusion radius leaves no nodes to check")
-    return float(np.max(np.abs(0.5 * lap.values[mask])))

@@ -75,6 +75,9 @@ DEGREE_IDENTITY_TOL = 1e-6
 VOLUME_IDENTITY_TOL = 1e-8
 GAUSS_BONNET_TOL = 1e-4
 _STEP_FLOOR = 2.0**-25
+_ARMIJO_CONSTANT = 1e-4
+_LINEAR_MAXITER = 8  # LGMRES restarts per linear solve
+_DIVERGENCE_NORM = 1e6  # iterate sup norm beyond which a loop reports Divergence
 
 # Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 17, 1996).  eta_max stays
 # small because LGMRES minimises the Euclidean norm of the stacked residual
@@ -85,6 +88,10 @@ _EW_GAMMA = 0.9
 _EW_EXPONENT = 2.0
 _EW_SAFEGUARD = 0.1
 _ETA_MAX = 0.1
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class FailureReason(str, Enum):
@@ -98,29 +105,37 @@ class FailureReason(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton iteration controls.
+    """Newton iteration controls: the residual sup-norm tolerance and the step budget.
 
-    Each linear solve runs to the Eisenstat-Walker forcing tolerance (see
-    ``_forcing``), for at most ``linear_maxiter`` LGMRES restarts; the
-    tolerance is derived from the residual history and ``newton_tol``, so it
-    is not a field.
+    Raises ValueError, naming the field, unless ``newton_tol`` is finite and
+    positive and ``max_newton_iters`` is an integer >= 1.  Each linear solve
+    runs to the Eisenstat-Walker forcing tolerance (see ``_forcing``), derived
+    from the residual history and ``newton_tol``; the Armijo constant, the
+    LGMRES restart budget and the divergence guard are module constants.
     """
 
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
-    armijo_constant: float = 1e-4
-    linear_maxiter: int = 8
-    divergence_norm: float = 1e6
+
+    def __post_init__(self):
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
+            raise ValueError(f"newton_tol must be finite and > 0; got {self.newton_tol!r}")
+        if not _is_int(self.max_newton_iters) or self.max_newton_iters < 1:
+            raise ValueError(
+                f"max_newton_iters must be an integer >= 1; got {self.max_newton_iters!r}")
 
 
 @dataclass(frozen=True)
 class ContinuationSchedule:
-    """Ascending coupling targets, starting at 0."""
+    """Ascending coupling targets, starting at 0, and the bisection budget (an integer >= 0)."""
 
     alpha_targets: tuple
     max_step_halvings: int = 10
 
     def __post_init__(self):
+        if not _is_int(self.max_step_halvings) or self.max_step_halvings < 0:
+            raise ValueError(
+                f"max_step_halvings must be an integer >= 0; got {self.max_step_halvings!r}")
         targets = tuple(float(a) for a in self.alpha_targets)
         if not all(math.isfinite(a) for a in targets):
             raise ValueError("continuation targets must be finite")
@@ -311,7 +326,7 @@ def newton_step(state: FieldState, config: SolverConfig = SolverConfig(), _syste
     op = LinearOperator((sys.size, sys.size), matvec=sys.matvec)
     pre = LinearOperator((sys.size, sys.size), matvec=sys.precond)
     d, info["krylov_info"] = lgmres(op, -r, M=pre, rtol=rtol, atol=0.0,
-                                    maxiter=config.linear_maxiter, inner_m=30)
+                                    maxiter=_LINEAR_MAXITER, inner_m=30)
     theta0 = sys.merit(r)
     t = 1.0
     while True:
@@ -319,7 +334,7 @@ def newton_step(state: FieldState, config: SolverConfig = SolverConfig(), _syste
         if not exponent_overflow(trial):
             trial_sys = _NewtonSystem(trial)
             r2, sup2 = trial_sys.residual_vector()
-            if sys.merit(r2) <= (1.0 - 2.0 * config.armijo_constant * t) * theta0:
+            if sys.merit(r2) <= (1.0 - 2.0 * _ARMIJO_CONSTANT * t) * theta0:
                 info.update(new_residual_norm=sup2, step_scale=t, system=trial_sys)
                 return trial, info
         t *= 0.5
@@ -362,7 +377,7 @@ def _newton_loop(state: FieldState, config: SolverConfig) -> _LoopResult:
         )
         if sup <= config.newton_tol:
             return _LoopResult(state, iterations, sup, None)
-        if norms > config.divergence_norm:
+        if norms > _DIVERGENCE_NORM:
             return _LoopResult(state, iterations, sup, FailureReason.DIVERGENCE,
                                f"iterate sup-norm {norms:.3e} exceeded the divergence guard")
         if iterations >= config.max_newton_iters:
@@ -455,22 +470,18 @@ def solve_vortex(
     section: SectionData,
     tau: float,
     config: SolverConfig = SolverConfig(),
-    initial: Optional[FieldState] = None,
+    initial: Optional[np.ndarray] = None,
 ) -> tuple[FieldState, SolveReport]:
     """Solve the vortex equation at fixed background area 2*pi.
 
-    Returns the final state and a certified report.  When the degree bound
-    N < tau*Vol/(4*pi) fails, no solution exists; the iteration still runs
-    and the report comes back non-converged citing the violated bound.
+    ``initial`` holds node values of f to start from (default: the
+    ``initial_state`` guess).  Returns the final state and a certified
+    report.  When the degree bound N < tau*Vol/(4*pi) fails, no solution
+    exists; the iteration still runs and the report comes back non-converged
+    citing the violated bound.
     """
     spec = ProblemSpec(grid=grid, section=section, tau=tau, kind=EquationKind.VORTEX)
-    if initial is None:
-        state = initial_state(spec)
-    elif isinstance(initial, FieldState):
-        state = make_state(spec, initial.f.values)
-    else:
-        vals = initial.values if isinstance(initial, ScalarField) else np.asarray(initial)
-        state = make_state(spec, vals)
+    state = initial_state(spec) if initial is None else make_state(spec, initial)
     loop = _newton_loop(state, config)
     gate = _bradlow_gate(section.divisor.total_degree, tau)
     return loop.state, _certify(loop, 0.0, gate)

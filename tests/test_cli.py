@@ -49,8 +49,8 @@ def test_config_round_trip_is_identity():
     assert again.to_dict() == echoed
     # all defaults are explicit in the serialized form
     assert set(echoed) == {
-        "command", "surface", "divisor", "tau", "alpha", "alpha_values", "warm_start",
-        "genus", "triple", "sigma", "solver", "schedule", "output",
+        "command", "surface", "divisor", "tau", "alpha", "alpha_values", "genus", "triple",
+        "sigma", "solver", "schedule", "output",
     }
     assert echoed["solver"]["newton_tol"] == 1e-10
 
@@ -65,6 +65,24 @@ def test_config_rejects_removed_linear_tol():
     with pytest.raises(ConfigError) as err:
         config_from_dict(record)
     assert err.value.path == "solver.linear_tol"
+
+
+@pytest.mark.parametrize("path", ["solver.armijo_constant", "solver.linear_maxiter",
+                                  "solver.divergence_norm", "warm_start"])
+def test_config_rejects_removed_keys(path):
+    # records written while these were config fields carry them; no caller set
+    # them to a second value, so re-running such a record names the dropped key
+    record = config_from_dict({"command": "SweepAlpha", "divisor": [[0.25, 0.25, 1]],
+                               "alpha_values": [0, 0.02]}).to_dict()
+    *parents, key = path.split(".")
+    node = record
+    for part in parents:
+        node = node[part]
+    assert key not in node
+    node[key] = True if key == "warm_start" else 8
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(record)
+    assert err.value.path == path
 
 
 def test_config_rational_strings_stay_exact():
@@ -100,6 +118,13 @@ def test_config_field_validation_paths():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"command": "Classify", "surface": {"resolution": 2}})
     assert err.value.path == "surface.resolution"
+    for block, key, value in [("solver", "newton_tol", -1), ("solver", "newton_tol", 0),
+                              ("solver", "max_newton_iters", 0),
+                              ("solver", "max_newton_iters", 2.5),
+                              ("schedule", "max_step_halvings", -1)]:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"command": "SolveGravitating", block: {key: value}})
+        assert err.value.path == f"{block}.{key}"
 
 
 def test_default_config_construction():
@@ -269,6 +294,16 @@ def test_sweep_rejects_bad_alpha_lists(capsys):
     ])
     assert code == 1
     assert json.loads(err)["error"]["field"] == "alpha_values"
+
+
+def test_solve_rejects_bad_solver_setting_before_solving(capsys):
+    # without the check, newton_tol = -1 runs Newton to StepFloor and exits 2
+    code, out, err = _run(capsys, [
+        "solve", "--kind", "vortex", "--model", "torus", "--resolution", "16",
+        "--tau", "2.5", "--set", "divisor=[[0.25,0.25,1]]", "--set", "solver.newton_tol=-1",
+    ])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["field"] == "solver.newton_tol"
 
 
 def test_usage_errors_exit_one(capsys):

@@ -37,7 +37,6 @@ def _constant_section(grid, value=1.0, degree=1):
         divisor=divisor,
         grid=grid,
         norm_sq=ScalarField(grid, ones),
-        log_norm_reg=ScalarField(grid, np.log(ones)),
         normalization=0.0,
     )
 

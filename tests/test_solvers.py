@@ -35,7 +35,17 @@ def test_solver_config_validation():
         SolverConfig(damping="none")
     with pytest.raises(TypeError):  # the forcing term sets the linear tolerance
         SolverConfig(linear_tol=1e-12)
+    for removed in ("armijo_constant", "linear_maxiter", "divergence_norm"):
+        with pytest.raises(TypeError):  # module constants: no caller set them
+            SolverConfig(**{removed: 1})
+    # a bad setting fails when built, naming the field, not partway through a solve
+    bad = [("newton_tol", v) for v in (-1.0, 0.0, math.nan, math.inf)]
+    bad += [("max_newton_iters", v) for v in (0, 2.5, True)]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            SolverConfig(**{name: value})
     assert SolverConfig().newton_tol == 1e-10
+    assert SolverConfig(max_newton_iters=np.int64(1)).max_newton_iters == 1
 
 
 def test_continuation_schedule_validation():
@@ -45,7 +55,10 @@ def test_continuation_schedule_validation():
         ContinuationSchedule((0.0, 0.2, 0.2))
     with pytest.raises(ValueError):
         ContinuationSchedule(())
-    s = ContinuationSchedule((0.0, 0.1))
+    for halvings in (-1, 1.5, True):  # -1 would stop at the first failed step
+        with pytest.raises(ValueError, match="max_step_halvings"):
+            ContinuationSchedule((0.0, 0.4), max_step_halvings=halvings)
+    s = ContinuationSchedule((0.0, 0.1), max_step_halvings=0)
     assert s.alpha_targets == (0.0, 0.1)
 
 
