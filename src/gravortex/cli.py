@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .equations import conformal_exponent, identity_report, metric_density, scalar_curvature
+from .equations import conformal_exponent, metric_density, scalar_curvature
+from .equations import identity_report  # noqa: F401  (perfbench/tracer.py patches this binding)
 from .geometry import POINT_AT_INFINITY, SurfaceGrid, build_grid
 from .sections import Divisor, SectionData, build_section
 from .solvers import (
@@ -334,13 +335,13 @@ def _frac_str(value) -> Optional[str]:
     return str(Fraction(value))
 
 
-def _record(config: RunConfig, *, verdict=None, report=None, identity=None,
+def _record(config: RunConfig, *, verdict=None, report=None,
             wall_time=0.0, grid: Optional[SurfaceGrid] = None) -> dict:
     return {
         "config": config.to_dict(),
         "verdict": verdict,
         "report": None if report is None else report.to_dict(),
-        "identity": None if identity is None else identity.to_dict(),
+        "identity": None if report is None else report.identity.to_dict(),
         "wall_time": wall_time,
         "version": __version__,
         "grid_checksum": None if grid is None else grid.checksum,
@@ -465,14 +466,13 @@ def run(config: RunConfig) -> dict:
                     )
                 _reject_schedule(config)
                 state, report = solve_eb(grid, section, tau, config.solver)
-        except ValueError as exc:
-            raise ConfigError("config", str(exc)) from None
+        except ValueError as exc:  # solve_eb rejects the torus, then N >= tau/2
+            field = "config" if config.command != "SolveEB" else (
+                "tau" if config.surface_model == "sphere" else "surface.model")
+            raise ConfigError(field, str(exc)) from None
         if config.fields_csv is not None:
             _dump_fields(state, config.fields_csv)
-        return _record(
-            config, report=report, identity=identity_report(state),
-            wall_time=time.perf_counter() - start, grid=grid,
-        )
+        return _record(config, report=report, wall_time=time.perf_counter() - start, grid=grid)
 
     raise ConfigError("command", f"unhandled command {config.command!r}")
 
@@ -509,10 +509,8 @@ def sweep_alpha(config: RunConfig) -> list[dict]:
         if report.converged:
             last_good = state
         echo = dataclasses.replace(config, alpha=alpha)
-        records.append(_record(
-            echo, report=report, identity=identity_report(state),
-            wall_time=time.perf_counter() - start, grid=grid,
-        ))
+        records.append(_record(echo, report=report, wall_time=time.perf_counter() - start,
+                               grid=grid))
     return records
 
 

@@ -76,9 +76,10 @@ class RadialEBSolution:
     residual: float
 
     def interpolate(self, xi_query: np.ndarray) -> np.ndarray:
-        """Barycentric evaluation of f at arbitrary xi in [-1, 1]."""
+        """Barycentric evaluation of f at arbitrary xi in [-1, 1], once per distinct xi."""
         interp = BarycentricInterpolator(self.xi, self.f)
-        return np.asarray(interp(np.asarray(xi_query, dtype=float)))
+        xi, inverse = np.unique(np.asarray(xi_query, dtype=float), return_inverse=True)
+        return np.asarray(interp(xi))[inverse].reshape(np.shape(xi_query))
 
 
 def _log_a(xi: np.ndarray, m_n: int, m_s: int, log_scale: float) -> np.ndarray:

@@ -12,12 +12,12 @@ unknown, paired with the volume/mean constraints:
   (the volume constraint is already the mean of the second equation, since
   Delta v integrates to zero).
 
-Linear systems are solved with preconditioned LGMRES to an Eisenstat-Walker
-forcing tolerance floored at the Newton tolerance (inexact Newton-Krylov;
-see ``_forcing``); the preconditioner is the exact spectral
-(Delta + shift)^{-1} applied blockwise.  Damping is Armijo backtracking on
-the quadratic merit (1/2)||R||^2 in the background L2 norm; the accepted
-trial's system becomes the next step's system.
+LGMRES solves the right-preconditioned J P y = -R to an Eisenstat-Walker
+forcing tolerance floored at the Newton tolerance (inexact Newton-Krylov; see
+``_forcing``); d = P y, P the spectral (Delta + shift)^{-1} per field block.
+Delta P = I - shift P makes J P y one transform round trip per block (on the
+sphere exactly for band-limited y; the operator passes the rest of y through
+and P drops it).  Armijo backtracking on (1/2)||R||^2 (background L2) damps d.
 
 Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
 (nonlinearity exponent beyond the guard), StepFloor (backtracking collapsed),
@@ -37,8 +37,8 @@ Gravitating and EB solves run through one driver, ``_solve_coupled``
 (natural-parameter continuation; Allgower & Georg, Introduction to Numerical
 Continuation Methods, 2003).  Its anchor is the certified vortex solution at
 alpha = 0, solved outside the continuation; ``_continue_in_alpha`` then
-re-poses the state at each alpha > 0 target with ``dataclasses.replace``
-(the spec derives c) and bisects failed steps.
+poses each alpha > 0 target (the spec derives c) from the secant predictor
+through the last two certified states, and bisects failed steps.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ class SolveReport:
 
 
 class _NewtonSystem:
-    """Bordered residual, Jacobian action, and preconditioner at a frozen state.
+    """Bordered residual, Jacobian action, preconditioner and Krylov operator at a frozen state.
 
     The block layout is fixed per kind in ``__init__``: the f rows; the v rows
     when v is an unknown (gravitating); then the c' column and its gauge row
@@ -211,7 +211,7 @@ class _NewtonSystem:
         if self.has_v:
             shift_v = float(np.dot(wq, np.abs(2.0 * s.c * self.w))) / TWO_PI
             self._shifts += (max(1e-6, shift_v),)
-        self._rv = None
+        self._rv, self._last_py = None, (None, None)
 
     def _split(self, x: np.ndarray):
         """(df, dv, dc) of a vector in the block layout; absent blocks read as 0."""
@@ -237,14 +237,25 @@ class _NewtonSystem:
         return self._rv
 
     # -- Jacobian action ------------------------------------------------------
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        g = self.grid
+    def matvec(self, x: np.ndarray, lap: Optional[list] = None) -> np.ndarray:
+        """J x; ``lap`` holds the Laplacians of the field blocks of x when the caller has them."""
         df, dv, dc = self._split(x)
+        if lap is None:
+            lap = [laplacian_values(self.grid, b) for b in (df, dv)[: 1 + self.has_v]]
         dw = self.w * (self._a * df - 2.0 * self.spec.c * dv + 2.0 * dc)
-        rows = [laplacian_values(g, df) + self._pw * df + self._half_pt * dw]
+        rows = [lap[0] + self._pw * df + self._half_pt * dw]
         if self.has_v:
-            rows.append(laplacian_values(g, dv) + dw)
+            rows.append(lap[1] + dw)
         return self._stack(rows, dv, dw, 0.0)
+
+    def krylov_matvec(self, y: np.ndarray) -> np.ndarray:
+        """J P y, the Laplacian of each field block of P y read off as y - shift P y."""
+        if not y.any():  # lgmres's starting vector; J P 0 = 0
+            return np.zeros_like(y)
+        x, n = self.precond(y), self.n
+        self._last_py = (y.copy(), x)  # lgmres ends by applying J P to its solution
+        return self.matvec(x, [y[k * n : (k + 1) * n] - shift * x[k * n : (k + 1) * n]
+                               for k, shift in enumerate(self._shifts)])
 
     # -- preconditioner -------------------------------------------------------
     def precond(self, x: np.ndarray) -> np.ndarray:
@@ -256,12 +267,11 @@ class _NewtonSystem:
         return np.concatenate(parts)
 
     # -- merit weights --------------------------------------------------------
+    @np.errstate(over="ignore")  # a blown-up trial's merit is inf, and the trial is rejected
     def merit(self, vec: np.ndarray) -> float:
         """(1/2) ||vec||^2: L2 on the field rows, 2 pi times the square on the gauge row."""
         wq = self.grid.quad_weights
-        total = 0.0
-        for r in vec[: self.field_rows].reshape(-1, self.n):
-            total += float(np.dot(wq, r * r))
+        total = sum(float(np.dot(wq, r * r)) for r in vec[: self.field_rows].reshape(-1, self.n))
         gauge = vec[self.field_rows :]
         return 0.5 * (total + TWO_PI * float(np.dot(gauge, gauge)))
 
@@ -307,7 +317,7 @@ def _forcing(norm: float, prev_norm: Optional[float], prev_eta: float,
 
 def newton_step(state: FieldState, config: SolverConfig = SolverConfig(), _system=None,
                 rtol: float = _ETA_MAX):
-    """One damped Newton step, its linear system solved to relative tolerance rtol.
+    """One damped Newton step d = P y, where LGMRES solves J P y = -r to relative tolerance rtol.
 
     Returns (new_state, info) where info records residual_norm (sup norm over
     every row of the bordered residual), new_residual_norm, step_scale (0.0
@@ -323,10 +333,10 @@ def newton_step(state: FieldState, config: SolverConfig = SolverConfig(), _syste
     if exponent_overflow(state):
         info["flag"] = "overflow"
         return state, info
-    op = LinearOperator((sys.size, sys.size), matvec=sys.matvec)
-    pre = LinearOperator((sys.size, sys.size), matvec=sys.precond)
-    d, info["krylov_info"] = lgmres(op, -r, M=pre, rtol=rtol, atol=0.0,
+    op = LinearOperator((sys.size, sys.size), matvec=sys.krylov_matvec, dtype=float)
+    y, info["krylov_info"] = lgmres(op, -r, rtol=rtol, atol=0.0,
                                     maxiter=_LINEAR_MAXITER, inner_m=30)
+    d = sys._last_py[1] if np.array_equal(sys._last_py[0], y) else sys.precond(y)
     theta0 = sys.merit(r)
     t = 1.0
     while True:
@@ -502,11 +512,11 @@ def _continue_in_alpha(
 ) -> tuple[FieldState, float, _LoopResult, int]:
     """March the anchor state along the alpha > 0 targets with bisection.
 
-    The anchor is the solution at alpha = 0, solved by the caller; every
-    attempt re-poses the last certified state as a ``kind`` problem at the
-    attempted coupling, carrying (f, v, c') forward.
+    The anchor is the solution at alpha = 0, solved by the caller; an attempt
+    poses a ``kind`` problem at its coupling from (f, v, c') extrapolated along
+    the secant through the last two certified states (or from the anchor).
     """
-    state = anchor
+    state = prev = anchor
     reached = 0.0
     budget = schedule.max_step_halvings
     total_iters = 0
@@ -514,12 +524,16 @@ def _continue_in_alpha(
     for target in schedule.alpha_targets[1:]:
         attempt = target
         while reached < target:
-            trial = FieldState(state.f, state.v, replace(state.spec, kind=kind, alpha=attempt))
+            ratio = (attempt - reached) / (reached - prev.spec.alpha) if state is not prev else 0.0
+            c = state.spec.c_prime + ratio * (state.spec.c_prime - prev.spec.c_prime)
+            trial = make_state(replace(state.spec, kind=kind, alpha=attempt, c_prime=c),
+                               *(a.values + ratio * (a.values - b.values)
+                                 for a, b in ((state.f, prev.f), (state.v, prev.v))))
             loop = _newton_loop(trial, config)
             total_iters += loop.iterations
             last = loop
             if loop.failure is None:
-                state = loop.state
+                prev, state = state, loop.state
                 reached = attempt
                 attempt = target
             else:
@@ -586,9 +600,9 @@ def solve_gravitating(
 
     The anchor at alpha = 0 is the vortex solution with v = 0, c' = 0 (exact
     there); each subsequent target re-poses the problem at the new coupling
-    (the spec derives c = chi - 2*alpha*tau*N) and carries (f, v, c')
-    forward, bisecting failed steps until ``schedule.max_step_halvings`` is
-    exhausted.
+    (the spec derives c = chi - 2*alpha*tau*N), starting from the secant
+    prediction of (f, v, c'), and bisects failed steps until
+    ``schedule.max_step_halvings`` is exhausted.
     """
     alpha = _check_alpha(alpha)
     return _solve_coupled(grid, section, tau, EquationKind.GRAVITATING, alpha, schedule,

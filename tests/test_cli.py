@@ -325,6 +325,29 @@ def test_eb_subcommand_rejects_explicit_alpha(capsys):
     assert json.loads(err)["error"]["field"] == "alpha"
 
 
+def test_eb_below_degree_bound_names_tau(capsys):
+    # N = 2 is not below tau/2 = 1: the error names tau, not the whole config
+    code, out, err = _run(capsys, [
+        "solve", "--kind", "eb", "--model", "sphere", "--resolution", "8",
+        "--tau", "2", "--set", 'divisor=[[0,0,1],["inf",1]]',
+    ])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["field"] == "tau"
+    assert "N < tau/2" in error["message"]
+
+
+def test_eb_on_torus_names_surface_model(capsys):
+    code, out, err = _run(capsys, [
+        "solve", "--kind", "eb", "--model", "torus", "--resolution", "8",
+        "--tau", "8", "--set", "divisor=[[0.25,0.25,1]]",
+    ])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["field"] == "surface.model"
+    assert "sphere" in error["message"]
+
+
 @pytest.mark.parametrize("override", ["schedule.max_step_halvings=3",
                                       "schedule.alpha_targets=[0,0.02]"])
 def test_eb_vortex_and_sweep_reject_schedule(capsys, override):

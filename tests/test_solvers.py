@@ -1,6 +1,7 @@
 """Newton solves: convergence, certification gates, continuation, invariance."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,11 @@ from gravortex.equations import (
     EquationKind,
     ProblemSpec,
     initial_state,
+    make_state,
     metric_density,
     residual_fields,
 )
-from gravortex.geometry import POINT_AT_INFINITY, build_grid, integrate, mean_value
+from gravortex.geometry import POINT_AT_INFINITY, _spectral, build_grid, integrate, mean_value
 from gravortex.sections import Divisor, build_section, rescale
 from gravortex.solvers import (
     ContinuationSchedule,
@@ -169,6 +171,148 @@ def test_step_floor_names_lgmres_exit_code(monkeypatch, torus24, torus24_section
     assert info["flag"] == "step_floor"
 
 
+# ---------------------------------------------------------------------------
+# the right-preconditioned Krylov operator
+# ---------------------------------------------------------------------------
+
+
+def _unsolved_system(model, resolution, kind):
+    """A Newton system away from any solution: smooth f, v and a nonzero c'."""
+    grid = build_grid(model, resolution)
+    if model == "torus":
+        divisor = Divisor(((0.25, 0.25), (0.7, 0.6)), (1, 1))
+    else:
+        divisor = Divisor(((0.0, 0.0), (1.0, 0.5)), (1, 1))
+    section = build_section(grid, divisor)
+    kind = EquationKind(kind)
+    coupled = kind is not EquationKind.VORTEX
+    spec = ProblemSpec(grid=grid, section=section, tau=8.0, kind=kind,
+                       alpha=0.05 if coupled else 0.0, c_prime=-0.3 if coupled else 0.0)
+    x, y = grid.node_coords[:, 0], grid.node_coords[:, 1]
+    f = 0.2 * np.cos(2.0 * x) + 0.1 * np.sin(3.0 * y) + 0.4
+    v = None
+    if kind is EquationKind.GRAVITATING:
+        v = 0.05 * np.sin(2.0 * x + y)
+        v = v - np.average(v, weights=grid.quad_weights)
+    return solvers._NewtonSystem(make_state(spec, f, v))
+
+
+def _krylov_vector(system, seed):
+    """Random on the torus; band-limited on the sphere, where the identity is exact."""
+    y = np.random.default_rng(seed).standard_normal(system.size)
+    if system.grid.model.value == "sphere":
+        ones = np.ones_like(system.grid._eigs)
+        for k in range(len(system._shifts)):
+            block = slice(k * system.n, (k + 1) * system.n)
+            y[block] = _spectral(system.grid, y[block], ones)
+    return y
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("model,resolution,kind", [  # EB lives on the sphere only
+    ("torus", 16, "vortex"), ("torus", 16, "gravitating"),
+    ("sphere", 8, "vortex"), ("sphere", 8, "gravitating"), ("sphere", 8, "eb"),
+])
+def test_krylov_operator_is_jacobian_after_preconditioner(model, resolution, kind):
+    system = _unsolved_system(model, resolution, kind)
+    for seed in range(3):
+        y = _krylov_vector(system, seed)
+        x = system.precond(y)
+        want = system.matvec(x)
+        assert _rel(system.krylov_matvec(y), want) < 1e-12
+        # negative: Delta P y read off as y alone, without the -shift P y term
+        wrong = system.matvec(x, list(y[: system.field_rows].reshape(-1, system.n)))
+        assert _rel(wrong, want) > 1e-6
+
+
+@pytest.mark.parametrize("kind", ["vortex", "eb"])
+def test_krylov_operator_is_identity_out_of_band_on_sphere(kind):
+    # P discards the out-of-band part of y; the operator passes it through unchanged
+    system = _unsolved_system("sphere", 8, kind)
+    y = np.random.default_rng(7).standard_normal(system.size)
+    band = _krylov_vector(system, 7)
+    assert np.max(np.abs(y - band)) > 0.1
+    assert np.max(np.abs(system.precond(y) - system.precond(band))) < 1e-12
+    gap = system.krylov_matvec(y) - system.matvec(system.precond(y))
+    assert np.max(np.abs(gap - (y - band))) < 1e-12
+
+
+@pytest.mark.parametrize("model,resolution", [("torus", 16), ("sphere", 8)])
+def test_newton_step_applies_jacobian_once_per_krylov_iteration(monkeypatch, model, resolution):
+    system = _unsolved_system(model, resolution, "gravitating" if model == "torus" else "vortex")
+    counts = {"matvec": 0, "precond": 0, "iterations": 0, "zero": 0}
+    for name in ("matvec", "precond"):
+        def counted(self, *args, _name=name, _fn=getattr(solvers._NewtonSystem, name)):
+            counts[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(solvers._NewtonSystem, name, counted)
+    lgmres = solvers.lgmres
+
+    def spy(op, b, **kwargs):
+        assert not any(counts.values())  # no dtype probe before the solve
+        assert op.dtype == np.float64 and kwargs.get("M") is None
+
+        def apply(y):
+            counts["iterations" if y.any() else "zero"] += 1
+            return op.matvec(y)
+        return lgmres(solvers.LinearOperator(op.shape, matvec=apply, dtype=op.dtype), b,
+                      **kwargs)
+
+    monkeypatch.setattr(solvers, "lgmres", spy)
+    _, info = newton_step(system.state, _system=system)
+    assert info["krylov_info"] == 0 and info["step_scale"] > 0.0
+    assert counts["zero"] == 1  # lgmres's starting vector costs no transform
+    assert counts["iterations"] > 1
+    assert counts["matvec"] == counts["iterations"]
+    # d = P y reuses the last application, which lgmres makes on the y it returns
+    assert counts["precond"] == counts["iterations"]
+
+
+@pytest.mark.parametrize("maxiter", [None, 1])
+def test_newton_direction_is_precond_of_the_krylov_solution(monkeypatch, maxiter):
+    # cut short at one restart, lgmres returns a y it never applied the operator to
+    system = _unsolved_system("sphere", 8, "eb")
+    seen = {}
+    lgmres, update = solvers.lgmres, solvers._NewtonSystem.apply_update
+
+    def spy(op, b, **kwargs):
+        if maxiter is not None:
+            kwargs["maxiter"] = maxiter
+        seen["y"], code = lgmres(op, b, **kwargs)
+        return seen["y"], code
+
+    def capture(self, x, t):
+        seen.setdefault("d", x.copy())
+        return update(self, x, t)
+
+    monkeypatch.setattr(solvers, "lgmres", spy)
+    monkeypatch.setattr(solvers._NewtonSystem, "apply_update", capture)
+    _, info = newton_step(system.state, _system=system)
+    assert (info["krylov_info"] == 0) == (maxiter is None)
+    assert np.array_equal(seen["d"], system.precond(seen["y"]))
+
+
+def test_merit_of_a_blown_up_trial_is_inf_without_warnings(torus24, torus24_section):
+    spec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
+                       kind=EquationKind.VORTEX)
+    system = solvers._NewtonSystem(initial_state(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert system.merit(np.full(system.size, 1e228)) == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [1.85, 1.88])
+def test_below_bound_vortex_fails_without_overflow_warnings(torus24, torus24_section, tau):
+    # these trials reach residuals near 1e228; their merit must overflow silently
+    _, report = solve_vortex(torus24, torus24_section, tau)
+    assert not report.converged
+    assert report.failure_reason is FailureReason.STEP_FLOOR
+
+
 def test_gravitating_torus_weak_coupling(torus24, torus24_section):
     state, report = solve_gravitating(torus24, torus24_section, 2.5, 0.05)
     assert report.converged
@@ -179,6 +323,35 @@ def test_gravitating_torus_weak_coupling(torus24, torus24_section):
     assert abs(report.identity.volume_identity) <= 1e-8
     assert abs(mean_value(state.v)) < 1e-12
     assert abs(report.identity.gauss_bonnet) < 1e-8  # chi = 0
+
+
+def test_continuation_starts_each_stage_from_the_secant_prediction(monkeypatch, torus24,
+                                                                    torus24_section):
+    loops = []
+    newton_loop = solvers._newton_loop
+
+    def spy(state, config):
+        out = newton_loop(state, config)
+        loops.append((state, out))
+        return out
+
+    monkeypatch.setattr(solvers, "_newton_loop", spy)
+    _, report = solve_gravitating(torus24, torus24_section, 2.5, 0.05)
+    assert report.converged
+    anchor, first = loops[0][1].state, loops[1][0]  # loops[0] solves the vortex anchor
+    assert np.array_equal(first.f.values, anchor.f.values) and first.spec.c_prime == 0.0
+    certified = [anchor] + [out.state for _, out in loops[1:]]
+    for k in range(2, len(certified)):
+        prev, last, trial = certified[k - 2], certified[k - 1], loops[k][0]
+        ratio = ((trial.spec.alpha - last.spec.alpha)
+                 / (last.spec.alpha - prev.spec.alpha))
+        assert ratio == pytest.approx(1.0)  # equal steps of alpha / 4
+        for got, a, b in ((trial.f, last.f, prev.f), (trial.v, last.v, prev.v)):
+            assert np.allclose(got.values, a.values + ratio * (a.values - b.values),
+                               rtol=0.0, atol=1e-13)
+        assert trial.spec.c_prime == pytest.approx(
+            last.spec.c_prime + ratio * (last.spec.c_prime - prev.spec.c_prime), abs=1e-13)
+        assert abs(trial.spec.c_prime - last.spec.c_prime) > 1e-6  # a real extrapolation
 
 
 def test_gravitating_alpha_zero_is_vortex(torus24, torus24_section):
