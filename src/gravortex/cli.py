@@ -515,9 +515,11 @@ def sweep_alpha(config: RunConfig) -> list[dict]:
 
 
 def _write_summary(records: list[dict], path: str) -> None:
+    deterministic = ["iterations", "alpha_reached", "failure_reason", "coarse_resolution"]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["alpha", "converged", "final_residual", "min_density", "gauss_bonnet"])
+        writer.writerow(["alpha", "converged", "final_residual", "min_density", "gauss_bonnet"]
+                        + deterministic)  # None is written as an empty cell
         for rec in records:
             writer.writerow([
                 repr(float(rec["config"]["alpha"])),
@@ -525,7 +527,7 @@ def _write_summary(records: list[dict], path: str) -> None:
                 repr(float(rec["report"]["final_residual"])),
                 repr(float(rec["identity"]["min_density"])),
                 repr(float(rec["identity"]["gauss_bonnet"])),
-            ])
+            ] + [rec["report"][key] for key in deterministic])
 
 
 def _apply_overrides(data: dict, pairs: list) -> dict:

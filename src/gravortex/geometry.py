@@ -338,6 +338,29 @@ def smoothing_invert(f_values: np.ndarray, grid: SurfaceGrid, shift: float = 1.0
     return _spectral(grid, np.asarray(f_values, dtype=float), 1.0 / (grid._eigs + shift))
 
 
+def prolong(values: np.ndarray, coarse: SurfaceGrid, fine: SurfaceGrid) -> np.ndarray:
+    """Node values on ``fine`` of the band-limited interpolant of node values on ``coarse``.
+
+    Zero-pads the coefficients, so band-limited data carry over exactly; a torus
+    Nyquist mode (a sampled cosine) is split evenly between +n/2 and -n/2.
+    """
+    if coarse.model is not fine.model or fine.resolution < coarse.resolution:
+        raise ValueError(f"cannot prolong from {coarse!r} to {fine!r}")
+    v2 = np.asarray(values, dtype=float).reshape(coarse._shape)
+    if fine.model is SurfaceModel.SPHERE:
+        coef = coarse._sht.analyze(v2)
+        padded = np.zeros((2, fine.resolution + 1, 2, fine.resolution // 2 + 1))
+        padded[:, : coef.shape[1], :, : coef.shape[3]] = coef
+        return fine._sht.synthesize(padded).reshape(-1)
+    n, m = coarse.resolution, fine.resolution
+    pad = np.zeros((m, n))  # mode map, scaled for numpy's unnormalised FFT
+    pad[np.fft.fftfreq(n, 1.0 / n).astype(int) % m, np.arange(n)] = m / n
+    if n % 2 == 0:
+        pad[:, n // 2] *= 0.5
+        pad[n // 2, n // 2] += 0.5 * m / n
+    return np.real(np.fft.ifft2(pad @ np.fft.fft2(v2) @ pad.T)).reshape(-1)
+
+
 def conformal_density(grid: SurfaceGrid, v: ScalarField) -> ScalarField:
     """Density 1 - (Laplacian v) of the conformal metric relative to the background.
 

@@ -44,7 +44,7 @@ through the last two certified states, and bisects failed steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -66,8 +66,9 @@ from .equations import (
     make_state,
     residual_fields,
 )
-from .geometry import ScalarField, SurfaceGrid, SurfaceModel, laplacian_values, smoothing_invert
-from .sections import SectionData
+from .geometry import ScalarField, SurfaceGrid, SurfaceModel, laplacian_values, prolong
+from .geometry import smoothing_invert
+from .sections import SectionData, build_section, rescale
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,18 +159,12 @@ class SolveReport:
     failure_reason: Optional[FailureReason] = None
     message: str = ""
     c_prime: float = 0.0
+    coarse_resolution: Optional[int] = None  # the coarse grid of a sequenced solve
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "identity": self.identity.to_dict(),
-            "alpha_reached": self.alpha_reached,
-            "failure_reason": None if self.failure_reason is None else self.failure_reason.value,
-            "message": self.message,
-            "c_prime": self.c_prime,
-        }
+        out = asdict(self)
+        out["failure_reason"] = None if self.failure_reason is None else self.failure_reason.value
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +554,18 @@ def _solve_coupled(
 
     At alpha = 0, or when the anchor fails, the vortex report stands as the
     result (with ``gate`` cited first).  ``gate`` is the existence gate of the
-    target problem, None when the data pass it.
+    target problem, None when the data pass it.  For alpha > 0 such data are first
+    solved, by this same rule, on the grid of resolution // 4 when that is >= 12
+    (``_solve_sequenced``); should that fail, the solve starts over here.
     """
     if schedule is None:
         schedule = ContinuationSchedule(default_alpha_targets(alpha))
     if schedule.alpha_targets[-1] != alpha:
         raise ValueError(f"the continuation schedule must end at alpha = {alpha}")
+    if gate is None and alpha > 0.0 and grid.resolution // 4 >= 12:
+        sequenced = _solve_sequenced(grid, section, tau, kind, alpha, schedule, config)
+        if sequenced is not None:
+            return sequenced
     anchor, report = solve_vortex(grid, section, tau, config=config)
     if kind is EquationKind.GRAVITATING:
         anchor = FieldState(anchor.f, anchor.v, replace(anchor.spec, kind=kind))
@@ -579,6 +580,24 @@ def _solve_coupled(
     # report the last certified state, not the failed trial
     loop = _LoopResult(state, iters + report.iterations, last.residual, last.failure, message)
     return state, _certify(loop, reached, gate)
+
+
+def _solve_sequenced(grid, section, tau, kind, alpha, schedule, config):
+    """The solve on the quarter-resolution grid, prolonged to ``grid`` and finished and
+    certified there by one Newton loop; None when either stage fails."""
+    cgrid = SurfaceGrid(grid.model, grid.resolution // 4)
+    csection = build_section(cgrid, section.divisor)
+    csection = rescale(csection, 0.5 * (section.normalization - csection.normalization))
+    cstate, creport = _solve_coupled(cgrid, csection, tau, kind, alpha, schedule, config, None)
+    if not creport.converged:
+        return None
+    f, v = (prolong(a.values, cgrid, grid) for a in (cstate.f, cstate.v))
+    spec = replace(cstate.spec, grid=grid, section=section)
+    loop = _newton_loop(make_state(spec, f, v - float(np.dot(grid.quad_weights, v)) / TWO_PI),
+                        config)
+    loop.iterations += creport.iterations
+    report = replace(_certify(loop, alpha, None), coarse_resolution=cgrid.resolution)
+    return (loop.state, report) if report.converged else None
 
 
 def _check_alpha(alpha: float) -> float:

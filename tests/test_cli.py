@@ -275,10 +275,45 @@ def test_sweep_subcommand(capsys, tmp_path):
     assert [r["config"]["alpha"] for r in records] == [0.0, 0.02, 0.04]
     assert all(r["report"]["converged"] for r in records)
     rows = list(csv.reader(summary.open()))
-    assert rows[0] == ["alpha", "converged", "final_residual", "min_density", "gauss_bonnet"]
+    assert rows[0] == ["alpha", "converged", "final_residual", "min_density", "gauss_bonnet",
+                       "iterations", "alpha_reached", "failure_reason", "coarse_resolution"]
     assert len(rows) == 4
     assert rows[1][1] == "true"
     assert float(rows[3][3]) > 0  # min density stays positive in this regime
+    for row, rec in zip(rows[1:], records):
+        assert int(row[5]) == rec["report"]["iterations"]
+        assert float(row[6]) == rec["report"]["alpha_reached"] == rec["config"]["alpha"]
+        assert row[7] == row[8] == ""  # certified, and n = 16 is not sequenced
+
+
+def test_sweep_summary_diagnoses_a_failed_row(capsys, tmp_path):
+    summary = tmp_path / "summary.csv"
+    code, _, _ = _run(capsys, [
+        "sweep", "--model", "torus", "--resolution", "16", "--tau", "1.8",
+        "--set", "divisor=[[0.25,0.25,1]]", "--alphas", "0,0.02",
+        "--summary-csv", str(summary),
+    ])
+    assert code == 0  # below the degree bound: every row fails, the sweep completes
+    rows = list(csv.reader(summary.open()))[1:]
+    assert [row[1] for row in rows] == ["false", "false"]
+    assert [row[7] for row in rows] == ["StepFloor", "StepFloor"]
+    assert [float(row[6]) for row in rows] == [0.0, 0.0]
+    assert all(int(row[5]) > 0 for row in rows)
+
+
+def test_solve_record_names_the_coarse_grid(capsys):
+    argv = [
+        "solve", "--kind", "gravitating", "--model", "torus", "--resolution", "64",
+        "--tau", "6", "--alpha", "0.035", "--set", "divisor=[[0.1,0.2,1],[0.6,0.71,1]]",
+    ]
+    records = []
+    for _ in range(2):
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        records.append(json.loads(out))
+        records[-1]["wall_time"] = 0.0
+    assert records[0]["report"]["coarse_resolution"] == 16
+    assert json.dumps(records[0], sort_keys=True) == json.dumps(records[1], sort_keys=True)
 
 
 def test_sweep_rejects_bad_alpha_lists(capsys):

@@ -20,6 +20,7 @@ from gravortex.geometry import (
     laplacian_apply,
     laplacian_invert,
     mean_value,
+    prolong,
     smoothing_invert,
 )
 
@@ -219,6 +220,75 @@ def test_scalar_field_validation(torus24):
         ScalarField(torus24, np.zeros(3))
     with pytest.raises(ValueError):
         ScalarField(torus24, np.full(torus24.node_coords.shape[0], np.nan))
+
+
+def _torus_band_limited(grid, n_coarse, rng):
+    """Random real trigonometric polynomial below the Nyquist mode of an n_coarse grid,
+    plus (n_coarse even) a Nyquist cosine, at the nodes of ``grid``."""
+    x, y = 2.0 * math.pi * grid.node_coords.T
+    top = (n_coarse - 1) // 2
+    out = np.zeros(grid.n_nodes)
+    for k in range(-top, top + 1):
+        for m in range(-top, top + 1):
+            a, b = rng.standard_normal(2)
+            out += a * np.cos(k * x + m * y) + b * np.sin(k * x + m * y)
+    if n_coarse % 2 == 0:
+        half = 0.5 * n_coarse  # Nyquist rows, columns and the corner mode
+        out += 0.7 * np.cos(half * x) * np.sin(3 * y) + 0.4 * np.cos(half * y)
+        out += 0.5 * np.cos(half * x) * np.cos(half * y)
+    return out
+
+
+@pytest.mark.parametrize("n_coarse,n_fine", [(16, 64), (15, 32), (12, 13)])
+def test_torus_prolong_is_exact_on_band_limited_data(n_coarse, n_fine):
+    coarse, fine = build_grid("torus", n_coarse), build_grid("torus", n_fine)
+    got = prolong(_torus_band_limited(coarse, n_coarse, np.random.default_rng(n_coarse)),
+                  coarse, fine)
+    want = _torus_band_limited(fine, n_coarse, np.random.default_rng(n_coarse))
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def _sphere_band_limited(grid, degree, rng):
+    """Sum of powers (a . x)^k, k <= degree, of random directions a: degree <= ``degree``."""
+    sht = grid._sht
+    xi, phi = np.meshgrid(sht.xi, sht.phi, indexing="ij")
+    s = np.sqrt(1.0 - xi * xi)
+    unit = np.stack([s * np.cos(phi), s * np.sin(phi), xi], axis=-1).reshape(-1, 3)
+    out = np.zeros(grid.n_nodes)
+    for k in range(degree + 1):
+        a = rng.standard_normal(3)
+        out += rng.standard_normal() * (unit @ (a / np.linalg.norm(a))) ** k
+    return out
+
+
+@pytest.mark.parametrize("l_coarse,l_fine", [(12, 48), (13, 24), (24, 96)])
+def test_sphere_prolong_is_exact_on_degree_at_most_the_coarse_band_limit(l_coarse, l_fine):
+    coarse, fine = build_grid("sphere", l_coarse), build_grid("sphere", l_fine)
+    got = prolong(_sphere_band_limited(coarse, l_coarse, np.random.default_rng(l_coarse)),
+                  coarse, fine)
+    want = _sphere_band_limited(fine, l_coarse, np.random.default_rng(l_coarse))
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_prolong_to_the_same_grid_is_the_identity():
+    rng = np.random.default_rng(5)
+    for n in (16, 15):  # the torus grid is bijective: any node values
+        grid = build_grid("torus", n)
+        values = rng.standard_normal(grid.n_nodes)
+        assert np.max(np.abs(prolong(values, grid, grid) - values)) < 1e-13
+    # the sphere grid holds twice the band-limited dimension: band-limited values
+    grid = build_grid("sphere", 13)
+    coef = _random_coefficients(grid._sht, rng)
+    values = grid._sht.synthesize(coef).reshape(-1)
+    assert np.max(np.abs(prolong(values, grid, grid) - values)) < 1e-12
+
+
+def test_prolong_rejects_a_coarser_or_different_target():
+    torus16 = build_grid("torus", 16)
+    values = np.zeros(torus16.n_nodes)
+    for target in (build_grid("torus", 8), build_grid("sphere", 16)):
+        with pytest.raises(ValueError, match="cannot prolong"):
+            prolong(values, torus16, target)
 
 
 def test_grid_checksum_identifies_discretization():

@@ -499,3 +499,121 @@ def test_solver_budget_respected(torus24, torus24_section):
     assert not report.converged
     assert report.failure_reason is FailureReason.MAX_ITERS
     assert report.iterations <= 1
+
+
+# ---------------------------------------------------------------------------
+# grid sequencing
+# ---------------------------------------------------------------------------
+
+
+def _eb_case(resolution, m, tau):
+    grid = build_grid("sphere", resolution)
+    section = build_section(grid, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (m, m)))
+    return lambda **kw: solve_eb(grid, section, tau, **kw)
+
+
+def _torus_case(resolution, alpha=0.035):
+    grid = build_grid("torus", resolution)
+    section = build_section(grid, Divisor(((0.1, 0.2), (0.6, 0.71)), (1, 1)))
+    return lambda **kw: solve_gravitating(grid, section, 6.0, alpha, **kw)
+
+
+def _cold(monkeypatch, solve):
+    """The solve without grid sequencing."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_solve_sequenced", lambda *args: None)
+        return solve()
+
+
+def _count_newton_steps(monkeypatch):
+    steps = []
+    step = solvers.newton_step
+    monkeypatch.setattr(solvers, "newton_step",
+                        lambda *args, **kw: steps.append(1) or step(*args, **kw))
+    return steps
+
+
+@pytest.mark.parametrize("solve,coarse", [
+    (_eb_case(48, 1, 8.0), 12), (_eb_case(48, 2, 12.0), 12), (_torus_case(64), 16)],
+    ids=["eb-l48-m1", "eb-l48-m2", "torus-n64-gravitating"])
+def test_sequenced_solve_matches_the_cold_solve(monkeypatch, solve, coarse):
+    cold, cold_report = _cold(monkeypatch, solve)
+    steps = _count_newton_steps(monkeypatch)
+    state, report = solve()
+    assert report.converged and cold_report.converged
+    assert report.coarse_resolution == coarse and cold_report.coarse_resolution is None
+    assert report.iterations == len(steps)  # Newton steps on both grids
+    assert state.spec.grid is cold.spec.grid and state.spec.kind is cold.spec.kind
+    assert report.alpha_reached == cold_report.alpha_reached
+    assert np.max(np.abs(state.f.values - cold.f.values)) < 1e-10
+    assert np.max(np.abs(state.v.values - cold.v.values)) < 1e-10
+    assert abs(report.c_prime - cold_report.c_prime) < 1e-10
+    assert report.to_dict()["coarse_resolution"] == coarse
+
+
+def test_sequencing_leaves_the_alpha_zero_anchor_for_warm_starts():
+    grid = build_grid("torus", 64)
+    section = build_section(grid, Divisor(((0.1, 0.2), (0.6, 0.71)), (1, 1)))
+    anchor, report = solve_gravitating(grid, section, 6.0, 0.0)
+    assert report.converged and report.coarse_resolution is None
+    assert anchor.spec.kind is EquationKind.GRAVITATING and not anchor.v.values.any()
+    warm, warm_report = advance_gravitating(anchor, 0.01)
+    cold, cold_report = solve_gravitating(grid, section, 6.0, 0.01)
+    assert warm_report.converged and cold_report.coarse_resolution == 16
+    assert np.max(np.abs(warm.f.values - cold.f.values)) < 1e-9
+
+
+def test_the_fine_grid_certifies_the_prolonged_coarse_solution(monkeypatch):
+    starts = []
+    newton_loop = solvers._newton_loop
+
+    def spy(state, config):
+        out = newton_loop(state, config)
+        starts.append((state, out.iterations))
+        return out
+
+    monkeypatch.setattr(solvers, "_newton_loop", spy)
+    _, report = _eb_case(48, 1, 8.0)()
+    assert report.converged and report.coarse_resolution == 12
+    assert all(s.spec.grid.resolution == 12 for s, _ in starts[:-1])
+    fine_start, fine_steps = starts[-1]
+    assert fine_start.spec.grid.resolution == 48
+    # negative: the prolonged coarse solution alone misses the fine stopping test
+    _, sup = solvers._NewtonSystem(fine_start).residual_vector()
+    assert sup > SolverConfig().newton_tol and fine_steps >= 1
+    assert report.final_residual <= SolverConfig().newton_tol
+
+
+@pytest.mark.parametrize("failing_grid", [12, 48], ids=["coarse", "fine"])
+def test_a_failed_stage_gives_exactly_the_cold_report(monkeypatch, failing_grid):
+    solve = _eb_case(48, 1, 8.0)
+    cold, cold_report = _cold(monkeypatch, solve)
+    newton_loop, failed = solvers._newton_loop, []
+
+    def fail_once(state, config):
+        if state.spec.grid.resolution == failing_grid and not failed:
+            failed.append(state)
+            return solvers._LoopResult(state, 1, 1.0, FailureReason.MAX_ITERS, "forced")
+        return newton_loop(state, config)
+
+    monkeypatch.setattr(solvers, "_newton_loop", fail_once)
+    state, report = solve()
+    assert failed and report.coarse_resolution is None
+    assert report.to_dict() == cold_report.to_dict()
+    assert np.array_equal(state.f.values, cold.f.values)
+
+
+@pytest.mark.parametrize("solve", [_eb_case(24, 1, 8.0), _torus_case(32)],
+                         ids=["eb-l24", "torus-n32"])
+def test_small_grids_are_not_sequenced(monkeypatch, solve):
+    monkeypatch.setattr(solvers, "_solve_sequenced", None)  # a call would raise
+    _, report = solve()
+    assert report.converged and report.coarse_resolution is None
+
+
+def test_a_failed_existence_gate_is_not_sequenced(monkeypatch):
+    monkeypatch.setattr(solvers, "_solve_sequenced", None)
+    grid = build_grid("sphere", 48)
+    section = build_section(grid, Divisor(((0.0, 0.0),), (2,)))
+    _, report = solve_eb(grid, section, 8.0, SolverConfig(max_newton_iters=1))
+    assert "polystable" in report.message and report.coarse_resolution is None
