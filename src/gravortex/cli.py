@@ -89,11 +89,11 @@ def _canonical_real(value, path: str):
 
 
 def parse_real(value, path: str) -> float:
-    """Accept int/float or a rational string like '1/16'; return a float."""
-    out = float(_as_fraction(value, path))
-    if not math.isfinite(out):
-        raise ConfigError(path, "value must be finite")
-    return out
+    """Accept int/float or a rational string like '1/16'; return a finite float."""
+    try:
+        return float(_as_fraction(value, path))
+    except OverflowError:  # a rational beyond the float range
+        raise ConfigError(path, "value must be finite") from None
 
 
 def _expect_int(value, path: str, minimum: Optional[int] = None) -> int:
@@ -158,7 +158,7 @@ class RunConfig:
 
     @property
     def tau_value(self) -> float:
-        return float(self.tau_rational)
+        return parse_real(self.tau, "tau")
 
     @property
     def tau_rational(self) -> Fraction:
@@ -166,7 +166,7 @@ class RunConfig:
 
     @property
     def alpha_value(self) -> float:
-        return float(self.alpha_rational)
+        return parse_real(self.alpha, "alpha")
 
     @property
     def alpha_rational(self) -> Fraction:

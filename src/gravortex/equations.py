@@ -22,10 +22,12 @@ The additive constant c' is the volume gauge of the conformal factor: it is
 determined by Vol(e^{2u} omega_0) = 2*pi and is stored on the problem spec
 (0 for a freshly posed problem; the solvers treat it as an unknown).  The
 gravitating equations at c = 0, v = 0 reduce exactly to the EB equation, and
-at alpha = 0, v = 0, c' = 0 to the vortex equation, so ``residual_fields``
-evaluates one formula for all three kinds (W = exp(0) = 1 for vortex).  Its
-Jacobian, bordered by the c' column and the gauge row, is
-``solvers._NewtonSystem``.
+at alpha = 0, v = 0, c' = 0 to the vortex equation, so one pointwise kernel,
+``_nonlinearity`` (P, the exponent q of W = e^q, the overflow flag), and one
+raw-array residual, ``_residual_rows``, serve all three kinds (W = 1 for
+vortex).  ``residual_fields`` wraps them for a ``FieldState``;
+``solvers._NewtonSystem`` runs them once per line-search trial on the raw
+iterate and holds the Jacobian, bordered by the c' column and the gauge row.
 
 ``direct_gve_residual`` evaluates the *unreduced* coupled system (the metric
 equation for the conformal density together with the curvature equation) so
@@ -36,7 +38,7 @@ they came from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -47,8 +49,8 @@ from .geometry import (
     SurfaceModel,
     conformal_density,
     constant_field,
-    integrate,
     laplacian_apply,
+    laplacian_values,
     mean_value,
     same_grid,
 )
@@ -153,7 +155,7 @@ def initial_state(spec: ProblemSpec) -> FieldState:
 
 
 # ---------------------------------------------------------------------------
-# pointwise building blocks
+# the pointwise nonlinearity and the residual
 # ---------------------------------------------------------------------------
 
 
@@ -161,62 +163,32 @@ def _clamped_exp(q: np.ndarray) -> np.ndarray:
     return np.exp(np.clip(q, -_EXP_CLAMP, _EXP_CLAMP))
 
 
-def _p_of(state: FieldState) -> np.ndarray:
-    """P = e^{2f} a."""
-    return _clamped_exp(2.0 * state.f.values) * state.spec.section.norm_sq.values
+def _nonlinearity(spec: ProblemSpec, f: np.ndarray, v: np.ndarray, c_prime: float):
+    """P = e^{2f} a, the exponent q = 4 alpha tau f - 2 alpha P - 2 c v + 2 c' of the
+    conformal weight W (1 for vortex, e^{2u} for EB), and whether 2f or q passes
+    the guard: exponentials clamp there and stay finite, and solvers stop instead."""
+    two_f = 2.0 * f
+    p = _clamped_exp(two_f) * spec.section.norm_sq.values
+    q = 4.0 * spec.alpha * spec.tau * f - 2.0 * spec.alpha * p - 2.0 * spec.c * v + 2.0 * c_prime
+    overflow = bool(np.max(np.abs(two_f)) > _EXP_CLAMP or np.max(np.abs(q)) > _EXP_CLAMP)
+    return p, q, overflow
 
 
-def _weight_exponent(state: FieldState, p: np.ndarray) -> np.ndarray:
-    s = state.spec
-    return (
-        4.0 * s.alpha * s.tau * state.f.values
-        - 2.0 * s.alpha * p
-        - 2.0 * s.c * state.v.values
-        + 2.0 * s.c_prime
-    )
-
-
-def exponent_overflow(state: FieldState) -> bool:
-    """True when an exponent in the nonlinearity exceeds the overflow guard.
-
-    Residual evaluations clamp such exponents (staying finite); solvers use
-    this flag to mark the state divergent instead of propagating infinities.
-    """
-    if np.max(np.abs(2.0 * state.f.values)) > _EXP_CLAMP:
-        return True
-    q = _weight_exponent(state, _p_of(state))
-    return bool(np.max(np.abs(q)) > _EXP_CLAMP)
-
-
-def conformal_weight(state: FieldState) -> ScalarField:
-    """The conformal weight W = exp(4 alpha tau f - 2 alpha P - 2 c v + 2 c').
-
-    W multiplies the background area form: exactly 1 for vortex states
-    (alpha = c = c' = 0) and e^{2u} for EB states (c = 0, v = 0).
-    """
-    p = _p_of(state)
-    return ScalarField(state.spec.grid, _clamped_exp(_weight_exponent(state, p)))
-
-
-# ---------------------------------------------------------------------------
-# the residual
-# ---------------------------------------------------------------------------
+def _residual_rows(spec: ProblemSpec, f: np.ndarray, v: np.ndarray, p: np.ndarray,
+                   w: np.ndarray) -> list:
+    """[R1] for vortex and EB, [R1, R2] for gravitating, from P and W of ``_nonlinearity``."""
+    r1 = laplacian_values(spec.grid, f) + 0.5 * (p - spec.tau) * w + spec.degree
+    if spec.kind is not EquationKind.GRAVITATING:
+        return [r1]
+    return [r1, laplacian_values(spec.grid, v) + w - 1.0]
 
 
 def residual_fields(state: FieldState) -> tuple[ScalarField, ...]:
-    """(R1,) for vortex and EB states, (R1, R2) for gravitating states.
-
-    R1 = Delta f + (1/2)(P - tau) W + N and R2 = Delta v + W - 1, with the
-    conformal weight W of :func:`conformal_weight`.
-    """
-    s = state.spec
-    p = _p_of(state)
-    w = _clamped_exp(_weight_exponent(state, p))
-    r1 = laplacian_apply(state.f).values + 0.5 * (p - s.tau) * w + s.degree
-    if s.kind is not EquationKind.GRAVITATING:
-        return (ScalarField(s.grid, r1),)
-    r2 = laplacian_apply(state.v).values + w - 1.0
-    return ScalarField(s.grid, r1), ScalarField(s.grid, r2)
+    """(R1,) for vortex and EB states, (R1, R2) for gravitating states: R1 =
+    Delta f + (1/2)(P - tau) W + N and R2 = Delta v + W - 1, with P and W as above."""
+    s, f, v = state.spec, state.f.values, state.v.values
+    p, q, _ = _nonlinearity(s, f, v, s.c_prime)
+    return tuple(ScalarField(s.grid, r) for r in _residual_rows(s, f, v, p, _clamped_exp(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +213,8 @@ def conformal_exponent(state: FieldState) -> ScalarField:
     """
     s = state.spec
     if s.kind is not EquationKind.GRAVITATING:
-        p = _p_of(state)
-        return ScalarField(s.grid, 0.5 * _weight_exponent(state, p))
+        _, q, _ = _nonlinearity(s, state.f.values, state.v.values, s.c_prime)
+        return ScalarField(s.grid, 0.5 * q)
     dens = conformal_density(s.grid, state.v)
     if float(np.min(dens.values)) <= 0.0:
         raise ValueError("conformal density 1 - Delta v is not positive")
@@ -251,9 +223,11 @@ def conformal_exponent(state: FieldState) -> ScalarField:
 
 def metric_density(state: FieldState) -> ScalarField:
     """Conformal density of the solved metric: 1 - Delta v (gravitating) or W."""
-    if state.spec.kind is EquationKind.GRAVITATING:
-        return conformal_density(state.spec.grid, state.v)
-    return conformal_weight(state)
+    s = state.spec
+    if s.kind is EquationKind.GRAVITATING:
+        return conformal_density(s.grid, state.v)
+    _, q, _ = _nonlinearity(s, state.f.values, state.v.values, s.c_prime)
+    return ScalarField(s.grid, _clamped_exp(q))
 
 
 def direct_gve_residual(state: FieldState) -> tuple[ScalarField, ScalarField]:
@@ -275,7 +249,7 @@ def direct_gve_residual(state: FieldState) -> tuple[ScalarField, ScalarField]:
     if s.kind is EquationKind.VORTEX:
         raise ValueError("the unreduced system is defined for gravitating/EB states")
     u = conformal_exponent(state)
-    p = _p_of(state)
+    p, _, _ = _nonlinearity(s, state.f.values, state.v.values, s.c_prime)
     inv = np.exp(-2.0 * u.values)
     lap_f = laplacian_apply(state.f).values
     r1 = inv * (s.degree + lap_f) + 0.5 * (p - s.tau)
@@ -309,35 +283,27 @@ class IdentityReport:
     min_density: float
 
     def to_dict(self) -> dict:
-        return {
-            "degree_identity": self.degree_identity,
-            "volume_identity": self.volume_identity,
-            "gauss_bonnet": self.gauss_bonnet,
-            "min_density": self.min_density,
-        }
+        return asdict(self)
 
 
 def identity_report(state: FieldState) -> IdentityReport:
-    s = state.spec
-    p = _p_of(state)
-    w = conformal_weight(state)
-    n = s.degree
-    degree = float(np.dot(s.grid.quad_weights, p * w.values)) - (TWO_PI * s.tau - 2.0 * TWO_PI * n)
-    volume = integrate(w) - TWO_PI
-    dens = conformal_density(s.grid, state.v)
-    min_density = float(np.min(dens.values))
-    chi = s.grid.euler_characteristic
-    if s.kind is EquationKind.GRAVITATING and min_density <= 0.0:
-        gauss_bonnet = math.nan
-    else:
-        u = conformal_exponent(state)
-        total = integrate(
-            ScalarField(s.grid, s.grid.base_scalar_curvature + 2.0 * laplacian_apply(u).values)
-        )
-        gauss_bonnet = total - 2.0 * TWO_PI * chi
+    """The identities from one evaluation of the nonlinearity; Gauss-Bonnet takes
+    2u = log(1 - Delta v) when v is an unknown and 2u = q otherwise (v = 0)."""
+    s, grid = state.spec, state.spec.grid
+    wq = grid.quad_weights
+    p, q, _ = _nonlinearity(s, state.f.values, state.v.values, s.c_prime)
+    w = _clamped_exp(q)
+    two_u, min_density, gauss_bonnet = q, 1.0, math.nan
+    if s.kind is EquationKind.GRAVITATING:
+        dens = conformal_density(grid, state.v).values
+        min_density = float(np.min(dens))
+        two_u = np.log(dens) if min_density > 0.0 else None
+    if two_u is not None:
+        total = float(np.dot(wq, grid.base_scalar_curvature + laplacian_values(grid, two_u)))
+        gauss_bonnet = total - 2.0 * TWO_PI * grid.euler_characteristic
     return IdentityReport(
-        degree_identity=degree,
-        volume_identity=volume,
+        degree_identity=float(np.dot(wq, p * w)) - (TWO_PI * s.tau - 2.0 * TWO_PI * s.degree),
+        volume_identity=float(np.dot(wq, w)) - TWO_PI,
         gauss_bonnet=gauss_bonnet,
         min_density=min_density,
     )

@@ -1,11 +1,13 @@
 """Damped Newton solvers with spectral preconditioning and coupling continuation.
 
 One bordered Newton system, ``_NewtonSystem``, drives all three equation
-kinds: it stacks the residual of ``equations.residual_fields`` with the gauge
-row, and its ``matvec`` is the only Jacobian in the package.  The unknown
-vector is f (vortex), (f, c') (EB), or (f, v, c') (gravitating); the additive
-volume-gauge constant c' of the conformal factor is an explicit Newton
-unknown, paired with the volume/mean constraints:
+kinds: it stacks ``equations._residual_rows`` with the gauge row, and its
+``matvec`` is the only Jacobian in the package.  It holds the iterate as raw
+arrays, so a line-search trial evaluates the nonlinearity once and builds no
+``FieldState`` (accepted steps do).  The unknown vector is f (vortex),
+(f, c') (EB), or (f, v, c') (gravitating); the additive volume-gauge constant
+c' of the conformal factor is an explicit Newton unknown, paired with the
+volume/mean constraints:
 
 * EB rows:          equation residual, then (Vol(e^{2u} omega_0) - 2 pi)/(2 pi);
 * gravitating rows: the two equation residuals, then mean(v)
@@ -46,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,15 +61,14 @@ from .equations import (
     IdentityReport,
     ProblemSpec,
     _clamped_exp,
-    _p_of,
-    _weight_exponent,
-    exponent_overflow,
+    _nonlinearity,
+    _residual_rows,
     identity_report,
     initial_state,
     make_state,
-    residual_fields,
 )
-from .geometry import ScalarField, SurfaceGrid, SurfaceModel, laplacian_values, prolong
+from .equations import residual_fields  # noqa: F401  (perfbench/tracer.py patches this binding)
+from .geometry import SurfaceGrid, SurfaceModel, laplacian_values, prolong
 from .geometry import smoothing_invert
 from .sections import SectionData, build_section, rescale
 
@@ -173,40 +175,53 @@ class SolveReport:
 
 
 class _NewtonSystem:
-    """Bordered residual, Jacobian action, preconditioner and Krylov operator at a frozen state.
+    """Bordered residual, Jacobian action, preconditioner and Krylov operator at one iterate.
 
-    The block layout is fixed per kind in ``__init__``: the f rows; the v rows
-    when v is an unknown (gravitating); then the c' column and its gauge row
+    The iterate is raw arrays f, v (None reads as 0) and c' (default: the
+    spec's).  Construction evaluates the nonlinearity once and sets
+    ``overflow``; the Jacobian coefficients and shifts are built on first use,
+    never for a rejected line-search trial; ``state`` is the validated
+    ``FieldState``.  Block layout per kind: the f rows; the v rows when v is
+    an unknown (gravitating); then the c' column and its gauge row
     (gravitating and EB), which reads mean(v) when v is an unknown and
-    (Vol - 2 pi)/(2 pi) otherwise.  Blocks a kind lacks read as zero, so the
-    methods share one code path.
+    (Vol - 2 pi)/(2 pi) otherwise.  Absent blocks read as zero.
     """
 
-    def __init__(self, state: FieldState):
-        s = state.spec
-        self.state, self.spec, self.grid = state, s, s.grid
-        self.n = s.grid.n_nodes
-        self.has_v = s.kind is EquationKind.GRAVITATING
-        self.bordered = s.kind is not EquationKind.VORTEX
+    def __init__(self, spec: ProblemSpec, f: np.ndarray, v: Optional[np.ndarray] = None,
+                 c_prime: Optional[float] = None):
+        self.spec, self.grid = spec, spec.grid
+        self.n = spec.grid.n_nodes
+        self.f = f
+        self.v = np.zeros(self.n) if v is None else v
+        self.c_prime = spec.c_prime if c_prime is None else c_prime
+        self.has_v = spec.kind is EquationKind.GRAVITATING
+        self.bordered = spec.kind is not EquationKind.VORTEX
         self.field_rows = (2 if self.has_v else 1) * self.n
         self.size = self.field_rows + int(self.bordered)
-        self._volume_offset = 0.0 if self.has_v else TWO_PI
-        p = _p_of(state)
-        self.w = _clamped_exp(_weight_exponent(state, p))
-        # pointwise coefficients of the Jacobian: dW = W (a df - 2c dv + 2 dc),
-        # dR1 = Delta df + P W df + (1/2)(P - tau) dW, dR2 = Delta dv + dW
-        self._a = 4.0 * s.alpha * (s.tau - p)
-        self._pw = p * self.w
-        self._half_pt = 0.5 * (p - s.tau)
+        self._p, q, self.overflow = _nonlinearity(spec, self.f, self.v, self.c_prime)
+        self.w = _clamped_exp(q)
+        self._rv, self._last_py = None, (None, None)
+
+    @cached_property
+    def state(self) -> FieldState:
+        return make_state(replace(self.spec, c_prime=self.c_prime), self.f, self.v)
+
+    @cached_property
+    def _jacobian(self) -> tuple:
+        """Pointwise coefficients (a, P W, (P - tau)/2) of dW = W (a df - 2c dv + 2 dc),
+        dR1 = Delta df + P W df + (1/2)(P - tau) dW and dR2 = Delta dv + dW."""
+        s, p = self.spec, self._p
+        return 4.0 * s.alpha * (s.tau - p), p * self.w, 0.5 * (p - s.tau)
+
+    @cached_property
+    def _shifts(self) -> tuple:
+        """The preconditioner's shift for each field block."""
+        s, p, w = self.spec, self._p, self.w
         # the alpha = 0 guard keeps 0 * (P - tau)^2 from turning an overflow into NaN
         curv = 2.0 * s.alpha * (p - s.tau) ** 2 if s.alpha else 0.0
         wq = self.grid.quad_weights
-        mult = self._pw - curv * self.w
-        self._shifts = (max(1e-6, float(np.dot(wq, np.abs(mult))) / TWO_PI),)
-        if self.has_v:
-            shift_v = float(np.dot(wq, np.abs(2.0 * s.c * self.w))) / TWO_PI
-            self._shifts += (max(1e-6, shift_v),)
-        self._rv, self._last_py = None, (None, None)
+        mults = [self._jacobian[1] - curv * w] + ([2.0 * s.c * w] if self.has_v else [])
+        return tuple(max(1e-6, float(np.dot(wq, np.abs(m))) / TWO_PI) for m in mults)
 
     def _split(self, x: np.ndarray):
         """(df, dv, dc) of a vector in the block layout; absent blocks read as 0."""
@@ -226,8 +241,8 @@ class _NewtonSystem:
     def residual_vector(self) -> tuple[np.ndarray, float]:
         """Stacked residual and its sup norm over every row."""
         if self._rv is None:
-            rows = [field.values for field in residual_fields(self.state)]
-            r = self._stack(rows, self.state.v.values, self.w, self._volume_offset)
+            rows = _residual_rows(self.spec, self.f, self.v, self._p, self.w)
+            r = self._stack(rows, self.v, self.w, 0.0 if self.has_v else TWO_PI)
             self._rv = (r, float(np.max(np.abs(r))))
         return self._rv
 
@@ -237,8 +252,9 @@ class _NewtonSystem:
         df, dv, dc = self._split(x)
         if lap is None:
             lap = [laplacian_values(self.grid, b) for b in (df, dv)[: 1 + self.has_v]]
-        dw = self.w * (self._a * df - 2.0 * self.spec.c * dv + 2.0 * dc)
-        rows = [lap[0] + self._pw * df + self._half_pt * dw]
+        a, pw, half_pt = self._jacobian
+        dw = self.w * (a * df - 2.0 * self.spec.c * dv + 2.0 * dc)
+        rows = [lap[0] + pw * df + half_pt * dw]
         if self.has_v:
             rows.append(lap[1] + dw)
         return self._stack(rows, dv, dw, 0.0)
@@ -270,17 +286,12 @@ class _NewtonSystem:
         gauge = vec[self.field_rows :]
         return 0.5 * (total + TWO_PI * float(np.dot(gauge, gauge)))
 
-    def apply_update(self, x: np.ndarray, t: float) -> FieldState:
-        """The state moved by t times the Newton direction x (v kept mean-zero)."""
-        st, s, g = self.state, self.spec, self.grid
+    def apply_update(self, x: np.ndarray, t: float) -> _NewtonSystem:
+        """The system at the iterate moved by t times the Newton direction x (v kept mean-zero)."""
         df, dv, dc = self._split(x)
-        new_v = st.v.values + t * dv
-        new_v = new_v - float(np.dot(g.quad_weights, new_v)) / TWO_PI
-        return FieldState(
-            ScalarField(g, st.f.values + t * df),
-            ScalarField(g, new_v),
-            replace(s, c_prime=s.c_prime + t * dc),
-        )
+        v = self.v + t * dv
+        v = v - float(np.dot(self.grid.quad_weights, v)) / TWO_PI
+        return _NewtonSystem(self.spec, self.f + t * df, v, self.c_prime + t * dc)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +332,12 @@ def newton_step(state: FieldState, config: SolverConfig = SolverConfig(), _syste
     short of rtol, < 0 breakdown; None when no linear solve ran), and system,
     the Newton system at new_state (the next step reuses it).
     """
-    sys = _system if _system is not None else _NewtonSystem(state)
+    sys = _system if _system is not None else _NewtonSystem(state.spec, state.f.values,
+                                                            state.v.values)
     r, sup = sys.residual_vector()
     info = {"residual_norm": sup, "new_residual_norm": sup, "step_scale": 0.0, "flag": None,
             "krylov_info": None, "system": sys}
-    if exponent_overflow(state):
+    if sys.overflow:
         info["flag"] = "overflow"
         return state, info
     op = LinearOperator((sys.size, sys.size), matvec=sys.krylov_matvec, dtype=float)
@@ -336,12 +348,11 @@ def newton_step(state: FieldState, config: SolverConfig = SolverConfig(), _syste
     t = 1.0
     while True:
         trial = sys.apply_update(d, t)
-        if not exponent_overflow(trial):
-            trial_sys = _NewtonSystem(trial)
-            r2, sup2 = trial_sys.residual_vector()
+        if not trial.overflow:
+            r2, sup2 = trial.residual_vector()
             if sys.merit(r2) <= (1.0 - 2.0 * _ARMIJO_CONSTANT * t) * theta0:
-                info.update(new_residual_norm=sup2, step_scale=t, system=trial_sys)
-                return trial, info
+                info.update(new_residual_norm=sup2, step_scale=t, system=trial)
+                return trial.state, info
         t *= 0.5
         if t < _STEP_FLOOR:
             info["flag"] = "step_floor"
@@ -370,16 +381,14 @@ def _krylov_note(code: Optional[int]) -> str:
 
 
 def _newton_loop(state: FieldState, config: SolverConfig) -> _LoopResult:
-    if exponent_overflow(state):
+    sys = _NewtonSystem(state.spec, state.f.values, state.v.values)
+    if sys.overflow:
         return _LoopResult(state, 0, math.inf, *_FLAG_FAILURES["overflow"])
-    sys = _NewtonSystem(state)
     iterations = 0
     prev_norm, eta, krylov_info = None, _ETA_MAX, None
     while True:
         r, sup = sys.residual_vector()
-        norms = max(
-            float(np.max(np.abs(state.f.values))), float(np.max(np.abs(state.v.values)))
-        )
+        norms = max(float(np.max(np.abs(sys.f))), float(np.max(np.abs(sys.v))))
         if sup <= config.newton_tol:
             return _LoopResult(state, iterations, sup, None)
         if norms > _DIVERGENCE_NORM:

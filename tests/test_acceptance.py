@@ -279,7 +279,7 @@ def _fd_errors(kind, jacobian=lambda system, x: system.matvec(x), trials=20):
     f0 = _random_band_limited(grid, rng)
     v0 = _mean_zero(grid, _random_band_limited(grid, rng, 0.01)) \
         if kind == "gravitating" else None
-    system = _NewtonSystem(make_state(spec, f0, v0))
+    system = _NewtonSystem(spec, f0, v0)
 
     errors = []
     for _ in range(trials):
@@ -292,7 +292,7 @@ def _fd_errors(kind, jacobian=lambda system, x: system.matvec(x), trials=20):
             f_t = f0 + scale * df
             v_t = None if dv is None else (v0 + scale * dv)
             spec_t = replace(spec, c_prime=spec.c_prime + scale * dc)
-            return _NewtonSystem(make_state(spec_t, f_t, v_t)).residual_vector()[0]
+            return _NewtonSystem(spec_t, f_t, v_t).residual_vector()[0]
 
         fd = (residuals(eps) - residuals(-eps)) / (2.0 * eps)
         blocks = [df] if dv is None else [df, dv]

@@ -32,6 +32,8 @@ def test_parse_real_accepts_rationals():
         parse_real(True, "x")
     with pytest.raises(ConfigError):
         parse_real("1/0", "x")
+    with pytest.raises(ConfigError, match="value must be finite"):
+        parse_real("1e400", "x")
 
 
 def test_config_round_trip_is_identity():
@@ -339,6 +341,33 @@ def test_solve_rejects_bad_solver_setting_before_solving(capsys):
     ])
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["field"] == "solver.newton_tol"
+
+
+_TORUS = ["--model", "torus", "--resolution", "8", "--set", "divisor=[[0.25,0.25,1]]"]
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["solve", "--tau", "1e400", *_TORUS], "tau"),
+    (["solve", "--kind", "gravitating", "--alpha", "1e400", *_TORUS], "alpha"),
+    (["sweep", "--alphas", "0,1e400", *_TORUS], "alpha_values[1]"),
+    (["solve", *_TORUS, "--set", 'solver.newton_tol="1e400"'], "solver.newton_tol"),
+    (["solve", "--kind", "gravitating", "--alpha", "0.01", *_TORUS,
+      "--set", 'schedule.alpha_targets=[0,"1e400"]'], "schedule.alpha_targets[1]"),
+    (["solve", "--set", 'divisor=[["1e400",0.2,1]]'], "divisor[0][0]"),
+])
+def test_numbers_beyond_float_range_name_their_field(capsys, argv, field):
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["field"] == field and error["message"] == "value must be finite"
+
+
+def test_oracle_keeps_exact_rationals_beyond_float_range(capsys):
+    code, out, _ = _run(capsys, ["oracle", "--tau", "1e400", "--set", "divisor=[[0.25,0.25,1]]"])
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["verdict"] == "ExistsUnique"
+    assert f"N=1 < {5 * 10**399} holds" in verdict["reason"]  # tau Vol/(4 pi) = 10^400 / 2
 
 
 def test_usage_errors_exit_one(capsys):

@@ -12,7 +12,6 @@ from gravortex.equations import (
     ProblemSpec,
     conformal_exponent,
     direct_gve_residual,
-    exponent_overflow,
     identity_report,
     initial_state,
     make_state,
@@ -175,7 +174,7 @@ def test_linearization_matches_finite_differences(kind, torus24, torus24_section
 
     f0 = _smooth(grid, 4)
     v0 = _mean_zero(grid, _smooth(grid, 5, 0.01)) if kind == "gravitating" else None
-    system = _NewtonSystem(make_state(spec, f0, v0))
+    system = _NewtonSystem(spec, f0, v0)
 
     for trial in range(3):
         df = _smooth(grid, 10 + trial)
@@ -186,7 +185,7 @@ def test_linearization_matches_finite_differences(kind, torus24, torus24_section
             f_t = f0 + scale * df
             v_t = None if dv is None else (v0 + scale * dv)
             spec_t = replace(spec, c_prime=spec.c_prime + scale * dc)
-            return _NewtonSystem(make_state(spec_t, f_t, v_t)).residual_vector()[0]
+            return _NewtonSystem(spec_t, f_t, v_t).residual_vector()[0]
 
         fd = (residuals(eps) - residuals(-eps)) / (2.0 * eps)
         blocks = [df] if dv is None else [df, dv]
@@ -203,7 +202,7 @@ def test_linearized_operator_eigenvalues(torus24):
     section = _constant_section(torus24, value=1.0)
     spec = ProblemSpec(grid=torus24, section=section, tau=tau, kind=EquationKind.VORTEX)
     f0 = np.full(torus24.node_coords.shape[0], 0.5 * math.log(tau / 2.0))
-    system = _NewtonSystem(make_state(spec, f0))
+    system = _NewtonSystem(spec, f0)
     assert system.size == torus24.n_nodes
     x = torus24.node_coords[:, 0]
     y = torus24.node_coords[:, 1]
@@ -243,10 +242,8 @@ def test_exponent_overflow_flag(sphere16, antipodal_section16):
     spec = ProblemSpec(grid=sphere16, section=antipodal_section16, tau=8.0,
                        kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=1.0 / 16.0)
     n = sphere16.node_coords.shape[0]
-    ok = make_state(spec, np.zeros(n))
-    assert not exponent_overflow(ok)
-    hot = make_state(spec, np.full(n, 400.0))
-    assert exponent_overflow(hot)
+    assert not _NewtonSystem(spec, np.zeros(n)).overflow
+    assert _NewtonSystem(spec, np.full(n, 400.0)).overflow
 
 
 def test_identity_report_matches_manual_integrals(torus24, torus24_section):

@@ -12,7 +12,6 @@ from gravortex.equations import (
     EquationKind,
     ProblemSpec,
     initial_state,
-    make_state,
     metric_density,
     residual_fields,
 )
@@ -194,7 +193,7 @@ def _unsolved_system(model, resolution, kind):
     if kind is EquationKind.GRAVITATING:
         v = 0.05 * np.sin(2.0 * x + y)
         v = v - np.average(v, weights=grid.quad_weights)
-    return solvers._NewtonSystem(make_state(spec, f, v))
+    return solvers._NewtonSystem(spec, f, v)
 
 
 def _krylov_vector(system, seed):
@@ -295,10 +294,58 @@ def test_newton_direction_is_precond_of_the_krylov_solution(monkeypatch, maxiter
     assert np.array_equal(seen["d"], system.precond(seen["y"]))
 
 
+def test_line_search_evaluates_the_nonlinearity_once_per_trial(monkeypatch, torus24,
+                                                                torus24_section):
+    # below the degree bound the steps backtrack, several trials each, down to the step floor
+    spec = ProblemSpec(grid=torus24, section=torus24_section, tau=1.85,
+                       kind=EquationKind.VORTEX)
+    state = initial_state(spec)
+    system = solvers._NewtonSystem(spec, state.f.values)
+    counts = {"kernel": 0, "states": 0}
+    trials = []
+    kernel, update, wrap = solvers._nonlinearity, solvers._NewtonSystem.apply_update, \
+        solvers.make_state
+
+    def counted_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    def counted_update(self, x, t):
+        trials.append(update(self, x, t))
+        return trials[-1]
+
+    def counted_wrap(*args):
+        counts["states"] += 1
+        return wrap(*args)
+
+    def no_residual_fields(_state):
+        raise AssertionError("the line search evaluates the residual on raw arrays")
+
+    monkeypatch.setattr(solvers, "_nonlinearity", counted_kernel)
+    monkeypatch.setattr(solvers._NewtonSystem, "apply_update", counted_update)
+    monkeypatch.setattr(solvers, "make_state", counted_wrap)
+    monkeypatch.setattr(solvers, "residual_fields", no_residual_fields)
+    per_step = []
+    while True:
+        state, info = newton_step(state, _system=system)
+        accepted = info["step_scale"] > 0.0
+        assert counts["kernel"] == len(trials)
+        assert counts["states"] == int(accepted)  # only the accepted trial becomes a FieldState
+        rejected = trials[:-1] if accepted else trials
+        assert not any({"_jacobian", "_shifts"} & vars(t).keys() for t in rejected)
+        per_step.append(len(trials))
+        counts.update(kernel=0, states=0)
+        trials.clear()
+        if info["flag"] is not None:
+            break
+        system = info["system"]
+    assert info["flag"] == "step_floor" and max(per_step) > 1 and len(per_step) > 1
+
+
 def test_merit_of_a_blown_up_trial_is_inf_without_warnings(torus24, torus24_section):
     spec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
                        kind=EquationKind.VORTEX)
-    system = solvers._NewtonSystem(initial_state(spec))
+    system = solvers._NewtonSystem(spec, initial_state(spec).f.values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert system.merit(np.full(system.size, 1e228)) == math.inf
@@ -579,7 +626,8 @@ def test_the_fine_grid_certifies_the_prolonged_coarse_solution(monkeypatch):
     fine_start, fine_steps = starts[-1]
     assert fine_start.spec.grid.resolution == 48
     # negative: the prolonged coarse solution alone misses the fine stopping test
-    _, sup = solvers._NewtonSystem(fine_start).residual_vector()
+    _, sup = solvers._NewtonSystem(fine_start.spec, fine_start.f.values,
+                                   fine_start.v.values).residual_vector()
     assert sup > SolverConfig().newton_tol and fine_steps >= 1
     assert report.final_residual <= SolverConfig().newton_tol
 
