@@ -4,7 +4,8 @@ A run is described by a JSON config file (plus ``--set`` overrides); every
 physical quantity is normalised to the background area 2*pi convention used
 throughout the library.  Result records are deterministic JSON
 (``sort_keys``), byte-identical across runs except for the ``wall_time``
-field, and echo the full config so they can be re-run.
+field, and echo the full config so they can be re-run.  They are strict JSON:
+a non-finite float (an overflowed residual, say) is written as ``null``.
 
 tau, alpha, and sigma accept rational strings ("1/16") as well as numbers;
 rational strings are kept exact all the way into the algebraic oracles, so
@@ -335,9 +336,18 @@ def _frac_str(value) -> Optional[str]:
     return str(Fraction(value))
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, however deeply nested, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _record(config: RunConfig, *, verdict=None, report=None,
             wall_time=0.0, grid: Optional[SurfaceGrid] = None) -> dict:
-    return {
+    return _finite_or_null({
         "config": config.to_dict(),
         "verdict": verdict,
         "report": None if report is None else report.to_dict(),
@@ -345,7 +355,7 @@ def _record(config: RunConfig, *, verdict=None, report=None,
         "wall_time": wall_time,
         "version": __version__,
         "grid_checksum": None if grid is None else grid.checksum,
-    }
+    })
 
 
 def _dump_fields(state, path: str) -> None:
@@ -520,14 +530,11 @@ def _write_summary(records: list[dict], path: str) -> None:
         writer = csv.writer(handle)
         writer.writerow(["alpha", "converged", "final_residual", "min_density", "gauss_bonnet"]
                         + deterministic)  # None is written as an empty cell
-        for rec in records:
-            writer.writerow([
-                repr(float(rec["config"]["alpha"])),
-                "true" if rec["report"]["converged"] else "false",
-                repr(float(rec["report"]["final_residual"])),
-                repr(float(rec["identity"]["min_density"])),
-                repr(float(rec["identity"]["gauss_bonnet"])),
-            ] + [rec["report"][key] for key in deterministic])
+        for rec in records:  # csv writes a float as its repr(), which round-trips exactly
+            rep, ident = rec["report"], rec["identity"]
+            writer.writerow([rec["config"]["alpha"], "true" if rep["converged"] else "false",
+                             rep["final_residual"], ident["min_density"], ident["gauss_bonnet"]]
+                            + [rep[key] for key in deterministic])
 
 
 def _apply_overrides(data: dict, pairs: list) -> dict:
@@ -666,26 +673,20 @@ def main(argv: Optional[list] = None) -> int:
             command = "Oracle"
         config = _load_config(args, command)
 
-        if command == "SweepAlpha":
-            records = sweep_alpha(config)
-            lines = [json.dumps(rec, sort_keys=True) for rec in records]
-            for line in lines:
-                print(line)
-            if config.sweep_jsonl is not None:
-                with open(config.sweep_jsonl, "w") as handle:
-                    handle.write("\n".join(lines) + "\n")
+        sweep = command == "SweepAlpha"
+        records = sweep_alpha(config) if sweep else [run(config)]
+        # _record wrote non-finite floats as None, so the records are strict JSON
+        text = "".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records)
+        print(text, end="")
+        path = config.sweep_jsonl if sweep else config.record_path
+        if path is not None:
+            with open(path, "w") as handle:
+                handle.write(text)
+        if sweep:
             _write_summary(records, config.summary_csv)
             return 0
-
-        record = run(config)
-        line = json.dumps(record, sort_keys=True)
-        print(line)
-        if config.record_path is not None:
-            with open(config.record_path, "w") as handle:
-                handle.write(line + "\n")
-        if record["report"] is not None and not record["report"]["converged"]:
-            return 2
-        return 0
+        report = records[0]["report"]
+        return 2 if report is not None and not report["converged"] else 0
     except ConfigError as exc:
         print(json.dumps({"error": {"field": exc.path, "message": exc.message}},
                          sort_keys=True), file=sys.stderr)

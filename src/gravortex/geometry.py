@@ -82,9 +82,8 @@ class _SphereTransform:
     Coefficients are one real (2, L+1, 2, K) array, K = L//2 + 1, indexed by
     (parity of l - m, order m, real/imaginary part, k) for degree
     l = m + 2k + parity (``degrees``); slots with l > L are zero.  Longitude:
-    phi + pi flips the sign of the odd orders, so each direction is one GEMM
-    per parity of m on the first n_lon/2 longitudes, with the (cos m phi,
-    -sin m phi) matrices (orders m >= 1 doubled back).  Latitude: P_lm(-x) =
+    one GEMM with the n_lon x 2(L+1) (cos m phi, -sin m phi) matrix, and its
+    transpose (orders m >= 1 doubled) back.  Latitude: P_lm(-x) =
     (-1)^{l-m} P_lm(x) on the symmetric nodes, so P_lm is kept on the northern
     nodes only, in one (m, k, node) tensor per parity that serves both
     directions; analysis projects north +/- mirrored south (equator node at
@@ -105,9 +104,8 @@ class _SphereTransform:
         # analysis weights of the northern nodes, with the DFT's 1/n_lon
         self._w_north = self.wgl[:n_north, None] / self.n_lon
         self._w_north[self.n_lat // 2 :] *= 0.5  # the equator node; empty when n_lat is even
-        mphi = np.outer(self.phi[: self.n_lat], np.arange(lmax + 1))  # n_lon = 2 n_lat
-        half = np.stack([np.cos(mphi), -np.sin(mphi)], axis=-1)  # (phi, m, re/im)
-        self._dft = [half[:, p::2].reshape(self.n_lat, -1) for p in (0, 1)]
+        mphi = np.outer(self.phi, np.arange(lmax + 1))
+        self._dft = np.stack([np.cos(mphi), -np.sin(mphi)], axis=-1).reshape(self.n_lon, -1)
         self._p_even = np.zeros((lmax + 1, lmax // 2 + 1, n_north))  # (m, k, node)
         self._p_odd = np.zeros((lmax + 1, (lmax + 1) // 2, n_north))
         for m, t in enumerate(_legendre_tables(lmax, self.xi[:n_north])):
@@ -121,14 +119,11 @@ class _SphereTransform:
 
     def analyze(self, f2d: np.ndarray) -> np.ndarray:
         """Coefficients, in the layout of the class docstring, of a real field."""
-        n_north, h = self._w_north.shape[0], self.n_lat
+        n_north = self._w_north.shape[0]
         north, south = f2d[:n_north], f2d[::-1][:n_north]
-        sym = (np.stack([north + south, north - south]) * self._w_north).reshape(2 * n_north, -1)
-        # (m, re/im, parity, node): both latitude parities in one GEMM per parity of m
-        spec = np.empty((self.lmax + 1, 2, 2 * n_north))
-        for p, folded in enumerate((sym[:, :h] + sym[:, h:], sym[:, :h] - sym[:, h:])):
-            spec[p::2] = (self._dft[p].T @ folded.T).reshape(-1, 2, 2 * n_north)
-        spec = spec.reshape(-1, 2, 2, n_north)
+        sym = np.stack([north + south, north - south]) * self._w_north
+        # (m, re/im, parity, node): the DFT of both latitude parities in one GEMM
+        spec = (self._dft.T @ sym.reshape(2 * n_north, -1).T).reshape(-1, 2, 2, n_north)
         coef = np.zeros((2, self.lmax + 1, 2, self.lmax // 2 + 1))
         coef[0] = spec[:, :, 0] @ self._p_even.transpose(0, 2, 1)
         coef[1, ..., : self._p_odd.shape[1]] = spec[:, :, 1] @ self._p_odd.transpose(0, 2, 1)
@@ -142,8 +137,7 @@ class _SphereTransform:
         south = (even - odd)[..., self.n_lat - n_north - 1 :: -1]
         rows = np.concatenate([even + odd, south], axis=-1)  # (m, re/im, node)
         rows[1:] *= 2.0  # order m stands for m and -m
-        e, o = (rows[p::2].reshape(-1, self.n_lat).T @ self._dft[p].T for p in (0, 1))
-        return np.concatenate([e + o, e - o], axis=1)
+        return rows.reshape(-1, self.n_lat).T @ self._dft.T
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
 
 from .stability import eb_coupling
 
 TWO_PI = 2.0 * math.pi
+
+# The residual tolerance sits at the roundoff floor of the dense Chebyshev
+# differentiation matrix, whose condition number grows like n_modes**4; the
+# interpolation error of the converged solution is far below it.
+_TOL = 1e-8
+_MAX_ITERS = 80  # Newton iterations per continuation stage
 
 
 def chebyshev_lobatto(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,10 +81,17 @@ class RadialEBSolution:
     residual: float
 
     def interpolate(self, xi_query: np.ndarray) -> np.ndarray:
-        """Barycentric evaluation of f at arbitrary xi in [-1, 1], once per distinct xi."""
-        interp = BarycentricInterpolator(self.xi, self.f)
+        """f at arbitrary xi in [-1, 1], once per distinct xi, and exactly f_k at node k.
+
+        Second barycentric form with the Lobatto weights (-1)^k, halved at both ends.
+        """
+        weights = (-1.0) ** np.arange(self.xi.size)
+        weights[[0, -1]] *= 0.5
         xi, inverse = np.unique(np.asarray(xi_query, dtype=float), return_inverse=True)
-        return np.asarray(interp(xi))[inverse].reshape(np.shape(xi_query))
+        hit = xi[:, None] == self.xi
+        c = weights / np.where(hit, 1.0, xi[:, None] - self.xi)
+        values = np.where(hit.any(axis=1), hit @ self.f, (c @ self.f) / c.sum(axis=1))
+        return values[inverse].reshape(np.shape(xi_query))
 
 
 def _log_a(xi: np.ndarray, m_n: int, m_s: int, log_scale: float) -> np.ndarray:
@@ -99,20 +111,14 @@ def solve_eb_radial(
     m_south: int = 1,
     log_scale: float = 0.0,
     n_modes: int = 200,
-    tol: float = 1e-8,
-    max_iters: int = 80,
 ) -> RadialEBSolution:
     """Solve the radial EB equation at alpha = 1/(tau N).
 
     ``log_scale`` is the additive constant C of log a, so the ODE matches a
     two-dimensional section normalised the same way (the equation is
     covariant under a -> e^{2s} a, f -> f - s, but comparing f values
-    requires the same gauge).
-
-    The default tolerance reflects the roundoff floor of the dense
-    Chebyshev differentiation matrix, whose condition number grows like
-    n_modes**4; the interpolation error of the converged solution is far
-    below it.
+    requires the same gauge).  Converged means a residual sup norm, gauge
+    row included, of at most ``_TOL``.
     """
     m_n, m_s = int(m_north), int(m_south)
     if m_n < 0 or m_s < 0 or m_n + m_s < 1:
@@ -149,11 +155,11 @@ def solve_eb_radial(
     def run_stage(alpha, fv, cp):
         nonlocal iterations
         res = math.inf
-        for _ in range(max_iters):
+        for _ in range(_MAX_ITERS):
             p, e2u, r, gauge = assemble(fv, cp, alpha)
             res = max(float(np.max(np.abs(r))), abs(gauge))
             iterations += 1
-            if res <= tol:
+            if res <= _TOL:
                 return fv, cp, res, True
             jac = np.zeros((npts + 1, npts + 1))
             mult = e2u * (p - 2.0 * alpha * (p - tau) ** 2)
@@ -204,7 +210,7 @@ def solve_eb_radial(
         c_prime=float(c_prime),
         tau=tau,
         alpha=alpha_eb,
-        converged=residual <= tol,
+        converged=residual <= _TOL,
         iterations=iterations,
         residual=residual,
     )

@@ -321,8 +321,7 @@ def _forcing(norm: float, prev_norm: Optional[float], prev_eta: float,
     return max(min(eta, _ETA_MAX), 0.5 * newton_tol / norm)
 
 
-def newton_step(state: FieldState, config: SolverConfig = SolverConfig(), _system=None,
-                rtol: float = _ETA_MAX):
+def newton_step(state: FieldState, _system=None, rtol: float = _ETA_MAX):
     """One damped Newton step d = P y, where LGMRES solves J P y = -r to relative tolerance rtol.
 
     Returns (new_state, info) where info records residual_norm (sup norm over
@@ -401,7 +400,7 @@ def _newton_loop(state: FieldState, config: SolverConfig) -> _LoopResult:
         norm = float(np.linalg.norm(r))
         eta = _forcing(norm, prev_norm, eta, config.newton_tol)
         prev_norm = norm
-        state, info = newton_step(state, config, _system=sys, rtol=eta)
+        state, info = newton_step(state, _system=sys, rtol=eta)
         iterations += 1
         krylov_info = info["krylov_info"]
         if info["flag"] is not None:
@@ -661,12 +660,12 @@ def solve_eb(
     section: SectionData,
     tau: float,
     config: SolverConfig = SolverConfig(),
-    schedule: Optional[ContinuationSchedule] = None,
 ) -> tuple[FieldState, SolveReport]:
     """Solve the Einstein-Bogomol'nyi equation at the exact coupling 1/(tau N).
 
     Genus 0 only; requires N < tau/2.  Continuation ramps alpha from 0 (the
-    vortex anchor) to 1/(tau N); the volume gauge c' rides along as a Newton
+    vortex anchor) to 1/(tau N) through the default targets
+    (``default_alpha_targets``); the volume gauge c' rides along as a Newton
     unknown.  For non-polystable divisors no solution exists and the report
     is non-converged citing the classification.
     """
@@ -677,4 +676,4 @@ def solve_eb(
         raise ValueError(f"solve_eb requires N < tau/2 (got N = {n}, tau = {tau})")
     alpha_eb = float(stability.eb_coupling(tau, n))
     return _solve_coupled(grid, section, tau, EquationKind.EINSTEIN_BOGOMOLNYI, alpha_eb,
-                          schedule, config, _polystable_gate(section))
+                          None, config, _polystable_gate(section))

@@ -2,9 +2,10 @@
 
 Everything in this module is computed in exact rational arithmetic
 (`fractions.Fraction`); float inputs are converted through their exact binary
-values, so equalities like alpha * tau * N == 1 are decided exactly.  Volume
-arguments default to the module constant ``TWO_PI`` and enter only through
-the exact ratio vol / (2*pi).
+values, so equalities like alpha * tau * N == 1 are decided exactly.  Every
+background surface has area Vol = 2*pi, so the degree bound tau * Vol / (4*pi)
+is tau / 2 and the topological constant 2*pi*(chi - 2 alpha tau N) / Vol is
+chi - 2 alpha tau N, both exactly.
 
 The existence oracle combines the degree bound (a solution forces
 N < tau * Vol / (4*pi)), the divisor classification on the sphere, the
@@ -20,8 +21,6 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence, Union
-
-TWO_PI = 2.0 * math.pi
 
 RationalLike = Union[int, float, str, Fraction]
 
@@ -39,35 +38,26 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def _vol_ratio(vol: RationalLike) -> Fraction:
-    """vol / (2*pi) as the exact ratio of the two binary floats."""
-    if isinstance(vol, float):
-        return Fraction(vol) / Fraction(TWO_PI)
-    return _frac(vol) / Fraction(TWO_PI)
-
-
 # ---------------------------------------------------------------------------
 # degree bound and coupling constants
 # ---------------------------------------------------------------------------
 
 
-def bradlow_bound(tau: RationalLike, vol: RationalLike = TWO_PI) -> Fraction:
-    """The exact degree bound tau * Vol / (4*pi)."""
-    return _frac(tau) * _vol_ratio(vol) / 2
+def bradlow_bound(tau: RationalLike) -> Fraction:
+    """The exact degree bound tau * Vol / (4*pi) = tau / 2 (area Vol = 2*pi)."""
+    return _frac(tau) / 2
 
 
-def bradlow_check(n: int, tau: RationalLike, vol: RationalLike = TWO_PI) -> bool:
-    """True iff the strict degree bound N < tau * Vol / (4*pi) holds."""
+def bradlow_check(n: int, tau: RationalLike) -> bool:
+    """True iff the strict degree bound N < tau * Vol / (4*pi) = tau / 2 holds."""
     if int(n) != n or n < 1:
         raise ValueError(f"degree must be a positive integer, got {n}")
-    return Fraction(int(n)) < bradlow_bound(tau, vol)
+    return Fraction(int(n)) < bradlow_bound(tau)
 
 
-def topological_constant(
-    chi: int, alpha: RationalLike, tau: RationalLike, n: int, vol: RationalLike = TWO_PI
-) -> Fraction:
-    """c = 2*pi*(chi - 2*alpha*tau*N) / Vol, exactly."""
-    return (Fraction(int(chi)) - 2 * _frac(alpha) * _frac(tau) * int(n)) / _vol_ratio(vol)
+def topological_constant(chi: int, alpha: RationalLike, tau: RationalLike, n: int) -> Fraction:
+    """c = 2*pi*(chi - 2*alpha*tau*N) / Vol = chi - 2*alpha*tau*N (area Vol = 2*pi), exactly."""
+    return Fraction(int(chi)) - 2 * _frac(alpha) * _frac(tau) * int(n)
 
 
 def eb_coupling(tau: RationalLike, n: int) -> Fraction:
@@ -241,11 +231,7 @@ class ExistenceReport:
 
 
 def existence_oracle(
-    genus: int,
-    divisor,
-    tau: RationalLike,
-    alpha: RationalLike,
-    vol: RationalLike = TWO_PI,
+    genus: int, divisor, tau: RationalLike, alpha: RationalLike
 ) -> ExistenceReport:
     """Decide existence of a solution for the given data, when a theorem applies.
 
@@ -264,8 +250,8 @@ def existence_oracle(
     t = _frac(tau)
     if t <= 0:
         raise ValueError("tau must be positive")
-    bradlow = bradlow_check(n, tau, vol)
-    bound = bradlow_bound(tau, vol)
+    bradlow = bradlow_check(n, tau)
+    bound = bradlow_bound(tau)
 
     if a == 0:
         if bradlow:

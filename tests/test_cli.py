@@ -303,6 +303,33 @@ def test_sweep_summary_diagnoses_a_failed_row(capsys, tmp_path):
     assert all(int(row[5]) > 0 for row in rows)
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON token")
+
+
+def test_sweep_records_are_strict_json(capsys, tmp_path):
+    # the alpha = 0.2 and 0.4 rows end StepFloor with a negative metric density,
+    # where the Gauss-Bonnet defect is NaN
+    jsonl, summary = tmp_path / "sweep.jsonl", tmp_path / "summary.csv"
+    code, out, _ = _run(capsys, [
+        "sweep", "--model", "torus", "--resolution", "16", "--tau", "6",
+        "--alphas", "0,0.05,0.1,0.2,0.4", "--set", "divisor=[[0.25,0.25,1]]",
+        "--record", str(jsonl), "--summary-csv", str(summary),
+    ])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines == jsonl.read_text().splitlines()
+    records = [json.loads(line, parse_constant=_reject_constant) for line in lines]
+    assert len(records) == 5
+    assert sum(not r["report"]["converged"] for r in records) == 2
+    for rec in records:
+        ident = rec["identity"]
+        assert (ident["gauss_bonnet"] is None) == (ident["min_density"] <= 0.0)
+    rows = list(csv.reader(summary.open()))[1:]
+    assert [row[4] == "" for row in rows] == [r["identity"]["gauss_bonnet"] is None
+                                              for r in records]
+
+
 def test_solve_record_names_the_coarse_grid(capsys):
     argv = [
         "solve", "--kind", "gravitating", "--model", "torus", "--resolution", "64",

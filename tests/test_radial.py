@@ -68,6 +68,22 @@ def test_radial_resolutions_agree():
     assert np.max(np.abs(s_lo.interpolate(xi) - s_hi.interpolate(xi))) < 1e-5
 
 
+def test_radial_interpolation_is_deterministic_and_exact_at_nodes(sphere24):
+    from scipy.interpolate import BarycentricInterpolator
+
+    x, _ = chebyshev_lobatto(64)
+    sol = RadialEBSolution(xi=x, f=np.exp(x) * np.cos(3.0 * x), c_prime=0.0, tau=8.0,
+                           alpha=1.0 / 16.0, converged=True, iterations=0, residual=0.0)
+    query = np.concatenate([sphere24._xi_flat, np.linspace(-1.0, 1.0, 57)])
+    first, *rest = (sol.interpolate(query) for _ in range(3))
+    assert all(np.array_equal(first, other) for other in rest)
+    assert first.shape == query.shape
+    assert np.max(np.abs(first - BarycentricInterpolator(x, sol.f)(query))) < 1e-13
+    # a node, the poles xi = +/-1 included, returns f there exactly
+    assert np.array_equal(sol.interpolate(x), sol.f)
+    assert np.array_equal(sol.interpolate(np.array([[1.0], [-1.0]])), sol.f[[0, -1], None])
+
+
 def test_radial_gauge_covariance():
     # a -> e^{2s} a pushes f down by s and c' up by 2 alpha tau s
     base = solve_eb_radial(8.0, 1, 1, log_scale=0.0)

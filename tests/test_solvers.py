@@ -106,7 +106,7 @@ def test_newton_step_decreases_residual(torus24, torus24_section):
                        kind=EquationKind.VORTEX)
     state = initial_state(spec)
     r0 = np.max(np.abs(residual_fields(state)[0].values))
-    state2, info = newton_step(state, SolverConfig())
+    state2, info = newton_step(state)
     assert info["new_residual_norm"] < r0
     assert 0 < info["step_scale"] <= 1.0
     assert info["krylov_info"] == 0
@@ -360,6 +360,17 @@ def test_below_bound_vortex_fails_without_overflow_warnings(torus24, torus24_sec
     assert report.failure_reason is FailureReason.STEP_FLOOR
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_start_fails_before_any_step(torus24, torus24_section):
+    state, report = solve_vortex(torus24, torus24_section, 2.5,
+                                 initial=np.full(torus24.n_nodes, 400.0))
+    assert not report.converged
+    assert report.failure_reason is FailureReason.OVERFLOW
+    assert report.iterations == 0
+    assert report.final_residual == math.inf
+    assert np.all(state.f.values == 400.0)
+
+
 def test_gravitating_torus_weak_coupling(torus24, torus24_section):
     state, report = solve_gravitating(torus24, torus24_section, 2.5, 0.05)
     assert report.converged
@@ -424,6 +435,11 @@ def test_advance_gravitating_warm_start(torus24, torus24_section):
 def test_gravitating_negative_alpha_rejected(torus24, torus24_section):
     with pytest.raises(ValueError):
         solve_gravitating(torus24, torus24_section, 2.5, -0.1)
+
+
+def test_schedule_must_end_at_the_target_coupling(torus24, torus24_section):
+    with pytest.raises(ValueError, match="must end at alpha = 0.05"):
+        solve_gravitating(torus24, torus24_section, 2.5, 0.05, ContinuationSchedule((0.0, 0.02)))
 
 
 @pytest.mark.parametrize("alpha", [-0.1, math.nan, math.inf])

@@ -114,8 +114,6 @@ def test_bradlow_bound_and_check():
     assert not bradlow_check(1, 2.0)  # equality fails the strict bound
     assert not bradlow_check(2, 2.2)
     assert bradlow_check(2, 8)
-    # doubling the volume doubles the bound
-    assert bradlow_bound(2.0, 2 * math.tau) == Fraction(2)
     with pytest.raises(ValueError):
         bradlow_check(0, 2.5)
 
