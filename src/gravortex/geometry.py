@@ -4,7 +4,7 @@
   curvature 4), sampled on (L+1) Gauss-Legendre latitudes x 2(L+1)
   equispaced longitudes for the spherical-harmonic band limit L.
 * ``torus`` -- the flat square torus C/(Z+iZ) rescaled to area 2*pi,
-  sampled on an n x n equispaced grid (FFT).
+  sampled on an n x n equispaced grid (real FFT; half-spectrum ``_eigs``).
 
 The Laplacian is the geometer's (positive semidefinite, minus the
 analyst's): the torus mode exp(2*pi*i(kx+my)) has eigenvalue
@@ -194,8 +194,8 @@ class SurfaceGrid:
             x2, y2 = np.meshgrid(t, t, indexing="ij")
             self.node_coords = np.stack([x2, y2], axis=-1).reshape(-1, 2)
             self.quad_weights = np.full(n * n, TWO_PI / (n * n))
-            k = np.fft.fftfreq(n, d=1.0 / n)
-            kx, ky = np.meshgrid(k, k, indexing="ij")
+            kx, ky = np.meshgrid(np.fft.fftfreq(n, 1.0 / n), np.fft.rfftfreq(n, 1.0 / n),
+                                 indexing="ij")
             self._eigs = TWO_PI * (kx * kx + ky * ky)
         self.n_nodes = self.node_coords.shape[0]
         h = hashlib.sha256()
@@ -284,13 +284,14 @@ def _spectral(grid: SurfaceGrid, values: np.ndarray, mult: np.ndarray) -> np.nda
         sht = grid._sht
         out = sht.synthesize(sht.analyze(v2) * mult)
     else:
-        out = np.real(np.fft.ifft2(np.fft.fft2(v2) * mult))
+        out = np.fft.irfft2(np.fft.rfft2(v2) * mult, s=v2.shape)
     return out.reshape(-1)
 
 
 def laplacian_values(grid: SurfaceGrid, values: np.ndarray) -> np.ndarray:
     """Positive background Laplacian of raw node values (the hot-loop form)."""
-    return _spectral(grid, values, grid._eigs)
+    # the constant mode's FFT roundoff would scale with the mean; Delta drops it anyway
+    return _spectral(grid, values - np.dot(grid.quad_weights, values) / TWO_PI, grid._eigs)
 
 
 def laplacian_apply(f: ScalarField) -> ScalarField:

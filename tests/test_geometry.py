@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gravortex.geometry import (
     ScalarField,
     _legendre_tables,
+    _spectral,
     _SphereTransform,
     build_grid,
     conformal_density,
@@ -19,6 +20,7 @@ from gravortex.geometry import (
     integrate,
     laplacian_apply,
     laplacian_invert,
+    laplacian_values,
     mean_value,
     prolong,
     smoothing_invert,
@@ -143,6 +145,34 @@ def test_laplacian_annihilates_constants(torus24, sphere16):
     for grid in (torus24, sphere16):
         f = constant_field(grid, 3.7)
         assert np.max(np.abs(laplacian_apply(f).values)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_torus_real_transform_matches_the_complex_fft(n):
+    grid = build_grid("torus", n)
+    assert grid._eigs.shape == (n, n // 2 + 1)  # the half spectrum
+    x, y = grid.node_coords[:, 0], grid.node_coords[:, 1]
+    rng = np.random.default_rng(n)
+    # a random field plus the highest cosine on both axes (the Nyquist mode for even n)
+    values = rng.standard_normal(n * n) + np.cos(TWO_PI * (n // 2) * x) \
+        + 0.5 * np.cos(TWO_PI * (n // 2) * y)
+    k = np.fft.fftfreq(n, 1.0 / n)
+    full = TWO_PI * (k[:, None] ** 2 + k[None, :] ** 2)
+    for half, mult in ((grid._eigs, full), (1.0 / (grid._eigs + 0.7), 1.0 / (full + 0.7))):
+        want = np.real(np.fft.ifft2(np.fft.fft2(values.reshape(n, n)) * mult)).reshape(-1)
+        got = _spectral(grid, values, half)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("model,resolution", [("torus", 24), ("sphere", 16)])
+def test_laplacian_ignores_the_mean(model, resolution):
+    grid = build_grid(model, resolution)
+    x, y = grid.node_coords[:, 0], grid.node_coords[:, 1]
+    values = 0.07 * np.sin(TWO_PI * x) * np.cos(TWO_PI * 2 * y) - 0.45
+    base = laplacian_values(grid, values)
+    # the mean goes before the transform, so a constant leaves no FFT roundoff behind
+    assert np.max(np.abs(laplacian_values(grid, values + 0.45) - base)) <= 1e-14 * np.max(
+        np.abs(base))
 
 
 def test_laplacian_invert_round_trip(torus24):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gravortex import solvers
+from gravortex import solvers, stability
 from gravortex.equations import (
     EquationKind,
     ProblemSpec,
@@ -16,6 +16,7 @@ from gravortex.equations import (
     residual_fields,
 )
 from gravortex.geometry import POINT_AT_INFINITY, _spectral, build_grid, integrate, mean_value
+from gravortex.radial import solve_eb_radial
 from gravortex.sections import Divisor, build_section, rescale
 from gravortex.solvers import (
     ContinuationSchedule,
@@ -124,8 +125,8 @@ def test_forcing_terms():
     assert solvers._forcing(0.9, 1.0, 0.01, tol) == eta_max
     # near the root the floor 0.5 tol / ||F|| wins over the quadratic rate
     assert solvers._forcing(1e-8, 1e-4, 1e-3, tol) == 0.5 * tol / 1e-8
-    # the floor wins over the cap, so LGMRES never solves past the Newton tolerance
-    assert solvers._forcing(2e-10, 1e-4, 1e-3, tol) == 0.25
+    # the cap wins over the floor: a loose solve near the root need not descend the merit
+    assert solvers._forcing(2e-10, 1e-4, 1e-3, tol) == eta_max
     # safeguard: gamma eta_{k-1}^2 > 0.1 keeps eta from collapsing after one lucky step
     prev_eta = 0.5
     assert solvers._EW_GAMMA * prev_eta**2 > solvers._EW_SAFEGUARD
@@ -133,6 +134,37 @@ def test_forcing_terms():
     assert eta == pytest.approx(min(eta_max, solvers._EW_GAMMA * prev_eta**2))
     # below the threshold the safeguard stays off
     assert solvers._forcing(1e-3, 1.0, 0.3, tol) == pytest.approx(solvers._EW_GAMMA * 1e-6)
+
+
+def test_warm_start_near_the_torus_fold_certifies(torus32):
+    # with the forcing floor above eta_max the step to 0.13 stalled at its own tolerance
+    # (MaxIters at 1.3e-10), and with the Euclidean Krylov norm the step to 0.14 ended StepFloor
+    section = build_section(torus32, Divisor(((0.25, 0.25),), (1,)))
+    state, report = solve_gravitating(torus32, section, 6.0, 0.12)
+    assert report.converged
+    for alpha in (0.13, 0.14):  # steps and certificates only: n=32 under-resolves the digits
+        _, warm = advance_gravitating(state, alpha)
+        assert warm.converged and warm.alpha_reached == alpha
+        assert warm.iterations <= 12
+
+
+def test_gravitating_sphere_at_twice_the_eb_coupling_certifies(sphere24, antipodal_section24):
+    alpha = 2.0 * float(stability.eb_coupling(8.0, 2))  # c = -2
+    _, report = solve_gravitating(sphere24, antipodal_section24, 8.0, alpha)
+    assert report.converged and report.alpha_reached == alpha
+
+
+def test_rescaled_section_costs_no_extra_newton_steps():
+    # acceptance criterion 8's gravitating pair: a mean of -0.45 in f once cost 59 steps
+    # against 13, from FFT roundoff on the constant mode at newton_tol = 1e-13
+    grid = build_grid("torus", 24)
+    section = build_section(grid, Divisor(((0.25, 0.25),), (1,)))
+    config = SolverConfig(newton_tol=1e-13)
+    schedule = ContinuationSchedule((0.0, 0.025, 0.05))
+    _, base = solve_gravitating(grid, section, 2.5, 0.05, schedule, config)
+    _, scaled = solve_gravitating(grid, rescale(section, 0.37), 2.5, 0.05, schedule, config)
+    assert base.converged and scaled.converged
+    assert scaled.iterations <= base.iterations + 2
 
 
 def test_eb_linear_solves_meet_forcing_tolerance(monkeypatch, sphere16):
@@ -225,6 +257,35 @@ def test_krylov_operator_is_jacobian_after_preconditioner(model, resolution, kin
         # negative: Delta P y read off as y alone, without the -shift P y term
         wrong = system.matvec(x, list(y[: system.field_rows].reshape(-1, system.n)))
         assert _rel(wrong, want) > 1e-6
+
+
+def test_krylov_norm_is_the_merit(monkeypatch):
+    # the torus quadrature weights are uniform, 2 pi / n_nodes, so the merit weighs the gauge
+    # row n_nodes times the field rows; D scales it by sqrt(n_nodes)
+    base = _unsolved_system("torus", 16, "gravitating")
+    system = solvers._NewtonSystem(base.spec, base.f, base.v + 0.2, base.c_prime)
+    r, _ = system.residual_vector()
+    assert r[-1] == pytest.approx(0.2)  # the gauge row reads mean(v)
+    merit, weight = system.merit(r), TWO_PI / system.n
+    scaled = system.krylov_scale(r.copy())
+    assert weight * float(np.dot(scaled, scaled)) == pytest.approx(2.0 * merit, rel=1e-12)
+    # negative: the plain 2-norm leaves the gauge row n_nodes times too light in the merit
+    missing = 2.0 * merit - weight * float(np.dot(r, r))
+    assert missing == pytest.approx(TWO_PI * (1.0 - 1.0 / system.n) * r[-1] ** 2, rel=1e-9)
+    # and LGMRES is handed exactly that norm: D r on the right, D J P on the left
+    seen = {}
+    lgmres = solvers.lgmres
+
+    def spy(op, b, **kwargs):
+        y = _krylov_vector(system, 3)
+        seen["b"], seen["op"] = b.copy(), op.matvec(y)
+        seen["want"] = system.krylov_scale(system.krylov_matvec(y))
+        return lgmres(op, b, **kwargs)
+
+    monkeypatch.setattr(solvers, "lgmres", spy)
+    newton_step(base.state, _system=system)  # the state is only returned should the step fail
+    assert np.array_equal(seen["b"], -scaled)
+    assert np.array_equal(seen["op"], seen["want"])
 
 
 @pytest.mark.parametrize("kind", ["vortex", "eb"])
@@ -681,3 +742,16 @@ def test_a_failed_existence_gate_is_not_sequenced(monkeypatch):
     section = build_section(grid, Divisor(((0.0, 0.0),), (2,)))
     _, report = solve_eb(grid, section, 8.0, SolverConfig(max_newton_iters=1))
     assert "polystable" in report.message and report.coarse_resolution is None
+
+
+def test_eb_antipodal_at_l192_certifies_against_the_radial_oracle():
+    # with the forcing floor above eta_max the fine loop from the prolonged L=48 solution
+    # stalled at 2.2e-10, and the cold fallback then failed after 178 steps
+    grid = build_grid("sphere", 192)
+    section = build_section(grid, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1)))
+    _, report = solve_eb(grid, section, 8.15)
+    assert report.converged and report.coarse_resolution == 48
+    assert report.iterations <= 30
+    radial = solve_eb_radial(8.15, 1, 1, log_scale=section.normalization)
+    assert radial.converged
+    assert abs(report.c_prime - radial.c_prime) <= 2e-12
