@@ -1,9 +1,9 @@
 """Independent radial collocation solver for axisymmetric EB states.
 
-For an antipodal divisor m_n * {north} + m_s * {south} on the round sphere,
+For an antipodal divisor m * {north} + m * {south} on the round sphere,
 the section norm depends only on xi = cos(theta):
 
-    a(xi) = e^{C} (1 - xi)^{m_n} (1 + xi)^{m_s} / 2^{N},   N = m_n + m_s,
+    a(xi) = e^{C} (1 - xi^2)^{m} / 2^{N},   N = 2m,
 
 and the Einstein-Bogomol'nyi equation reduces to a one-dimensional ODE for
 f(xi) on [-1, 1] (positive-Laplacian convention, area 2*pi):
@@ -12,26 +12,34 @@ f(xi) on [-1, 1] (positive-Laplacian convention, area 2*pi):
     2u = 4 alpha tau f - 2 alpha e^{2f} a + 2 c',
     pi * integral_{-1}^{1} e^{2u} dxi = 2*pi   (volume gauge, fixes c').
 
-This module solves that ODE with Chebyshev-Lobatto collocation,
-Clenshaw-Curtis quadrature, and a dense damped Newton iteration in
-(f, c') -- sharing no code with the two-dimensional solvers, so it serves
-as an independent cross-check oracle.
+Unequal multiplicities make the divisor unstable: no solution exists.  For
+equal ones the dilations z -> lambda z fix both points, so the solutions
+form a one-parameter family whose tangent is odd in xi, and on [-1, 1] it
+leaves the Jacobian nearly singular.  Its balanced member is the one even
+solution, which the two-dimensional solvers keep too, so this solver works
+on even f: it collocates at the nodes with xi >= 0 and folds the Laplacian
+and the quadrature onto even functions (Boyd, *Chebyshev and Fourier
+Spectral Methods*, 2001, ch. 8).
+
+The ODE is solved with Chebyshev-Lobatto collocation, Clenshaw-Curtis
+quadrature, and a dense damped Newton iteration in (f, c') -- sharing no
+code with the two-dimensional solvers, so it serves as an independent
+cross-check oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .stability import eb_coupling
 
-TWO_PI = 2.0 * math.pi
-
-# The residual tolerance sits at the roundoff floor of the dense Chebyshev
-# differentiation matrix, whose condition number grows like n_modes**4; the
-# interpolation error of the converged solution is far below it.
+# 100 times the roundoff floor of the folded residual, |lap| |f| eps, which is
+# about 1e-10 at n_modes = 200 and grows like n_modes**2; the folded Jacobian's
+# condition number is about 1e6 there, so f is far more accurate than _TOL.
 _TOL = 1e-8
 _MAX_ITERS = 80  # Newton iterations per continuation stage
 
@@ -42,11 +50,8 @@ def chebyshev_lobatto(m: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least 3 nodes")
     k = np.arange(m + 1)
     x = np.cos(math.pi * k / m)
-    c = np.ones(m + 1)
-    c[0] = c[m] = 2.0
-    c = c * (-1.0) ** k
-    dx = x[:, None] - x[None, :]
-    d = np.outer(c, 1.0 / c) / (dx + np.eye(m + 1))
+    c = np.where((k == 0) | (k == m), 2.0, 1.0) * (-1.0) ** k
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(m + 1))
     d = d - np.diag(d.sum(axis=1))
     return x, d
 
@@ -55,16 +60,32 @@ def clenshaw_curtis_weights(m: int) -> np.ndarray:
     """Quadrature weights on [-1, 1] for the m+1 Chebyshev-Lobatto nodes (m even)."""
     if m % 2 != 0:
         raise ValueError("m must be even")
-    k = np.arange(m + 1)
-    theta = math.pi * k / m
-    w = np.ones(m + 1)
-    for j in range(1, m // 2 + 1):
-        b = 1.0 if j == m // 2 else 2.0
-        w = w - b * np.cos(2.0 * j * theta) / (4.0 * j * j - 1.0)
-    w = w * 2.0 / m
-    w[0] *= 0.5
-    w[m] *= 0.5
+    j = np.arange(1, m // 2 + 1)
+    b = np.where(j == m // 2, 1.0, 2.0) / (4.0 * j * j - 1.0)
+    theta = math.pi * np.arange(m + 1) / m
+    w = (1.0 - np.cos(2.0 * theta[:, None] * j) @ b) * 2.0 / m
+    w[[0, m]] *= 0.5
     return w
+
+
+@lru_cache(maxsize=8)
+def _even_setup(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, mirror map, and the Laplacian and weights folded onto even functions.
+
+    An even f is its values at the h+1 = m/2+1 nodes with xi >= 0, and node k
+    holds the value of node mirror[k] = min(k, m-k).  Cached per m, read-only.
+    """
+    xi, d1 = chebyshev_lobatto(m)
+    h = m // 2
+    mirror = np.minimum(np.arange(m + 1), m - np.arange(m + 1))
+    fold = np.eye(h + 1)[mirror]
+    # positive Laplacian of axisymmetric fields, -2[(1-xi^2) D^2 - 2 xi D], rows xi >= 0
+    top, d1_top = xi[: h + 1, None], d1[: h + 1]
+    lap = -2.0 * ((1.0 - top * top) * (d1_top @ d1) - 2.0 * top * d1_top)
+    arrays = (xi, mirror, lap @ fold, clenshaw_curtis_weights(m) @ fold)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 @dataclass
@@ -94,17 +115,6 @@ class RadialEBSolution:
         return values[inverse].reshape(np.shape(xi_query))
 
 
-def _log_a(xi: np.ndarray, m_n: int, m_s: int, log_scale: float) -> np.ndarray:
-    n = m_n + m_s
-    with np.errstate(divide="ignore"):
-        return (
-            log_scale
-            + m_n * np.log(np.maximum(1.0 - xi, 1e-300))
-            + m_s * np.log(np.maximum(1.0 + xi, 1e-300))
-            - n * math.log(2.0)
-        )
-
-
 def solve_eb_radial(
     tau: float,
     m_north: int = 1,
@@ -112,36 +122,33 @@ def solve_eb_radial(
     log_scale: float = 0.0,
     n_modes: int = 200,
 ) -> RadialEBSolution:
-    """Solve the radial EB equation at alpha = 1/(tau N).
+    """Solve the radial EB equation at alpha = 1/(tau N) for the even f.
 
     ``log_scale`` is the additive constant C of log a, so the ODE matches a
     two-dimensional section normalised the same way (the equation is
     covariant under a -> e^{2s} a, f -> f - s, but comparing f values
     requires the same gauge).  Converged means a residual sup norm, gauge
-    row included, of at most ``_TOL``.
+    row included, of at most ``_TOL``.  Unequal multiplicities raise
+    ``ValueError`` before any Newton step.
     """
-    m_n, m_s = int(m_north), int(m_south)
-    if m_n < 0 or m_s < 0 or m_n + m_s < 1:
-        raise ValueError("multiplicities must be nonnegative with positive total degree")
-    n = m_n + m_s
-    tau = float(tau)
+    m = int(m_north)
+    if m != int(m_south):
+        raise ValueError(f"no EB solution for m_north={m}, m_south={int(m_south)}: two points "
+                         "are polystable only with equal multiplicity "
+                         "(stability.classify_multiplicities)")
+    if m < 1:
+        raise ValueError("multiplicities must be positive")
+    n, tau = 2 * m, float(tau)
     if not n < tau / 2.0:
         raise ValueError(f"need N < tau/2, got N={n}, tau={tau}")
     alpha_eb = float(eb_coupling(tau, n))
-    if n_modes % 2 != 0:
-        n_modes += 1
-    xi, d1 = chebyshev_lobatto(n_modes)
-    d2 = d1 @ d1
-    w = clenshaw_curtis_weights(n_modes)
-    a = np.exp(_log_a(xi, m_n, m_s, log_scale))
-    # positive Laplacian of axisymmetric fields: -2[(1-xi^2) D^2 - 2 xi D]
-    lap = -2.0 * ((1.0 - xi * xi)[:, None] * d2 - 2.0 * xi[:, None] * d1)
-
-    npts = xi.size
-    amax = float(np.max(a))
-    f = np.full(npts, 0.5 * math.log(tau / 2.0) - 0.5 * math.log(amax))
-    c_prime = 0.0
-    iterations = 0
+    xi, mirror, lap, w = _even_setup(n_modes + n_modes % 2)
+    npts = lap.shape[0]
+    with np.errstate(divide="ignore"):  # a vanishes at the pole xi = 1
+        top = xi[:npts]
+        a = np.exp(log_scale + m * np.log((1.0 - top) * (1.0 + top)) - n * math.log(2.0))
+    f = np.full(npts, 0.5 * math.log(tau / 2.0) - 0.5 * math.log(float(np.max(a))))
+    c_prime, iterations = 0.0, 0
 
     def assemble(fv, cp, alpha):
         # clamp exponents so rejected line-search trials stay finite
@@ -149,35 +156,30 @@ def solve_eb_radial(
         two_u = 4.0 * alpha * tau * fv - 2.0 * alpha * p + 2.0 * cp
         e2u = np.exp(np.clip(two_u, -200.0, 200.0))
         r = lap @ fv + 0.5 * e2u * (p - tau) + n
-        gauge = (math.pi * float(np.dot(w, e2u)) - TWO_PI) / TWO_PI
+        gauge = 0.5 * float(np.dot(w, e2u)) - 1.0
         return p, e2u, r, gauge
 
     def run_stage(alpha, fv, cp):
         nonlocal iterations
-        res = math.inf
         for _ in range(_MAX_ITERS):
             p, e2u, r, gauge = assemble(fv, cp, alpha)
             res = max(float(np.max(np.abs(r))), abs(gauge))
             iterations += 1
             if res <= _TOL:
                 return fv, cp, res, True
-            jac = np.zeros((npts + 1, npts + 1))
-            mult = e2u * (p - 2.0 * alpha * (p - tau) ** 2)
-            jac[:npts, :npts] = lap + np.diag(mult)
+            jac = np.empty((npts + 1, npts + 1))
+            jac[:npts, :npts] = lap + np.diag(e2u * (p - 2.0 * alpha * (p - tau) ** 2))
             jac[:npts, npts] = e2u * (p - tau)
-            de2u_df = e2u * 4.0 * alpha * (tau - p)
-            jac[npts, :npts] = math.pi * w * de2u_df / TWO_PI
-            jac[npts, npts] = math.pi * float(np.dot(w, 2.0 * e2u)) / TWO_PI
+            jac[npts, :npts] = 2.0 * alpha * w * e2u * (tau - p)
+            jac[npts, npts] = float(np.dot(w, e2u))
             rhs = np.concatenate([r, [gauge]])
             step = np.linalg.solve(jac, -rhs)
             merit0 = float(rhs @ rhs)
             t = 1.0
             while t > 2.0**-30:
-                f_t = fv + t * step[:npts]
-                cp_t = cp + t * step[npts]
+                f_t, cp_t = fv + t * step[:npts], cp + t * step[npts]
                 _, _, r_t, g_t = assemble(f_t, cp_t, alpha)
-                m_t = float(r_t @ r_t) + g_t * g_t
-                if m_t <= (1.0 - 1e-4 * t) * merit0:
+                if float(r_t @ r_t) + g_t * g_t <= (1.0 - 1e-4 * t) * merit0:
                     fv, cp = f_t, cp_t
                     break
                 t *= 0.5
@@ -206,7 +208,7 @@ def solve_eb_radial(
     residual = max(float(np.max(np.abs(r))), abs(gauge))
     return RadialEBSolution(
         xi=xi,
-        f=f,
+        f=f[mirror],
         c_prime=float(c_prime),
         tau=tau,
         alpha=alpha_eb,

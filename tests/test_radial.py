@@ -112,3 +112,70 @@ def test_radial_asymmetric_multiplicities():
     sol = solve_eb_radial(12.0, 2, 2, n_modes=160)
     assert sol.converged
     assert sol.residual <= 1e-8
+
+
+@pytest.mark.parametrize("tau, m_north, m_south", [(8.0, 2, 1), (12.0, 3, 1), (4.0, 1, 0)])
+def test_radial_refuses_unstable_antipodal_data(monkeypatch, tau, m_north, m_south):
+    # two points are polystable only with equal multiplicity: refused before any set-up
+    from gravortex import radial
+
+    def no_setup(_m):
+        raise AssertionError("collocation set up for unstable data")
+
+    monkeypatch.setattr(radial, "_even_setup", no_setup)
+    with pytest.raises(ValueError, match="equal multiplicity"):
+        solve_eb_radial(tau, m_north, m_south)
+
+
+def test_radial_even_setup_is_cached_read_only_and_exact():
+    from gravortex.radial import _even_setup
+
+    xi, mirror, lap, w = _even_setup(16)
+    assert _even_setup(16)[2] is lap
+    assert not any(a.flags.writeable for a in (xi, mirror, lap, w))
+    assert np.max(np.abs(np.abs(xi[mirror]) - np.abs(xi))) < 1e-15
+    top = xi[: w.size]
+    # folded weights integrate even polynomials over [-1, 1]
+    assert float(w @ top**2) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert float(w @ top**8) == pytest.approx(2.0 / 9.0, rel=1e-13)
+    # the folded Laplacian on xi^2 is -2[2(1 - xi^2) - 4 xi^2] = 12 xi^2 - 4
+    assert np.max(np.abs(lap @ top**2 - (12.0 * top**2 - 4.0))) < 1e-12
+
+
+@pytest.mark.parametrize("tau, m", [(8.0, 1), (12.0, 2)])
+def test_radial_solution_is_exactly_even(tau, m):
+    sol = solve_eb_radial(tau, m, m)
+    assert sol.converged
+    assert sol.xi.size == 201
+    assert np.array_equal(sol.f, sol.f[::-1])
+
+
+def test_radial_resolutions_agree_to_roundoff():
+    xi = np.linspace(-1.0, 1.0, 101)
+    sols = [solve_eb_radial(8.0, 1, 1, n_modes=n) for n in (96, 128, 200, 256)]
+    assert all(sol.converged for sol in sols)
+    ref = sols[-1].interpolate(xi)
+    for sol in sols[:-1]:
+        assert np.max(np.abs(sol.interpolate(xi) - ref)) <= 1e-10
+
+
+def test_radial_gauge_shift_is_exact():
+    base = solve_eb_radial(8.0, 1, 1, log_scale=0.0)
+    shifted = solve_eb_radial(8.0, 1, 1, log_scale=2.0)  # s = 1
+    assert np.max(np.abs((base.f - shifted.f) - 1.0)) <= 1e-8
+    assert base.c_prime - shifted.c_prime == pytest.approx(-2 * base.alpha * 8.0, abs=1e-9)
+
+
+def test_radial_gap_at_criterion_3_is_at_roundoff():
+    from gravortex.geometry import POINT_AT_INFINITY, build_grid
+    from gravortex.sections import Divisor, build_section
+    from gravortex.solvers import solve_eb
+
+    grid = build_grid("sphere", 48)
+    section = build_section(grid, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1)))
+    state, report = solve_eb(grid, section, 8.0)
+    assert report.converged
+    sol = solve_eb_radial(8.0, 1, 1, log_scale=section.normalization)
+    assert sol.converged
+    assert np.max(np.abs(state.f.values - sol.interpolate(grid._xi_flat))) <= 1e-8
+    assert abs(report.c_prime - sol.c_prime) <= 1e-10
