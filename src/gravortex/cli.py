@@ -86,7 +86,10 @@ def _canonical_real(value, path: str):
     frac = _as_fraction(value, path)
     if isinstance(value, str):
         return str(frac)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range stays exact, like "1e400"
+        return str(frac)
 
 
 def parse_real(value, path: str) -> float:
@@ -105,10 +108,30 @@ def _expect_int(value, path: str, minimum: Optional[int] = None) -> int:
     return value
 
 
-def _reject_unknown(mapping: dict, allowed, path: str) -> None:
-    for key in mapping:
+def _block(data: dict, name: str, allowed) -> dict:
+    """``data[name]`` ({} when absent, ``data`` itself for ""): an object of ``allowed`` keys."""
+    node = data.get(name, {}) if name else data
+    if not isinstance(node, dict):
+        raise ConfigError(name, "expected an object")
+    for key in node:
         if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+            raise ConfigError(f"{name}.{key}" if name else key, "unknown field")
+    return node
+
+
+def _set_path(data: dict, path: str, value) -> None:
+    """Set the entry at the dotted ``path``, creating the objects on the way."""
+    *blocks, key = path.split(".")
+    node = data
+    for block in blocks:
+        node = node.setdefault(block, {})
+        if not isinstance(node, dict):
+            raise ConfigError(path, "path does not address an object")
+    node[key] = value
+
+
+def _nullable(parse):
+    return lambda value, path: None if value is None else parse(value, path)
 
 
 def _normalize_divisor(entries, path: str) -> tuple:
@@ -128,6 +151,69 @@ def _normalize_divisor(entries, path: str) -> tuple:
         else:
             raise ConfigError(epath, "expected [x, y, m] or ['inf', m]")
     return tuple(out)
+
+
+def _model(value, path: str) -> str:
+    if value not in ("torus", "sphere"):
+        raise ConfigError(path, "expected 'torus' or 'sphere'")
+    return value
+
+
+def _tau(value, path: str):
+    tau = _canonical_real(value, path)
+    if _as_fraction(tau, path) <= 0:
+        raise ConfigError(path, "must be positive")
+    return tau
+
+
+def _reals(message: str):
+    def parse(values, path: str) -> tuple:
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(path, message)
+        return tuple(parse_real(a, f"{path}[{i}]") for i, a in enumerate(values))
+    return parse
+
+
+def _triple(value, path: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 4:
+        raise ConfigError(path, "expected [n1, n2, d1, d2]")
+    return tuple(_expect_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _path_string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, "expected a path string" if value is None
+                          else "expected a path string or null")
+    return value
+
+
+# The run-config format: each dotted path of the JSON config (and of --set)
+# maps to its RunConfig field and to the parser that validates an entry given
+# at that path.  RunConfig holds the defaults; the "solver" block is
+# SolverConfig's fields and "command" is set by the subcommand.  Parsing,
+# records (RunConfig.to_dict) and the flags (whose dest is their path) all
+# read this table.
+_FORMAT = {
+    "surface.model": ("surface_model", _model),
+    "surface.resolution": ("surface_resolution", lambda v, p: _expect_int(v, p, 4)),
+    "divisor": ("divisor", _normalize_divisor),
+    "tau": ("tau", _tau),
+    "alpha": ("alpha", _canonical_real),
+    "alpha_values": ("alpha_values", _reals("expected a list")),
+    "genus": ("genus", lambda v, p: _expect_int(v, p, 0)),
+    "triple": ("triple", _nullable(_triple)),
+    "sigma": ("sigma", _nullable(_canonical_real)),
+    "schedule.alpha_targets": ("schedule_targets", _nullable(_reals("expected a list or null"))),
+    "schedule.max_step_halvings": ("max_step_halvings", lambda v, p: _expect_int(v, p, 0)),
+    "output.record_path": ("record_path", _nullable(_path_string)),
+    "output.fields_csv": ("fields_csv", _nullable(_path_string)),
+    "output.sweep_jsonl": ("sweep_jsonl", _nullable(_path_string)),
+    "output.summary_csv": ("summary_csv", _path_string),
+}
+
+
+def _listed(value):
+    return [_listed(item) for item in value] if isinstance(value, tuple) else value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,141 +260,37 @@ class RunConfig:
         return _as_fraction(self.alpha, "alpha")
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "surface": {"model": self.surface_model, "resolution": self.surface_resolution},
-            "divisor": [list(entry) for entry in self.divisor],
-            "tau": self.tau,
-            "alpha": self.alpha,
-            "alpha_values": list(self.alpha_values),
-            "genus": self.genus,
-            "triple": None if self.triple is None else list(self.triple),
-            "sigma": self.sigma,
-            "solver": dataclasses.asdict(self.solver),
-            "schedule": {
-                "alpha_targets": None if self.schedule_targets is None
-                                 else list(self.schedule_targets),
-                "max_step_halvings": self.max_step_halvings,
-            },
-            "output": {
-                "record_path": self.record_path,
-                "fields_csv": self.fields_csv,
-                "sweep_jsonl": self.sweep_jsonl,
-                "summary_csv": self.summary_csv,
-            },
-        }
-
-
-_TOP_KEYS = (
-    "command", "surface", "divisor", "tau", "alpha", "alpha_values", "genus", "triple",
-    "sigma", "solver", "schedule", "output",
-)
+        data = {"command": self.command, "solver": dataclasses.asdict(self.solver)}
+        for path, (name, _) in _FORMAT.items():
+            _set_path(data, path, _listed(getattr(self, name)))
+        return data
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Validate a nested config mapping; unknown keys are rejected with their path."""
     if not isinstance(data, dict):
         raise ConfigError("config", "expected a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "")
+    _block(data, "", {"command", "solver", *(path.split(".")[0] for path in _FORMAT)})
     command = data.get("command")
     if command not in COMMANDS:
         raise ConfigError("command", f"expected one of {', '.join(COMMANDS)}")
 
-    surface = data.get("surface", {})
-    if not isinstance(surface, dict):
-        raise ConfigError("surface", "expected an object")
-    _reject_unknown(surface, ("model", "resolution"), "surface")
-    model = surface.get("model", RunConfig.surface_model)
-    if model not in ("torus", "sphere"):
-        raise ConfigError("surface.model", "expected 'torus' or 'sphere'")
-    resolution = _expect_int(surface.get("resolution", RunConfig.surface_resolution),
-                             "surface.resolution", 4)
+    fields = {"command": command}
+    for path, (name, parse) in _FORMAT.items():  # absent entries keep RunConfig's defaults
+        block, _, key = path.rpartition(".")
+        keys = [p.rpartition(".")[2] for p in _FORMAT if p.startswith(f"{block}.")]
+        node = _block(data, block, keys) if block else data
+        if key in node:
+            fields[name] = parse(node[key], path)
 
-    divisor = _normalize_divisor(data.get("divisor", []), "divisor")
-    tau = _canonical_real(data.get("tau", RunConfig.tau), "tau")
-    if _as_fraction(tau, "tau") <= 0:
-        raise ConfigError("tau", "must be positive")
-    alpha = _canonical_real(data.get("alpha", RunConfig.alpha), "alpha")
-
-    raw_alphas = data.get("alpha_values", [])
-    if not isinstance(raw_alphas, (list, tuple)):
-        raise ConfigError("alpha_values", "expected a list")
-    alpha_values = tuple(
-        parse_real(a, f"alpha_values[{i}]") for i, a in enumerate(raw_alphas)
-    )
-
-    genus = _expect_int(data.get("genus", RunConfig.genus), "genus", 0)
-
-    triple = data.get("triple")
-    if triple is not None:
-        if not isinstance(triple, (list, tuple)) or len(triple) != 4:
-            raise ConfigError("triple", "expected [n1, n2, d1, d2]")
-        triple = tuple(_expect_int(v, f"triple[{i}]") for i, v in enumerate(triple))
-    sigma = data.get("sigma")
-    if sigma is not None:
-        sigma = _canonical_real(sigma, "sigma")
-
-    solver_data = data.get("solver", {})
-    if not isinstance(solver_data, dict):
-        raise ConfigError("solver", "expected an object")
-    _reject_unknown(solver_data, [f.name for f in dataclasses.fields(SolverConfig)], "solver")
-    kwargs = dict(solver_data)
-    if "newton_tol" in kwargs:
-        kwargs["newton_tol"] = parse_real(kwargs["newton_tol"], "solver.newton_tol")
+    solver = dict(_block(data, "solver", [f.name for f in dataclasses.fields(SolverConfig)]))
+    if "newton_tol" in solver:
+        solver["newton_tol"] = parse_real(solver["newton_tol"], "solver.newton_tol")
     try:
-        solver = SolverConfig(**kwargs)
+        fields["solver"] = SolverConfig(**solver)
     except ValueError as exc:  # SolverConfig's message starts with the field name
         raise ConfigError(f"solver.{str(exc).split()[0]}", str(exc)) from None
-
-    schedule = data.get("schedule", {})
-    if not isinstance(schedule, dict):
-        raise ConfigError("schedule", "expected an object")
-    _reject_unknown(schedule, ("alpha_targets", "max_step_halvings"), "schedule")
-    targets = schedule.get("alpha_targets")
-    if targets is not None:
-        if not isinstance(targets, (list, tuple)):
-            raise ConfigError("schedule.alpha_targets", "expected a list or null")
-        targets = tuple(
-            parse_real(a, f"schedule.alpha_targets[{i}]") for i, a in enumerate(targets)
-        )
-    halvings = _expect_int(schedule.get("max_step_halvings", RunConfig.max_step_halvings),
-                           "schedule.max_step_halvings", 0)
-
-    output = data.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output", "expected an object")
-    _reject_unknown(output, ("record_path", "fields_csv", "sweep_jsonl", "summary_csv"),
-                    "output")
-
-    def _opt_path(key, default=None):
-        value = output.get(key, default)
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"output.{key}", "expected a path string or null")
-        return value
-
-    summary = _opt_path("summary_csv", RunConfig.summary_csv)
-    if summary is None:
-        raise ConfigError("output.summary_csv", "expected a path string")
-
-    return RunConfig(
-        command=command,
-        surface_model=model,
-        surface_resolution=resolution,
-        divisor=divisor,
-        tau=tau,
-        alpha=alpha,
-        alpha_values=alpha_values,
-        genus=genus,
-        triple=triple,
-        sigma=sigma,
-        solver=solver,
-        schedule_targets=targets,
-        max_step_halvings=halvings,
-        record_path=_opt_path("record_path"),
-        fields_csv=_opt_path("fields_csv"),
-        sweep_jsonl=_opt_path("sweep_jsonl"),
-        summary_csv=summary,
-    )
+    return RunConfig(**fields)
 
 
 def _build_divisor(config: RunConfig) -> Divisor:
@@ -459,10 +441,7 @@ def run(config: RunConfig) -> dict:
         grid, section = _solve_setup(config)
         tau, alpha = config.tau_value, config.alpha_value
         try:
-            if config.command == "SolveVortex":
-                _reject_schedule(config)
-                state, report = solve_vortex(grid, section, tau, config.solver)
-            elif config.command == "SolveGravitating":
+            if config.command == "SolveGravitating":
                 if alpha < 0.0:
                     raise ConfigError("alpha", "must be >= 0")
                 state, report = solve_gravitating(
@@ -470,12 +449,14 @@ def run(config: RunConfig) -> dict:
                     _schedule_for(config, alpha), config.solver,
                 )
             else:
+                eb = config.command == "SolveEB"
                 if alpha != 0.0:
-                    raise ConfigError(
-                        "alpha", "the EB coupling is determined by tau and N; leave alpha at 0"
-                    )
+                    reason = ("the EB coupling is determined by tau and N" if eb
+                              else "the vortex equations have no coupling")
+                    raise ConfigError("alpha", f"{reason}; leave alpha at 0")
                 _reject_schedule(config)
-                state, report = solve_eb(grid, section, tau, config.solver)
+                state, report = (solve_eb if eb else solve_vortex)(grid, section, tau,
+                                                                   config.solver)
         except ValueError as exc:  # solve_eb rejects the torus, then N >= tau/2
             field = "config" if config.command != "SolveEB" else (
                 "tau" if config.surface_model == "sphere" else "surface.model")
@@ -537,25 +518,6 @@ def _write_summary(records: list[dict], path: str) -> None:
                             + [rep[key] for key in deterministic])
 
 
-def _apply_overrides(data: dict, pairs: list) -> dict:
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError("--set", f"expected key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(key, "path does not address an object")
-        node[parts[-1]] = value
-    return data
-
-
 def _load_config(args, command: str) -> RunConfig:
     data: dict = {}
     if args.config is not None:
@@ -568,43 +530,40 @@ def _load_config(args, command: str) -> RunConfig:
             raise ConfigError("--config", f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("--config", "expected a JSON object")
-    for key in ("surface", "output"):
+    for key in ("surface", "output"):  # the blocks that flags write into
         if key in data and not isinstance(data[key], dict):
             raise ConfigError(key, "expected an object")
 
-    for name in ("tau", "alpha", "sigma"):
-        value = getattr(args, name, None)
-        if value is not None:
-            data[name] = value
-    if getattr(args, "model", None) is not None:
-        data.setdefault("surface", {})["model"] = args.model
-    if getattr(args, "resolution", None) is not None:
-        data.setdefault("surface", {})["resolution"] = args.resolution
-    if getattr(args, "genus", None) is not None:
-        data["genus"] = args.genus
-    if getattr(args, "alphas", None) is not None:
-        data["alpha_values"] = [a for a in args.alphas.split(",") if a]
-    if getattr(args, "triple", None) is not None:
-        parts = args.triple.split(",")
+    flags = {path: value for path, value in vars(args).items()
+             if path in _FORMAT and value is not None}
+    if "triple" in flags:
+        parts = flags["triple"].split(",")
         if len(parts) != 4:
             raise ConfigError("--triple", "expected n1,n2,d1,d2")
         try:
-            data["triple"] = [int(p) for p in parts]
+            flags["triple"] = [int(p) for p in parts]
         except ValueError:
             raise ConfigError("--triple", "expected four integers") from None
-    if getattr(args, "fields_csv", None) is not None:
-        data.setdefault("output", {})["fields_csv"] = args.fields_csv
     if getattr(args, "record", None) is not None:
-        key = "sweep_jsonl" if command == "SweepAlpha" else "record_path"
-        data.setdefault("output", {})[key] = args.record
-    if getattr(args, "summary_csv", None) is not None:
-        data.setdefault("output", {})["summary_csv"] = args.summary_csv
-    _apply_overrides(data, args.set or [])
+        sweep = command == "SweepAlpha"
+        flags["output.sweep_jsonl" if sweep else "output.record_path"] = args.record
+    for path, value in flags.items():
+        _set_path(data, path, value)
+    for pair in args.set or []:
+        if "=" not in pair:
+            raise ConfigError("--set", f"expected key=value, got {pair!r}")
+        path, raw = pair.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        _set_path(data, path, value)
     data["command"] = command
     return config_from_dict(data)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each flag's dest is the config path it sets (see _FORMAT)."""
     parser = argparse.ArgumentParser(
         prog="gravortex",
         description="Vortex, gravitating-vortex, and Einstein-Bogomol'nyi solves "
@@ -618,27 +577,30 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config field (dotted path, JSON value)")
 
+    def surface(p):
+        p.add_argument("--model", dest="surface.model", choices=["torus", "sphere"])
+        p.add_argument("--resolution", dest="surface.resolution", metavar="RESOLUTION", type=int)
+        p.add_argument("--tau")
+
     p = sub.add_parser("classify", help="GIT stability of a divisor on the sphere")
     common(p)
 
     p = sub.add_parser("solve", help="run one solve")
     common(p)
     p.add_argument("--kind", choices=sorted(_SOLVE_KINDS), default="vortex")
-    p.add_argument("--model", choices=["torus", "sphere"])
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--tau")
+    surface(p)
     p.add_argument("--alpha")
-    p.add_argument("--fields-csv", dest="fields_csv")
+    p.add_argument("--fields-csv", dest="output.fields_csv", metavar="FIELDS_CSV")
     p.add_argument("--record", help="also write the record to this path")
 
     p = sub.add_parser("sweep", help="warm-started sweep over couplings")
     common(p)
-    p.add_argument("--model", choices=["torus", "sphere"])
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--tau")
-    p.add_argument("--alphas", help="comma-separated couplings starting at 0")
+    surface(p)
+    p.add_argument("--alphas", dest="alpha_values", metavar="ALPHAS",
+                   type=lambda text: [a for a in text.split(",") if a],
+                   help="comma-separated couplings starting at 0")
     p.add_argument("--record", help="JSONL output path")
-    p.add_argument("--summary-csv", dest="summary_csv")
+    p.add_argument("--summary-csv", dest="output.summary_csv", metavar="SUMMARY_CSV")
 
     p = sub.add_parser("triple", help="slope arithmetic for holomorphic triples")
     common(p)
@@ -661,16 +623,9 @@ def main(argv: Optional[list] = None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
-        if args.subcommand == "solve":
-            command = _SOLVE_KINDS[args.kind]
-        elif args.subcommand == "sweep":
-            command = "SweepAlpha"
-        elif args.subcommand == "classify":
-            command = "Classify"
-        elif args.subcommand == "triple":
-            command = "Triple"
-        else:
-            command = "Oracle"
+        command = _SOLVE_KINDS[args.kind] if args.subcommand == "solve" else {
+            "classify": "Classify", "sweep": "SweepAlpha", "triple": "Triple", "oracle": "Oracle",
+        }[args.subcommand]
         config = _load_config(args, command)
 
         sweep = command == "SweepAlpha"

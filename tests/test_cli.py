@@ -1,15 +1,22 @@
 """Run configs, serialization invariants, subcommands, and exit codes."""
 
+import argparse
 import csv
 import json
-from dataclasses import replace
+import re
+import shlex
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from gravortex import solvers
 from gravortex.cli import (
+    _FORMAT,
     ConfigError,
     RunConfig,
+    _build_parser,
+    _load_config,
     _schedule_for,
     config_from_dict,
     main,
@@ -133,6 +140,98 @@ def test_default_config_construction():
     config = RunConfig(command="Classify")
     assert config.surface_model == "torus"
     assert config.solver.max_newton_iters == 50
+
+
+# ---------------------------------------------------------------------------
+# the format table is the config format
+# ---------------------------------------------------------------------------
+
+
+def test_format_table_has_one_entry_per_run_config_field():
+    # command comes from the subcommand and the solver block is SolverConfig's
+    table_fields = sorted(name for name, _ in _FORMAT.values())
+    assert table_fields == sorted(f.name for f in fields(RunConfig)
+                                  if f.name not in ("command", "solver"))
+
+
+def _leaves(node, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def test_record_config_paths_are_the_table_paths():
+    solver_paths = [f"solver.{f.name}" for f in fields(solvers.SolverConfig)]
+    assert sorted(dict(_leaves(RunConfig(command="Classify").to_dict()))) == sorted(
+        [*_FORMAT, "command", *solver_paths])
+
+
+# every config flag: (the path it sets, an argument, the same value as --set JSON)
+_FLAG_FORMS = {
+    "--model": ("surface.model", "sphere", '"sphere"'),
+    "--resolution": ("surface.resolution", "24", "24"),
+    "--tau": ("tau", "1/3", '"1/3"'),
+    "--alpha": ("alpha", "0.5", '"0.5"'),
+    "--sigma": ("sigma", "2/5", '"2/5"'),
+    "--genus": ("genus", "1", "1"),
+    "--alphas": ("alpha_values", "0,1/2,,1", '["0", "1/2", "1"]'),
+    "--triple": ("triple", "2,1,3,1", "[2, 1, 3, 1]"),
+    "--fields-csv": ("output.fields_csv", "f.csv", '"f.csv"'),
+    "--summary-csv": ("output.summary_csv", "s.csv", '"s.csv"'),
+    "--record": ("output.record_path", "r.json", '"r.json"'),
+}
+_SUBCOMMANDS = {"classify": "Classify", "solve": "SolveVortex", "sweep": "SweepAlpha",
+                "triple": "Triple", "oracle": "Oracle"}
+
+
+def _config_flags():
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return [(name, action.option_strings[0])
+            for name, parser in subparsers.choices.items() for action in parser._actions
+            if action.option_strings[0] not in ("-h", "--config", "--set", "--kind")]
+
+
+@pytest.mark.parametrize("subcommand,flag", _config_flags())
+def test_each_flag_equals_its_set_form(subcommand, flag):
+    path, argument, json_value = _FLAG_FORMS[flag]
+    if (subcommand, flag) == ("sweep", "--record"):
+        path = "output.sweep_jsonl"
+    command = _SUBCOMMANDS[subcommand]
+    parser = _build_parser()
+    by_flag = _load_config(parser.parse_args([subcommand, flag, argument]), command)
+    by_set = _load_config(parser.parse_args([subcommand, "--set", f"{path}={json_value}"]),
+                          command)
+    assert by_flag == by_set != RunConfig(command=command)
+
+
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_lists_every_config_path_with_its_default():
+    rows = re.findall(r"^\| `([\w.]+)` \| `([^`]*)` \|", _readme(), re.MULTILINE)
+    defaults = dict(_leaves(RunConfig(command="Classify").to_dict()))
+    del defaults["command"]
+    assert {path: json.loads(default) for path, default in rows} == defaults
+
+
+def _readme_command_lines():
+    block = _readme().split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("gravortex ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_command_lines()
+    assert [argv[0] for argv in lines] == ["classify", "oracle", "triple", "solve", "sweep"]
+    for argv in lines:
+        assert main(argv) == 0, capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.json", "sweep.jsonl", "sweep_summary.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +480,9 @@ _TORUS = ["--model", "torus", "--resolution", "8", "--set", "divisor=[[0.25,0.25
     (["solve", "--kind", "gravitating", "--alpha", "0.01", *_TORUS,
       "--set", 'schedule.alpha_targets=[0,"1e400"]'], "schedule.alpha_targets[1]"),
     (["solve", "--set", 'divisor=[["1e400",0.2,1]]'], "divisor[0][0]"),
+    # JSON integers beyond the float range, as --set writes them
+    (["solve", "--set", f"tau={10**400}", *_TORUS], "tau"),
+    (["solve", "--kind", "gravitating", "--set", f"alpha={10**400}", *_TORUS], "alpha"),
 ])
 def test_numbers_beyond_float_range_name_their_field(capsys, argv, field):
     code, out, err = _run(capsys, argv)
@@ -390,11 +492,12 @@ def test_numbers_beyond_float_range_name_their_field(capsys, argv, field):
 
 
 def test_oracle_keeps_exact_rationals_beyond_float_range(capsys):
-    code, out, _ = _run(capsys, ["oracle", "--tau", "1e400", "--set", "divisor=[[0.25,0.25,1]]"])
-    assert code == 0
-    verdict = json.loads(out)["verdict"]
-    assert verdict["verdict"] == "ExistsUnique"
-    assert f"N=1 < {5 * 10**399} holds" in verdict["reason"]  # tau Vol/(4 pi) = 10^400 / 2
+    for tau in (["--tau", "1e400"], ["--set", f"tau={10**400}"]):
+        code, out, _ = _run(capsys, ["oracle", *tau, "--set", "divisor=[[0.25,0.25,1]]"])
+        assert code == 0
+        verdict = json.loads(out)["verdict"]
+        assert verdict["verdict"] == "ExistsUnique"
+        assert f"N=1 < {5 * 10**399} holds" in verdict["reason"]  # tau Vol/(4 pi) = 10^400 / 2
 
 
 def test_usage_errors_exit_one(capsys):
@@ -413,6 +516,13 @@ def test_eb_subcommand_rejects_explicit_alpha(capsys):
         "--tau", "8", "--alpha", "0.1", "--set", 'divisor=[[0,0,1],["inf",1]]',
     ])
     assert code == 1
+    assert json.loads(err)["error"]["field"] == "alpha"
+
+
+def test_vortex_subcommand_rejects_explicit_alpha(capsys):
+    # a vortex solve has no coupling: the record would echo alpha with alpha_reached 0
+    code, out, err = _run(capsys, ["solve", "--kind", "vortex", "--alpha", "0.1", *_TORUS])
+    assert code == 1 and out == ""
     assert json.loads(err)["error"]["field"] == "alpha"
 
 
