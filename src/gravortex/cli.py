@@ -518,12 +518,19 @@ def _write_summary(records: list[dict], path: str) -> None:
                             + [rep[key] for key in deterministic])
 
 
+def _json_float(text: str):
+    """A JSON float literal; beyond the float range (``1e400``) its exact string, which the
+    number fields read as an exact rational, as they read ``--tau 1e400``."""
+    value = float(text)
+    return value if math.isfinite(value) else text
+
+
 def _load_config(args, command: str) -> RunConfig:
     data: dict = {}
     if args.config is not None:
         try:
             with open(args.config) as handle:
-                data = json.load(handle)
+                data = json.load(handle, parse_float=_json_float)
         except OSError as exc:
             raise ConfigError("--config", str(exc)) from None
         except json.JSONDecodeError as exc:
@@ -554,7 +561,7 @@ def _load_config(args, command: str) -> RunConfig:
             raise ConfigError("--set", f"expected key=value, got {pair!r}")
         path, raw = pair.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_float=_json_float)
         except json.JSONDecodeError:
             value = raw
         _set_path(data, path, value)

@@ -483,6 +483,8 @@ _TORUS = ["--model", "torus", "--resolution", "8", "--set", "divisor=[[0.25,0.25
     # JSON integers beyond the float range, as --set writes them
     (["solve", "--set", f"tau={10**400}", *_TORUS], "tau"),
     (["solve", "--kind", "gravitating", "--set", f"alpha={10**400}", *_TORUS], "alpha"),
+    # JSON float literals beyond the float range, kept as their exact strings
+    (["solve", "--set", "tau=1e400", *_TORUS], "tau"),
 ])
 def test_numbers_beyond_float_range_name_their_field(capsys, argv, field):
     code, out, err = _run(capsys, argv)
@@ -491,8 +493,11 @@ def test_numbers_beyond_float_range_name_their_field(capsys, argv, field):
     assert error["field"] == field and error["message"] == "value must be finite"
 
 
-def test_oracle_keeps_exact_rationals_beyond_float_range(capsys):
-    for tau in (["--tau", "1e400"], ["--set", f"tau={10**400}"]):
+def test_oracle_keeps_exact_rationals_beyond_float_range(capsys, tmp_path):
+    config = tmp_path / "tau.json"
+    config.write_text('{"tau": 1e400}')
+    for tau in (["--tau", "1e400"], ["--set", f"tau={10**400}"], ["--set", "tau=1e400"],
+                ["--config", str(config)]):
         code, out, _ = _run(capsys, ["oracle", *tau, "--set", "divisor=[[0.25,0.25,1]]"])
         assert code == 0
         verdict = json.loads(out)["verdict"]

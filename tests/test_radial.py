@@ -166,16 +166,17 @@ def test_radial_gauge_shift_is_exact():
     assert base.c_prime - shifted.c_prime == pytest.approx(-2 * base.alpha * 8.0, abs=1e-9)
 
 
-def test_radial_gap_at_criterion_3_is_at_roundoff():
+@pytest.mark.parametrize("m,tau", [(1, 8.0), (2, 12.0)])  # sphere-eb's two shapes at L=48
+def test_radial_gap_at_criterion_3_is_at_roundoff(m, tau):
     from gravortex.geometry import POINT_AT_INFINITY, build_grid
     from gravortex.sections import Divisor, build_section
     from gravortex.solvers import solve_eb
 
     grid = build_grid("sphere", 48)
-    section = build_section(grid, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1)))
-    state, report = solve_eb(grid, section, 8.0)
+    section = build_section(grid, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (m, m)))
+    state, report = solve_eb(grid, section, tau)
     assert report.converged
-    sol = solve_eb_radial(8.0, 1, 1, log_scale=section.normalization)
+    sol = solve_eb_radial(tau, m, m, log_scale=section.normalization)
     assert sol.converged
     assert np.max(np.abs(state.f.values - sol.interpolate(grid._xi_flat))) <= 1e-8
     assert abs(report.c_prime - sol.c_prime) <= 1e-10

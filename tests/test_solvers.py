@@ -1,12 +1,17 @@
 """Newton solves: convergence, certification gates, continuation, invariance."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gravortex
 from gravortex import solvers, stability
 from gravortex.equations import (
     EquationKind,
@@ -171,9 +176,9 @@ def test_eb_linear_solves_meet_forcing_tolerance(monkeypatch, sphere16):
     calls = []
     lgmres = solvers.lgmres
 
-    def spy(op, b, **kwargs):
-        out = lgmres(op, b, **kwargs)
-        calls.append((kwargs["rtol"], float(np.linalg.norm(b)), out[1]))
+    def spy(apply, b, rtol):
+        out = lgmres(apply, b, rtol)
+        calls.append((rtol, float(np.linalg.norm(b)), out[1]))
         return out
 
     monkeypatch.setattr(solvers, "lgmres", spy)
@@ -190,11 +195,11 @@ def test_eb_linear_solves_meet_forcing_tolerance(monkeypatch, sphere16):
 
 def test_step_floor_names_lgmres_exit_code(monkeypatch, torus24, torus24_section):
     # a linear solve that gives up at once returns the zero direction: no step descends
-    monkeypatch.setattr(solvers, "lgmres", lambda op, b, **kwargs: (np.zeros_like(b), 8))
+    monkeypatch.setattr(solvers, "lgmres", lambda apply, b, rtol: (np.zeros_like(b), 8))
     _, report = solve_vortex(torus24, torus24_section, 2.5)
     assert not report.converged
     assert report.failure_reason is FailureReason.STEP_FLOOR
-    assert "LGMRES exit code 8" in report.message
+    assert report.message.endswith("(last GMRES exit code 8)")
     spec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
                        kind=EquationKind.VORTEX)
     _, info = newton_step(initial_state(spec))
@@ -252,11 +257,14 @@ def test_krylov_operator_is_jacobian_after_preconditioner(model, resolution, kin
     for seed in range(3):
         y = _krylov_vector(system, seed)
         x = system.precond(y)
-        want = system.matvec(x)
-        assert _rel(system.krylov_matvec(y), want) < 1e-12
+        want = system.krylov_scale(system.matvec(x))
+        got_x, got = system.krylov_apply(y)
+        assert np.array_equal(got_x, x) and _rel(got, want) < 1e-12
+        # given P y, the same image without applying P again
+        assert np.array_equal(system.krylov_apply(y, x)[1], got)
         # negative: Delta P y read off as y alone, without the -shift P y term
         wrong = system.matvec(x, list(y[: system.field_rows].reshape(-1, system.n)))
-        assert _rel(wrong, want) > 1e-6
+        assert _rel(system.krylov_scale(wrong), want) > 1e-6
 
 
 def test_krylov_norm_is_the_merit(monkeypatch):
@@ -272,20 +280,22 @@ def test_krylov_norm_is_the_merit(monkeypatch):
     # negative: the plain 2-norm leaves the gauge row n_nodes times too light in the merit
     missing = 2.0 * merit - weight * float(np.dot(r, r))
     assert missing == pytest.approx(TWO_PI * (1.0 - 1.0 / system.n) * r[-1] ** 2, rel=1e-9)
-    # and LGMRES is handed exactly that norm: D r on the right, D J P on the left
+    # and GMRES is handed exactly that norm: D r on the right, D J P on the left
     seen = {}
     lgmres = solvers.lgmres
 
-    def spy(op, b, **kwargs):
+    def spy(apply, b, rtol):
         y = _krylov_vector(system, 3)
-        seen["b"], seen["op"] = b.copy(), op.matvec(y)
-        seen["want"] = system.krylov_scale(system.krylov_matvec(y))
-        return lgmres(op, b, **kwargs)
+        seen["b"], seen["op"] = b.copy(), apply(y)[1]
+        seen["want"] = system.matvec(system.precond(y))
+        return lgmres(apply, b, rtol)
 
     monkeypatch.setattr(solvers, "lgmres", spy)
     newton_step(base.state, _system=system)  # the state is only returned should the step fail
     assert np.array_equal(seen["b"], -scaled)
-    assert np.array_equal(seen["op"], seen["want"])
+    op, want = seen["op"], seen["want"]
+    assert _rel(op[:-1], want[:-1]) < 1e-12
+    assert op[-1] == pytest.approx(math.sqrt(system.n) * want[-1], rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["vortex", "eb"])
@@ -296,63 +306,132 @@ def test_krylov_operator_is_identity_out_of_band_on_sphere(kind):
     band = _krylov_vector(system, 7)
     assert np.max(np.abs(y - band)) > 0.1
     assert np.max(np.abs(system.precond(y) - system.precond(band))) < 1e-12
-    gap = system.krylov_matvec(y) - system.matvec(system.precond(y))
+    gap = system.krylov_apply(y)[1] - system.krylov_scale(system.matvec(system.precond(y)))
     assert np.max(np.abs(gap - (y - band))) < 1e-12
+
+
+def _spy_krylov(monkeypatch, seen):
+    """Wrap solvers.lgmres so that ``seen`` gets each solve's (system, b, rtol, d, code) and
+    the arguments of every operator application, in order."""
+    lgmres = solvers.lgmres
+
+    def spy(apply, b, rtol):
+        def traced(y, x=None):
+            seen.setdefault("applies", []).append((y.copy(), None if x is None else x.copy()))
+            return apply(y, x)
+        d, code = lgmres(traced, b, rtol)
+        seen.setdefault("solves", []).append((apply.__self__, b, rtol, d, code))
+        return d, code
+
+    monkeypatch.setattr(solvers, "lgmres", spy)
 
 
 @pytest.mark.parametrize("model,resolution", [("torus", 16), ("sphere", 8)])
 def test_newton_step_applies_jacobian_once_per_krylov_iteration(monkeypatch, model, resolution):
     system = _unsolved_system(model, resolution, "gravitating" if model == "torus" else "vortex")
-    counts = {"matvec": 0, "precond": 0, "iterations": 0, "zero": 0}
-    for name in ("matvec", "precond"):
+    counts = {"matvec": 0, "precond": 0}
+    for name in counts:
         def counted(self, *args, _name=name, _fn=getattr(solvers._NewtonSystem, name)):
             counts[_name] += 1
             return _fn(self, *args)
         monkeypatch.setattr(solvers._NewtonSystem, name, counted)
-    lgmres = solvers.lgmres
-
-    def spy(op, b, **kwargs):
-        assert not any(counts.values())  # no dtype probe before the solve
-        assert op.dtype == np.float64 and kwargs.get("M") is None
-
-        def apply(y):
-            counts["iterations" if y.any() else "zero"] += 1
-            return op.matvec(y)
-        return lgmres(solvers.LinearOperator(op.shape, matvec=apply, dtype=op.dtype), b,
-                      **kwargs)
-
-    monkeypatch.setattr(solvers, "lgmres", spy)
+    seen = {}
+    _spy_krylov(monkeypatch, seen)
     _, info = newton_step(system.state, _system=system)
     assert info["krylov_info"] == 0 and info["step_scale"] > 0.0
-    assert counts["zero"] == 1  # lgmres's starting vector costs no transform
-    assert counts["iterations"] > 1
-    assert counts["matvec"] == counts["iterations"]
-    # d = P y reuses the last application, which lgmres makes on the y it returns
-    assert counts["precond"] == counts["iterations"]
+    iterations = sum(x is None for _, x in seen["applies"])
+    residuals = len(seen["applies"]) - iterations
+    assert iterations > 1 and residuals == 1  # one restart cycle, one true residual
+    assert all(y.any() for y, _ in seen["applies"])  # no zero start vector is applied
+    assert counts["matvec"] == iterations + residuals
+    # d comes from the stored P v_j: no P beyond one per Krylov iteration
+    assert counts["precond"] == iterations
 
 
 @pytest.mark.parametrize("maxiter", [None, 1])
 def test_newton_direction_is_precond_of_the_krylov_solution(monkeypatch, maxiter):
-    # cut short at one restart, lgmres returns a y it never applied the operator to
+    # cut short at one restart of two iterations, the solve still returns d = P y
     system = _unsolved_system("sphere", 8, "eb")
+    if maxiter is not None:
+        monkeypatch.setattr(solvers, "_LINEAR_MAXITER", maxiter)
+        monkeypatch.setattr(solvers, "_KRYLOV_INNER", 2)
     seen = {}
-    lgmres, update = solvers.lgmres, solvers._NewtonSystem.apply_update
-
-    def spy(op, b, **kwargs):
-        if maxiter is not None:
-            kwargs["maxiter"] = maxiter
-        seen["y"], code = lgmres(op, b, **kwargs)
-        return seen["y"], code
+    update = solvers._NewtonSystem.apply_update
 
     def capture(self, x, t):
         seen.setdefault("d", x.copy())
         return update(self, x, t)
 
-    monkeypatch.setattr(solvers, "lgmres", spy)
+    _spy_krylov(monkeypatch, seen)
     monkeypatch.setattr(solvers._NewtonSystem, "apply_update", capture)
     _, info = newton_step(system.state, _system=system)
     assert (info["krylov_info"] == 0) == (maxiter is None)
-    assert np.array_equal(seen["d"], system.precond(seen["y"]))
+    y, d = seen["applies"][-1]  # the solve ends on its true residual at (y, P y)
+    assert d is not None and np.array_equal(seen["d"], seen["solves"][0][3])
+    assert _rel(seen["d"], system.precond(y)) < 1e-12
+
+
+def _dense(system):
+    """D J P as a dense matrix, column by column."""
+    return np.column_stack([system.krylov_apply(e)[1] for e in np.eye(system.size)])
+
+
+@pytest.mark.parametrize("model,resolution,kind", [("torus", 12, "gravitating"),
+                                                   ("sphere", 6, "eb")])
+def test_gmres_matches_a_dense_solve(model, resolution, kind):
+    system = _unsolved_system(model, resolution, kind)
+    a = _dense(system)
+    b = system.krylov_scale(-system.residual_vector()[0])
+    seen = []
+
+    def traced(y, x=None):
+        seen.append(y.copy())
+        return system.krylov_apply(y, x)
+
+    for rtol in (1e-3, 1e-9):
+        seen.clear()
+        d, code = solvers.gmres(traced, b, rtol)
+        assert code == 0
+        y = seen[-1]  # the true residual is taken at the returned y
+        assert np.linalg.norm(b - a @ y) <= rtol * np.linalg.norm(b)
+        assert _rel(d, system.precond(y)) < 1e-12
+    # the dense answer, to the accuracy the tight tolerance buys
+    exact = system.precond(np.linalg.solve(a, b))
+    assert _rel(d, exact) < 1e-6
+
+
+def test_gmres_of_a_zero_right_hand_side_applies_nothing():
+    def apply(y, x=None):
+        raise AssertionError("no operator application for b = 0")
+
+    d, code = solvers.gmres(apply, np.zeros(5), 0.1)
+    assert code == 0 and not d.any()
+
+
+def test_gmres_never_reports_an_unmet_tolerance_as_converged(monkeypatch, torus32):
+    # below the degree bound (verdicts class vortex_below_bound, N = 1, tau = 1.83): at the
+    # fifth Newton step the Arnoldi estimate meets rtol while the true residual is ~5e9
+    # times |b|; the exit code must say so, and the StepFloor message name it
+    section = build_section(torus32, Divisor(((0.6923928173339985, 0.1913361931575598),), (1,)))
+    seen = {}
+    _spy_krylov(monkeypatch, seen)
+    _, report = solve_vortex(torus32, section, 1.83)
+    assert report.failure_reason is FailureReason.STEP_FLOOR
+    codes = [code for *_, code in seen["solves"]]
+    assert codes[-1] == solvers._LINEAR_MAXITER and report.iterations == len(codes)
+    assert report.message.endswith(f"(last GMRES exit code {solvers._LINEAR_MAXITER})")
+    for system, b, rtol, d, code in seen["solves"]:
+        true = np.linalg.norm(b - system.krylov_scale(system.matvec(d)))
+        assert (code == 0) == (true <= rtol * np.linalg.norm(b) * (1.0 + 1e-6))
+
+
+def test_importing_the_package_leaves_scipy_krylov_solvers_out():
+    # scipy.sparse.linalg costs about 8 MB of resident memory, and nothing needs it
+    code = "import sys, gravortex, gravortex.cli; print('scipy.sparse.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(gravortex.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_line_search_evaluates_the_nonlinearity_once_per_trial(monkeypatch, torus24,
