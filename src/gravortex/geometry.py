@@ -145,6 +145,10 @@ class _SphereTransform:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class SurfaceGrid:
     """Immutable sampling of one of the model surfaces.
 
@@ -166,8 +170,8 @@ class SurfaceGrid:
 
     def __init__(self, model: SurfaceModel, resolution: int):
         model = SurfaceModel(model)
-        if resolution < 4:
-            raise ValueError(f"resolution must be >= 4, got {resolution}")
+        if not _is_int(resolution) or resolution < 4:
+            raise ValueError(f"resolution must be an integer >= 4, got {resolution!r}")
         self.model = model
         self.resolution = int(resolution)
         if model is SurfaceModel.SPHERE:

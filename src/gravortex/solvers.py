@@ -14,7 +14,7 @@ volume/mean constraints:
   (the volume constraint is already the mean of the second equation, since
   Delta v integrates to zero).
 
-Restarted GMRES (``gmres``) solves the right-preconditioned J P y = -R, gauge
+One GMRES cycle (``gmres``) solves the right-preconditioned J P y = -R, gauge
 row scaled by sqrt(n_nodes) so that the 2-norm it minimises is the Armijo
 merit's, to an Eisenstat-Walker forcing tolerance capped at eta_max (inexact
 Newton-Krylov; see ``_forcing``); d = P y, P the spectral (Delta + shift)^{-1}
@@ -25,12 +25,12 @@ and P drops it), and the true residual J d + R no round trip at all.  Armijo
 backtracking on (1/2)||R||^2 (background L2) damps d.
 
 Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
-(nonlinearity exponent beyond the guard), StepFloor (backtracking collapsed),
-NoSolution (the residual converged but the exact existence gate rules a
-solution out), IdentityFailure (the residual converged but the integral
-identities fail at the converged state).  A MaxIters or StepFloor message
-names the GMRES exit code when the last linear solve stopped short of its
-tolerance.
+(nonlinearity exponent beyond the guard, or a residual 2-norm beyond the float
+range), StepFloor (backtracking collapsed), NoSolution (the residual converged
+but the exact existence gate rules a solution out), IdentityFailure (the
+residual converged but the integral identities fail at the converged state).
+A MaxIters or StepFloor message names the GMRES exit code (1) when the last
+linear solve stopped short of its tolerance.
 Reports are certified: ``converged`` additionally requires the integral
 identities (degree, volume, Gauss-Bonnet, metric positivity) to hold at
 their standard tolerances, and the exact degree bound N < tau * Vol/(4 pi)
@@ -70,7 +70,7 @@ from .equations import (
     make_state,
 )
 from .equations import residual_fields  # noqa: F401  (perfbench/tracer.py patches this binding)
-from .geometry import SurfaceGrid, SurfaceModel, laplacian_values, prolong
+from .geometry import SurfaceGrid, SurfaceModel, _is_int, laplacian_values, prolong
 from .geometry import smoothing_invert
 from .sections import SectionData, build_section, rescale
 
@@ -81,20 +81,14 @@ VOLUME_IDENTITY_TOL = 1e-8
 GAUSS_BONNET_TOL = 1e-4
 _STEP_FLOOR = 2.0**-25
 _ARMIJO_CONSTANT = 1e-4
-_LINEAR_MAXITER = 8  # GMRES restarts per linear solve
-_KRYLOV_INNER = 30  # GMRES iterations per restart
+_KRYLOV_INNER = 30  # GMRES iterations per linear solve: one cycle, never restarted
 _DIVERGENCE_NORM = 1e6  # iterate sup norm beyond which a loop reports Divergence
 
 # Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 17, 1996).  eta_max = 0.5 and
 # 0.9 were measured worse: EB L=48 [0]+[inf] takes 29 and 38 steps against 24.
 _EW_GAMMA = 0.9
 _EW_EXPONENT = 2.0
-_EW_SAFEGUARD = 0.1
 _ETA_MAX = 0.1
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class FailureReason(str, Enum):
@@ -114,7 +108,7 @@ class SolverConfig:
     positive and ``max_newton_iters`` is an integer >= 1.  Each linear solve
     runs to the Eisenstat-Walker forcing tolerance (see ``_forcing``), derived
     from the residual history and ``newton_tol``; the Armijo constant, the
-    GMRES restart budget and the divergence guard are module constants.
+    GMRES iteration budget and the divergence guard are module constants.
     """
 
     newton_tol: float = 1e-10
@@ -306,77 +300,67 @@ class _NewtonSystem:
 # ---------------------------------------------------------------------------
 
 
-def _forcing(norm: float, prev_norm: Optional[float], prev_eta: float,
-             newton_tol: float) -> float:
+def _forcing(norm: float, prev_norm: Optional[float], newton_tol: float) -> float:
     """Relative GMRES tolerance at residual 2-norm ``norm``, taken after ``krylov_scale``.
 
-    Eisenstat-Walker choice 2, eta = gamma (||F_k|| / ||F_{k-1}||)^2, raised to
-    gamma eta_{k-1}^2 when that exceeds 0.1 (so eta cannot collapse after one
-    lucky step), floored at 0.5 newton_tol / ||F_k|| (Kelley, Solving Nonlinear
+    Eisenstat-Walker choice 2, eta = gamma (||F_k|| / ||F_{k-1}||)^2 (eta_max on a
+    loop's first step), floored at 0.5 newton_tol / ||F_k|| (Kelley, Solving Nonlinear
     Equations with Newton's Method, 2003) so GMRES does not solve far past the
-    Newton tolerance, and capped last at eta_max (the first step's value): near
-    the root the floor exceeds eta_max, and a direction that loose need not
-    descend the merit: the loop would stall at its own tolerance.
+    Newton tolerance, and capped last at eta_max: near the root the floor exceeds
+    eta_max, and a direction that loose need not descend the merit: the loop would
+    stall at its own tolerance.  Choice 2's safeguard max(eta, gamma eta_{k-1}^2),
+    applied when gamma eta_{k-1}^2 > 0.1, is left out: under the cap it is at most
+    gamma eta_max^2 = 0.009.
     """
-    if prev_norm is None:
-        eta = _ETA_MAX
-    else:
-        eta = _EW_GAMMA * (norm / prev_norm) ** _EW_EXPONENT
-        safeguard = _EW_GAMMA * prev_eta**_EW_EXPONENT
-        if safeguard > _EW_SAFEGUARD:
-            eta = max(eta, safeguard)
+    eta = _ETA_MAX if prev_norm is None else _EW_GAMMA * (norm / prev_norm) ** _EW_EXPONENT
     return min(max(eta, 0.5 * newton_tol / norm), _ETA_MAX)
 
 
 def gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
-    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) for A y = b.
+    """One GMRES cycle (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) for A y = b.
 
     ``apply(y, x=None)`` returns (P y, A y), A = D J P, and spares P when x = P y is
-    given.  Each restart runs up to _KRYLOV_INNER Arnoldi steps (modified Gram-Schmidt,
-    Givens rotations) and keeps P v_j beside each basis vector v_j, so the direction
-    d = P y is their combination and costs no further P.  The Arnoldi estimate only ends
-    a cycle: the cycle's true residual b - A y, formed from (y, d), is where the next
-    one starts.  Returns (d, 0) when that residual is within rtol ||b||, else
-    (d, _LINEAR_MAXITER) once the restarts are spent or the residual is not finite.
+    given.  Up to _KRYLOV_INNER Arnoldi steps from y = 0 (modified Gram-Schmidt, Givens
+    rotations) keep P v_j beside each basis vector v_j, so the direction d = P y is
+    their combination and costs no further P.  The Arnoldi estimate only ends the
+    cycle; the true residual b - A y, formed once from (y, d), decides the exit code:
+    (d, 0) when it is within rtol ||b||, else (d, 1).  Nothing is applied when ||b|| is
+    0 (code 0) or not finite (code 1); d is then 0.
     """
     m = _KRYLOV_INNER
     beta = float(np.linalg.norm(b))
+    if beta == 0.0 or not math.isfinite(beta):
+        return np.zeros_like(b), 0 if beta == 0.0 else 1
     tol = rtol * beta
-    y, d, r = np.zeros_like(b), np.zeros_like(b), b
-    for _ in range(_LINEAR_MAXITER):
-        if beta <= tol or not math.isfinite(beta):
+    basis, dirs, rot = [b / beta], [], []
+    h, g = np.zeros((m + 1, m)), np.zeros(m + 1)
+    g[0] = beta
+    for j in range(m):
+        z, w = apply(basis[j])
+        dirs.append(z)
+        w_norm = float(np.linalg.norm(w))
+        for i, v in enumerate(basis):
+            h[i, j] = np.dot(v, w)
+            w -= h[i, j] * v
+        h[j + 1, j] = np.linalg.norm(w)
+        breakdown = not h[j + 1, j] > np.finfo(float).eps * w_norm
+        if not breakdown:
+            basis.append(w / h[j + 1, j])
+        for i, (c, s) in enumerate(rot):
+            h[i, j], h[i + 1, j] = c * h[i, j] + s * h[i + 1, j], c * h[i + 1, j] - s * h[i, j]
+        rho = math.hypot(h[j, j], h[j + 1, j])
+        c, s = h[j, j] / rho, h[j + 1, j] / rho
+        rot.append((c, s))
+        h[j, j], g[j], g[j + 1] = rho, c * g[j], -s * g[j]
+        if abs(g[j + 1]) < tol or breakdown:
             break
-        basis, dirs, rot = [r / beta], [], []
-        h, g = np.zeros((m + 1, m)), np.zeros(m + 1)
-        g[0] = beta
-        for j in range(m):
-            z, w = apply(basis[j])
-            dirs.append(z)
-            w_norm = float(np.linalg.norm(w))
-            for i, v in enumerate(basis):
-                h[i, j] = np.dot(v, w)
-                w -= h[i, j] * v
-            h[j + 1, j] = np.linalg.norm(w)
-            breakdown = not h[j + 1, j] > np.finfo(float).eps * w_norm
-            if not breakdown:
-                basis.append(w / h[j + 1, j])
-            for i, (c, s) in enumerate(rot):
-                h[i, j], h[i + 1, j] = c * h[i, j] + s * h[i + 1, j], c * h[i + 1, j] - s * h[i, j]
-            rho = math.hypot(h[j, j], h[j + 1, j])
-            c, s = h[j, j] / rho, h[j + 1, j] / rho
-            rot.append((c, s))
-            h[j, j], g[j], g[j + 1] = rho, c * g[j], -s * g[j]
-            if abs(g[j + 1]) < tol or breakdown:
-                break
-        k = j + 1
-        coef = np.linalg.solve(np.triu(h[:k, :k]), g[:k])
-        for ci, v, z in zip(coef, basis, dirs):
-            y += ci * v
-            d += ci * z
-        d, w = apply(y, d)
-        r = b - w
-        beta = float(np.linalg.norm(r))
-    return d, 0 if beta <= tol else _LINEAR_MAXITER
+    coef = np.linalg.solve(np.triu(h[: j + 1, : j + 1]), g[: j + 1])
+    y, d = np.zeros_like(b), np.zeros_like(b)
+    for ci, v, z in zip(coef, basis, dirs):
+        y += ci * v
+        d += ci * z
+    d, w = apply(y, d)
+    return d, 0 if float(np.linalg.norm(b - w)) <= tol else 1
 
 
 lgmres = gmres  # perfbench/tracer.py patches this binding
@@ -387,21 +371,22 @@ def newton_step(state: FieldState, _system=None, rtol: float = _ETA_MAX):
 
     Returns (new_state, info) where info records residual_norm (sup norm over
     every row of the bordered residual), new_residual_norm, step_scale (0.0
-    when no step was taken), flag in {None, "overflow", "step_floor"},
-    krylov_info (the GMRES exit code: 0 when the true linear residual meets
-    rtol, else _LINEAR_MAXITER; None when no linear solve ran), and system,
+    when no step was taken), flag in {None, "overflow", "step_floor"} ("overflow"
+    also when the merit of the residual is not finite),
+    krylov_info (the exit code of the one GMRES cycle: 0 when the true linear
+    residual meets rtol, else 1; None when no linear solve ran), and system,
     the Newton system at new_state (the next step reuses it).
     """
     sys = _system if _system is not None else _NewtonSystem(state.spec, state.f.values,
                                                             state.v.values)
     r, sup = sys.residual_vector()
+    theta0 = sys.merit(r)
     info = {"residual_norm": sup, "new_residual_norm": sup, "step_scale": 0.0, "flag": None,
             "krylov_info": None, "system": sys}
-    if sys.overflow:
+    if sys.overflow or not math.isfinite(theta0):  # inf <= inf would accept any trial
         info["flag"] = "overflow"
         return state, info
     d, info["krylov_info"] = lgmres(sys.krylov_apply, sys.krylov_scale(-r), rtol)
-    theta0 = sys.merit(r)
     t = 1.0
     while True:
         trial = sys.apply_update(d, t)
@@ -442,7 +427,7 @@ def _newton_loop(state: FieldState, config: SolverConfig) -> _LoopResult:
     if sys.overflow:
         return _LoopResult(state, 0, math.inf, *_FLAG_FAILURES["overflow"])
     iterations = 0
-    prev_norm, eta, krylov_info = None, _ETA_MAX, None
+    prev_norm, krylov_info = None, None
     while True:
         r, sup = sys.residual_vector()
         norms = max(float(np.max(np.abs(sys.f))), float(np.max(np.abs(sys.v))))
@@ -455,10 +440,13 @@ def _newton_loop(state: FieldState, config: SolverConfig) -> _LoopResult:
             return _LoopResult(state, iterations, sup, FailureReason.MAX_ITERS,
                                f"residual {sup:.3e} after {iterations} iterations"
                                + _krylov_note(krylov_info))
-        norm = float(np.linalg.norm(sys.krylov_scale(r.copy())))
-        eta = _forcing(norm, prev_norm, eta, config.newton_tol)
-        prev_norm = norm
-        state, info = newton_step(state, _system=sys, rtol=eta)
+        with np.errstate(over="ignore"):  # P W near 1e260 passes the exponent guard
+            norm = float(np.linalg.norm(sys.krylov_scale(r.copy())))
+        if not math.isfinite(norm):
+            return _LoopResult(state, iterations, sup, FailureReason.OVERFLOW,
+                               f"residual {sup:.3e} has no finite 2-norm")
+        rtol, prev_norm = _forcing(norm, prev_norm, config.newton_tol), norm
+        state, info = newton_step(state, _system=sys, rtol=rtol)
         iterations += 1
         krylov_info = info["krylov_info"]
         if info["flag"] is not None:

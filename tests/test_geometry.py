@@ -349,3 +349,8 @@ def test_build_grid_validation():
         build_grid("plane", 8)
     with pytest.raises(ValueError):
         build_grid("torus", 3)
+    # a non-integer resolution once built the grid of its integer part (48.7 -> n = 48)
+    for resolution in (48.7, 8.0, np.float64(8.0), True, "8"):
+        with pytest.raises(ValueError, match="integer"):
+            build_grid("torus", resolution)
+    assert build_grid("sphere", np.int64(8)).resolution == 8

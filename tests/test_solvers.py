@@ -122,23 +122,18 @@ def test_forcing_terms():
     tol = 1e-10
     eta_max = solvers._ETA_MAX
     # first step of a loop
-    assert solvers._forcing(1.0, None, eta_max, tol) == eta_max
-    # choice 2: gamma (||F_k|| / ||F_{k-1}||)^2, here below the safeguard threshold
-    eta = solvers._forcing(0.01, 1.0, 0.01, tol)
+    assert solvers._forcing(1.0, None, tol) == eta_max
+    # choice 2: gamma (||F_k|| / ||F_{k-1}||)^2
+    eta = solvers._forcing(0.01, 1.0, tol)
     assert eta == pytest.approx(solvers._EW_GAMMA * 1e-4)
     # a slow step would ask for more than eta_max: capped
-    assert solvers._forcing(0.9, 1.0, 0.01, tol) == eta_max
+    assert solvers._forcing(0.9, 1.0, tol) == eta_max
     # near the root the floor 0.5 tol / ||F|| wins over the quadratic rate
-    assert solvers._forcing(1e-8, 1e-4, 1e-3, tol) == 0.5 * tol / 1e-8
+    assert solvers._forcing(1e-8, 1e-4, tol) == 0.5 * tol / 1e-8
     # the cap wins over the floor: a loose solve near the root need not descend the merit
-    assert solvers._forcing(2e-10, 1e-4, 1e-3, tol) == eta_max
-    # safeguard: gamma eta_{k-1}^2 > 0.1 keeps eta from collapsing after one lucky step
-    prev_eta = 0.5
-    assert solvers._EW_GAMMA * prev_eta**2 > solvers._EW_SAFEGUARD
-    eta = solvers._forcing(1e-3, 1.0, prev_eta, tol)
-    assert eta == pytest.approx(min(eta_max, solvers._EW_GAMMA * prev_eta**2))
-    # below the threshold the safeguard stays off
-    assert solvers._forcing(1e-3, 1.0, 0.3, tol) == pytest.approx(solvers._EW_GAMMA * 1e-6)
+    assert solvers._forcing(2e-10, 1e-4, tol) == eta_max
+    # a fast step after a slow one keeps the quadratic rate: choice 2's safeguard is gone
+    assert solvers._forcing(1e-3, 1.0, tol) == pytest.approx(solvers._EW_GAMMA * 1e-6)
 
 
 def test_warm_start_near_the_torus_fold_certifies(torus32):
@@ -311,16 +306,20 @@ def test_krylov_operator_is_identity_out_of_band_on_sphere(kind):
 
 
 def _spy_krylov(monkeypatch, seen):
-    """Wrap solvers.lgmres so that ``seen`` gets each solve's (system, b, rtol, d, code) and
-    the arguments of every operator application, in order."""
+    """Wrap solvers.lgmres so that ``seen`` gets each solve's (system, b, rtol, d, code), the
+    arguments of every operator application, in order, and each solve's count of Krylov
+    iterations (applications of P) and true residuals (applications given x = P y)."""
     lgmres = solvers.lgmres
 
     def spy(apply, b, rtol):
         def traced(y, x=None):
             seen.setdefault("applies", []).append((y.copy(), None if x is None else x.copy()))
             return apply(y, x)
+        first = len(seen.get("applies", []))
         d, code = lgmres(traced, b, rtol)
         seen.setdefault("solves", []).append((apply.__self__, b, rtol, d, code))
+        given = [x is not None for _, x in seen.get("applies", [])[first:]]
+        seen.setdefault("counts", []).append((given.count(False), given.count(True)))
         return d, code
 
     monkeypatch.setattr(solvers, "lgmres", spy)
@@ -341,19 +340,18 @@ def test_newton_step_applies_jacobian_once_per_krylov_iteration(monkeypatch, mod
     assert info["krylov_info"] == 0 and info["step_scale"] > 0.0
     iterations = sum(x is None for _, x in seen["applies"])
     residuals = len(seen["applies"]) - iterations
-    assert iterations > 1 and residuals == 1  # one restart cycle, one true residual
+    assert iterations > 1 and residuals == 1  # one cycle, one true residual
     assert all(y.any() for y, _ in seen["applies"])  # no zero start vector is applied
     assert counts["matvec"] == iterations + residuals
     # d comes from the stored P v_j: no P beyond one per Krylov iteration
     assert counts["precond"] == iterations
 
 
-@pytest.mark.parametrize("maxiter", [None, 1])
-def test_newton_direction_is_precond_of_the_krylov_solution(monkeypatch, maxiter):
-    # cut short at one restart of two iterations, the solve still returns d = P y
+@pytest.mark.parametrize("cut", [None, 1])
+def test_newton_direction_is_precond_of_the_krylov_solution(monkeypatch, cut):
+    # cut short (cut = 1) at two Krylov iterations, the solve still returns d = P y
     system = _unsolved_system("sphere", 8, "eb")
-    if maxiter is not None:
-        monkeypatch.setattr(solvers, "_LINEAR_MAXITER", maxiter)
+    if cut is not None:
         monkeypatch.setattr(solvers, "_KRYLOV_INNER", 2)
     seen = {}
     update = solvers._NewtonSystem.apply_update
@@ -365,7 +363,7 @@ def test_newton_direction_is_precond_of_the_krylov_solution(monkeypatch, maxiter
     _spy_krylov(monkeypatch, seen)
     monkeypatch.setattr(solvers._NewtonSystem, "apply_update", capture)
     _, info = newton_step(system.state, _system=system)
-    assert (info["krylov_info"] == 0) == (maxiter is None)
+    assert (info["krylov_info"] == 0) == (cut is None)
     y, d = seen["applies"][-1]  # the solve ends on its true residual at (y, P y)
     assert d is not None and np.array_equal(seen["d"], seen["solves"][0][3])
     assert _rel(seen["d"], system.precond(y)) < 1e-12
@@ -402,24 +400,30 @@ def test_gmres_matches_a_dense_solve(model, resolution, kind):
 
 def test_gmres_of_a_zero_right_hand_side_applies_nothing():
     def apply(y, x=None):
-        raise AssertionError("no operator application for b = 0")
+        raise AssertionError("no operator application for b = 0 or a non-finite ||b||")
 
     d, code = solvers.gmres(apply, np.zeros(5), 0.1)
     assert code == 0 and not d.any()
+    # an overflowed right-hand side is never reported as solved
+    d, code = solvers.gmres(apply, np.array([math.inf, 1.0]), 0.1)
+    assert code != 0 and not d.any()
 
 
 def test_gmres_never_reports_an_unmet_tolerance_as_converged(monkeypatch, torus32):
     # below the degree bound (verdicts class vortex_below_bound, N = 1, tau = 1.83): at the
     # fifth Newton step the Arnoldi estimate meets rtol while the true residual is ~5e9
-    # times |b|; the exit code must say so, and the StepFloor message name it
+    # times |b|; the exit code must say so, and the StepFloor message name it.  Each solve
+    # is one cycle: one true residual, at most _KRYLOV_INNER iterations
     section = build_section(torus32, Divisor(((0.6923928173339985, 0.1913361931575598),), (1,)))
     seen = {}
     _spy_krylov(monkeypatch, seen)
     _, report = solve_vortex(torus32, section, 1.83)
     assert report.failure_reason is FailureReason.STEP_FLOOR
     codes = [code for *_, code in seen["solves"]]
-    assert codes[-1] == solvers._LINEAR_MAXITER and report.iterations == len(codes)
-    assert report.message.endswith(f"(last GMRES exit code {solvers._LINEAR_MAXITER})")
+    assert codes[-1] == 1 and report.iterations == len(codes)
+    assert report.message.endswith("(last GMRES exit code 1)")
+    assert all(residuals == 1 and iterations <= solvers._KRYLOV_INNER
+               for iterations, residuals in seen["counts"])
     for system, b, rtol, d, code in seen["solves"]:
         true = np.linalg.norm(b - system.krylov_scale(system.matvec(d)))
         assert (code == 0) == (true <= rtol * np.linalg.norm(b) * (1.0 + 1e-6))
@@ -502,13 +506,24 @@ def test_below_bound_vortex_fails_without_overflow_warnings(torus24, torus24_sec
 
 @pytest.mark.filterwarnings("error")
 def test_overflowing_start_fails_before_any_step(torus24, torus24_section):
-    state, report = solve_vortex(torus24, torus24_section, 2.5,
-                                 initial=np.full(torus24.n_nodes, 400.0))
-    assert not report.converged
-    assert report.failure_reason is FailureReason.OVERFLOW
-    assert report.iterations == 0
-    assert report.final_residual == math.inf
-    assert np.all(state.f.values == 400.0)
+    # at 400 the exponent 2f is beyond the guard; at 300 it is not, but P W is about 1e260,
+    # so the residual's 2-norm overflows (Armijo once accepted zero steps there, inf <= inf)
+    for start in (400.0, 300.0):
+        state, report = solve_vortex(torus24, torus24_section, 2.5,
+                                     initial=np.full(torus24.n_nodes, start))
+        assert not report.converged
+        assert report.failure_reason is FailureReason.OVERFLOW
+        assert report.iterations == 0
+        assert np.all(state.f.values == start)
+        if start == 400.0:  # the exponent guard fires before any residual is evaluated
+            assert report.final_residual == math.inf
+        # a single step flags it too, rather than accept the zero step that inf <= inf allows
+        _, info = newton_step(state)
+        assert info["flag"] == "overflow" and info["step_scale"] == 0.0
+        assert info["krylov_info"] is None
+    # the 2-norm overflow reports the residual's finite sup norm
+    assert report.final_residual > 1e250 and math.isfinite(report.final_residual)
+    assert report.message.endswith("has no finite 2-norm")
 
 
 def test_gravitating_torus_weak_coupling(torus24, torus24_section):
