@@ -319,13 +319,13 @@ def _forcing(norm: float, prev_norm: Optional[float], newton_tol: float) -> floa
 def gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     """One GMRES cycle (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) for A y = b.
 
-    ``apply(y, x=None)`` returns (P y, A y), A = D J P, and spares P when x = P y is
-    given.  Up to _KRYLOV_INNER Arnoldi steps from y = 0 (modified Gram-Schmidt, Givens
-    rotations) keep P v_j beside each basis vector v_j, so the direction d = P y is
-    their combination and costs no further P.  The Arnoldi estimate only ends the
-    cycle; the true residual b - A y, formed once from (y, d), decides the exit code:
-    (d, 0) when it is within rtol ||b||, else (d, 1).  Nothing is applied when ||b|| is
-    0 (code 0) or not finite (code 1); d is then 0.
+    ``apply(y, x=None)`` returns (P y, A y), A = D J P, and spares P when x = P y is given.
+    Up to _KRYLOV_INNER Arnoldi steps from y = 0 (modified Gram-Schmidt, Givens rotations)
+    keep P v_j beside each basis vector v_j, so d = P y is their combination and costs no
+    further P.  The Arnoldi estimate, or a zero pivot (A singular), only ends the cycle; the
+    true residual b - A y, formed once from (y, d), decides the exit code: (d, 0) when it is
+    within rtol ||b||, else (d, 1).  Nothing is applied when ||b|| is 0 (code 0) or not
+    finite (code 1); d is then 0.
     """
     m = _KRYLOV_INNER
     beta = float(np.linalg.norm(b))
@@ -349,6 +349,9 @@ def gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
         for i, (c, s) in enumerate(rot):
             h[i, j], h[i + 1, j] = c * h[i, j] + s * h[i + 1, j], c * h[i + 1, j] - s * h[i, j]
         rho = math.hypot(h[j, j], h[j + 1, j])
+        if rho == 0.0:  # A is singular on the Krylov space: solve on the columns before j
+            j -= 1
+            break
         c, s = h[j, j] / rho, h[j + 1, j] / rho
         rot.append((c, s))
         h[j, j], g[j], g[j + 1] = rho, c * g[j], -s * g[j]
@@ -600,20 +603,20 @@ def _solve_coupled(
 ) -> tuple[FieldState, SolveReport]:
     """Anchor at the vortex solution, then continue in alpha to a ``kind`` problem.
 
-    At alpha = 0, or when the anchor fails, the vortex report stands as the
-    result (with ``gate`` cited first).  ``gate`` is the existence gate of the
-    target problem, None when the data pass it.  For alpha > 0 such data are first
-    solved, by this same rule, on the grid of resolution // 4 when that is >= 12
-    (``_solve_sequenced``); should that fail, the solve starts over here.
+    At alpha = 0, or when the anchor fails, the vortex report stands as the result, citing
+    ``gate`` (the target's existence gate; None when the data pass it) first.  For alpha > 0
+    such data are first solved, by this rule, on ``grid.quarter_grid`` when its resolution is
+    >= 12 (``_solve_sequenced``), along ``schedule`` or else in one bisected jump (0, alpha);
+    should that fail, here along ``schedule`` (default ``default_alpha_targets(alpha)``).
     """
-    if schedule is None:
-        schedule = ContinuationSchedule(default_alpha_targets(alpha))
-    if schedule.alpha_targets[-1] != alpha:
+    if schedule is not None and schedule.alpha_targets[-1] != alpha:
         raise ValueError(f"the continuation schedule must end at alpha = {alpha}")
     if gate is None and alpha > 0.0 and grid.resolution // 4 >= 12:
-        sequenced = _solve_sequenced(grid, section, tau, kind, alpha, schedule, config)
+        coarse = schedule or ContinuationSchedule((0.0, alpha))
+        sequenced = _solve_sequenced(grid, section, tau, kind, alpha, coarse, config)
         if sequenced is not None:
             return sequenced
+    schedule = schedule or ContinuationSchedule(default_alpha_targets(alpha))
     anchor, report = solve_vortex(grid, section, tau, config=config)
     if kind is EquationKind.GRAVITATING:
         anchor = FieldState(anchor.f, anchor.v, replace(anchor.spec, kind=kind))
@@ -631,9 +634,9 @@ def _solve_coupled(
 
 
 def _solve_sequenced(grid, section, tau, kind, alpha, schedule, config):
-    """The solve on the quarter-resolution grid, prolonged to ``grid`` and finished and
-    certified there by one Newton loop; None when either stage fails."""
-    cgrid = SurfaceGrid(grid.model, grid.resolution // 4)
+    """The solve along ``schedule`` on ``grid.quarter_grid``, prolonged to ``grid`` and
+    finished and certified there by one Newton loop; None when either stage fails."""
+    cgrid = grid.quarter_grid
     csection = build_section(cgrid, section.divisor)
     csection = rescale(csection, 0.5 * (section.normalization - csection.normalization))
     cstate, creport = _solve_coupled(cgrid, csection, tau, kind, alpha, schedule, config, None)
@@ -704,8 +707,8 @@ def solve_eb(
     """Solve the Einstein-Bogomol'nyi equation at the exact coupling 1/(tau N).
 
     Genus 0 only; requires N < tau/2.  Continuation ramps alpha from 0 (the
-    vortex anchor) to 1/(tau N) through the default targets
-    (``default_alpha_targets``); the volume gauge c' rides along as a Newton
+    vortex anchor) to 1/(tau N) through ``default_alpha_targets`` (in one jump
+    on a sequenced solve's coarse grid); the volume gauge c' rides along as a Newton
     unknown.  For non-polystable divisors no solution exists and the report
     is non-converged citing the classification.
     """

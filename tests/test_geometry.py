@@ -344,6 +344,17 @@ def test_geodesic_distances():
     )
 
 
+def test_the_quarter_grid_is_built_once_and_read_only():
+    for model, resolution in (("sphere", 49), ("torus", 64)):
+        grid = build_grid(model, resolution)
+        quarter = grid.quarter_grid
+        assert quarter.model is grid.model and quarter.resolution == resolution // 4
+        assert grid.quarter_grid is quarter
+        with pytest.raises(AttributeError):
+            grid.quarter_grid = build_grid(model, resolution // 4)
+        assert grid.quarter_grid is quarter
+
+
 def test_build_grid_validation():
     with pytest.raises(ValueError):
         build_grid("plane", 8)

@@ -409,6 +409,29 @@ def test_gmres_of_a_zero_right_hand_side_applies_nothing():
     assert code != 0 and not d.any()
 
 
+def test_gmres_names_a_singular_operator_with_an_exit_code():
+    # a zero pivot leaves no Givens rotation (0 / 0) and a singular triangular solve: the
+    # cycle ends on the columns before it, with code 1
+    def operator(a):
+        return lambda y, x=None: (y.copy() if x is None else x, a @ y)
+
+    b = np.array([1.0, 1.0, 0.0])
+    # projection onto e1, pivot zero at j = 1: the least-squares answer on span(b)
+    d, code = solvers.gmres(operator(np.diag([1.0, 0.0, 0.0])), b, 1e-3)
+    assert code == 1 and np.allclose(d, b, rtol=0.0, atol=1e-15)
+    # the zero operator, pivot zero at j = 0: no direction
+    d, code = solvers.gmres(operator(np.zeros((3, 3))), b, 1e-3)
+    assert code == 1 and not d.any()
+
+
+def test_a_singular_jacobian_ends_in_step_floor(monkeypatch, torus24, torus24_section):
+    monkeypatch.setattr(solvers._NewtonSystem, "krylov_apply",
+                        lambda self, y, x=None: (y.copy() if x is None else x, 0.0 * y))
+    _, report = solve_vortex(torus24, torus24_section, 2.5)
+    assert report.failure_reason is FailureReason.STEP_FLOOR
+    assert report.message.endswith("(last GMRES exit code 1)")
+
+
 def test_gmres_never_reports_an_unmet_tolerance_as_converged(monkeypatch, torus32):
     # below the degree bound (verdicts class vortex_below_bound, N = 1, tau = 1.83): at the
     # fifth Newton step the Arnoldi estimate meets rtol while the true residual is ~5e9
@@ -751,22 +774,40 @@ def _count_newton_steps(monkeypatch):
     return steps
 
 
-@pytest.mark.parametrize("solve,coarse", [
-    (_eb_case(48, 1, 8.0), 12), (_eb_case(48, 2, 12.0), 12), (_torus_case(64), 16)],
+@pytest.mark.parametrize("solve,coarse,max_steps", [
+    (_eb_case(48, 1, 8.0), 12, 17), (_eb_case(48, 2, 12.0), 12, 13), (_torus_case(64), 16, 10)],
     ids=["eb-l48-m1", "eb-l48-m2", "torus-n64-gravitating"])
-def test_sequenced_solve_matches_the_cold_solve(monkeypatch, solve, coarse):
+def test_sequenced_solve_matches_the_cold_solve(monkeypatch, solve, coarse, max_steps):
     cold, cold_report = _cold(monkeypatch, solve)
     steps = _count_newton_steps(monkeypatch)
     state, report = solve()
     assert report.converged and cold_report.converged
     assert report.coarse_resolution == coarse and cold_report.coarse_resolution is None
-    assert report.iterations == len(steps)  # Newton steps on both grids
+    assert report.iterations == len(steps) <= max_steps  # Newton steps on both grids
     assert state.spec.grid is cold.spec.grid and state.spec.kind is cold.spec.kind
     assert report.alpha_reached == cold_report.alpha_reached
     assert np.max(np.abs(state.f.values - cold.f.values)) < 1e-10
     assert np.max(np.abs(state.v.values - cold.v.values)) < 1e-10
     assert abs(report.c_prime - cold_report.c_prime) < 1e-10
     assert report.to_dict()["coarse_resolution"] == coarse
+
+
+def test_the_coarse_stage_jumps_to_alpha_unless_given_a_schedule(monkeypatch):
+    grid = build_grid("torus", 64)
+    section = build_section(grid, Divisor(((0.1, 0.2), (0.6, 0.71)), (1, 1)))
+    starts, newton_loop = [], solvers._newton_loop
+    monkeypatch.setattr(solvers, "_newton_loop",
+                        lambda state, config: starts.append(state) or newton_loop(state, config))
+    for schedule in (None, ContinuationSchedule((0.0, 0.0175, 0.035))):
+        first = len(starts)
+        _, report = solve_gravitating(grid, section, 6.0, 0.035, schedule)
+        assert report.converged and report.coarse_resolution == 16
+        targets = (0.0, 0.035) if schedule is None else schedule.alpha_targets
+        assert [s.spec.alpha for s in starts[first:]] == [*targets, 0.035]
+        assert starts[-1].spec.grid is grid
+    # both solves ran their coarse loops on the one quarter grid the fine grid keeps
+    coarse = [s.spec.grid for s in starts if s.spec.grid is not grid]
+    assert len(coarse) == 5 and all(g is grid.quarter_grid for g in coarse)
 
 
 def test_sequencing_leaves_the_alpha_zero_anchor_for_warm_starts():
