@@ -38,12 +38,12 @@ their standard tolerances, and the exact degree bound N < tau * Vol/(4 pi)
 fails the equations have no solution and residual-small iterates are
 collapse artefacts, so the report says non-converged and cites the bound.
 
-Gravitating and EB solves run through one driver, ``_solve_coupled``
-(natural-parameter continuation; Allgower & Georg, Introduction to Numerical
-Continuation Methods, 2003).  Its anchor is the certified vortex solution at
-alpha = 0, solved outside the continuation; ``_continue_in_alpha`` then
-poses each alpha > 0 target (the spec derives c) from the secant predictor
-through the last two certified states, and bisects failed steps.
+Gravitating and EB solves run through one driver, ``_solve_coupled``.  On a grid
+of resolution >= 48 it starts with one Newton loop at the target alpha on the
+quarter grid; else, or on failure, it continues in alpha (Allgower & Georg,
+Introduction to Numerical Continuation Methods, 2003) from the vortex solution at
+alpha = 0: ``_continue_in_alpha`` poses each target (the spec derives c) from the
+secant through the last two certified states, and bisects failed steps.
 """
 
 from __future__ import annotations
@@ -601,23 +601,23 @@ def _solve_coupled(
     config: SolverConfig,
     gate: Optional[str],
 ) -> tuple[FieldState, SolveReport]:
-    """Anchor at the vortex solution, then continue in alpha to a ``kind`` problem.
+    """Solve a ``kind`` problem at alpha, sequenced or continued from the vortex anchor.
 
-    At alpha = 0, or when the anchor fails, the vortex report stands as the result, citing
-    ``gate`` (the target's existence gate; None when the data pass it) first.  For alpha > 0
-    such data are first solved, by this rule, on ``grid.quarter_grid`` when its resolution is
-    >= 12 (``_solve_sequenced``), along ``schedule`` or else in one bisected jump (0, alpha);
-    should that fail, here along ``schedule`` (default ``default_alpha_targets(alpha)``).
+    Data that pass ``gate`` (the target's existence gate; None when they do) at alpha > 0 are
+    first solved through ``grid.quarter_grid`` when its resolution is >= 12
+    (``_solve_sequenced``).  Else, or should that fail, the vortex anchor is continued along
+    ``schedule`` (default ``default_alpha_targets(alpha)``); at alpha = 0, or when the anchor
+    fails, its report stands, citing ``gate`` first.  The report counts every Newton step run.
     """
     if schedule is not None and schedule.alpha_targets[-1] != alpha:
         raise ValueError(f"the continuation schedule must end at alpha = {alpha}")
-    if gate is None and alpha > 0.0 and grid.resolution // 4 >= 12:
-        coarse = schedule or ContinuationSchedule((0.0, alpha))
-        sequenced = _solve_sequenced(grid, section, tau, kind, alpha, coarse, config)
-        if sequenced is not None:
-            return sequenced
+    sequenced, spent = (_solve_sequenced(grid, section, tau, kind, alpha, schedule, config)
+                        if gate is None and alpha > 0.0 and grid.resolution >= 48 else (None, 0))
+    if sequenced is not None:
+        return sequenced
     schedule = schedule or ContinuationSchedule(default_alpha_targets(alpha))
     anchor, report = solve_vortex(grid, section, tau, config=config)
+    report = replace(report, iterations=report.iterations + spent)
     if kind is EquationKind.GRAVITATING:
         anchor = FieldState(anchor.f, anchor.v, replace(anchor.spec, kind=kind))
     if alpha == 0.0 or not report.converged:
@@ -634,21 +634,26 @@ def _solve_coupled(
 
 
 def _solve_sequenced(grid, section, tau, kind, alpha, schedule, config):
-    """The solve along ``schedule`` on ``grid.quarter_grid``, prolonged to ``grid`` and
-    finished and certified there by one Newton loop; None when either stage fails."""
+    """(solve, Newton steps run): one Newton loop at alpha from ``initial_state`` (or the given
+    ``schedule`` from the vortex anchor) on ``grid.quarter_grid``, prolonged to ``grid`` and
+    finished and certified there by one Newton loop; the solve is None when either stage fails."""
     cgrid = grid.quarter_grid
     csection = build_section(cgrid, section.divisor)
     csection = rescale(csection, 0.5 * (section.normalization - csection.normalization))
-    cstate, creport = _solve_coupled(cgrid, csection, tau, kind, alpha, schedule, config, None)
+    if schedule is None:
+        loop = _newton_loop(initial_state(ProblemSpec(cgrid, csection, tau, kind, alpha)), config)
+        cstate, creport = loop.state, _certify(loop, alpha, None)
+    else:
+        cstate, creport = _solve_coupled(cgrid, csection, tau, kind, alpha, schedule, config, None)
     if not creport.converged:
-        return None
+        return None, creport.iterations
     f, v = (prolong(a.values, cgrid, grid) for a in (cstate.f, cstate.v))
     spec = replace(cstate.spec, grid=grid, section=section)
     loop = _newton_loop(make_state(spec, f, v - float(np.dot(grid.quad_weights, v)) / TWO_PI),
                         config)
     loop.iterations += creport.iterations
     report = replace(_certify(loop, alpha, None), coarse_resolution=cgrid.resolution)
-    return (loop.state, report) if report.converged else None
+    return (loop.state, report) if report.converged else None, loop.iterations
 
 
 def _check_alpha(alpha: float) -> float:
@@ -666,12 +671,12 @@ def solve_gravitating(
     schedule: Optional[ContinuationSchedule] = None,
     config: SolverConfig = SolverConfig(),
 ) -> tuple[FieldState, SolveReport]:
-    """Solve the gravitating system by continuation in the coupling.
+    """Solve the gravitating system, sequenced or by continuation in the coupling.
 
-    The anchor at alpha = 0 is the vortex solution with v = 0, c' = 0 (exact
-    there); each subsequent target re-poses the problem at the new coupling
-    (the spec derives c = chi - 2*alpha*tau*N), starting from the secant
-    prediction of (f, v, c'), and bisects failed steps until
+    A grid of resolution >= 48 first solves at alpha on its quarter grid (along
+    ``schedule`` if given).  Continuation anchors at the vortex solution, v = c' = 0;
+    each target re-poses the problem (the spec derives c = chi - 2*alpha*tau*N) from
+    the secant prediction of (f, v, c'), bisecting failed steps until
     ``schedule.max_step_halvings`` is exhausted.
     """
     alpha = _check_alpha(alpha)
@@ -706,9 +711,9 @@ def solve_eb(
 ) -> tuple[FieldState, SolveReport]:
     """Solve the Einstein-Bogomol'nyi equation at the exact coupling 1/(tau N).
 
-    Genus 0 only; requires N < tau/2.  Continuation ramps alpha from 0 (the
-    vortex anchor) to 1/(tau N) through ``default_alpha_targets`` (in one jump
-    on a sequenced solve's coarse grid); the volume gauge c' rides along as a Newton
+    Genus 0 only; requires N < tau/2.  A sequenced solve's coarse grid starts at
+    1/(tau N) directly; else continuation ramps alpha from 0 (the vortex anchor)
+    through ``default_alpha_targets``; the volume gauge c' rides along as a Newton
     unknown.  For non-polystable divisors no solution exists and the report
     is non-converged citing the classification.
     """

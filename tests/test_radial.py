@@ -180,3 +180,36 @@ def test_radial_gap_at_criterion_3_is_at_roundoff(m, tau):
     assert sol.converged
     assert np.max(np.abs(state.f.values - sol.interpolate(grid._xi_flat))) <= 1e-8
     assert abs(report.c_prime - sol.c_prime) <= 1e-10
+
+
+@pytest.mark.parametrize("m, tau", [(1, 8.07), (1, 8.15), (1, 8.23),
+                                    (2, 11.88), (2, 11.92), (2, 11.99), (2, 12.12)])
+def test_radial_oracle_reaches_the_eb_coupling_in_two_secant_stages(m, tau):
+    # one jump from alpha = 0 to alpha_EB takes 94 iterations at m=2, tau = 11.88 (it halves)
+    # and 17 at 11.92; four constant-predictor stages take 25-26 at every point here
+    from gravortex.geometry import POINT_AT_INFINITY, build_grid
+    from gravortex.sections import Divisor, build_section
+
+    section = build_section(build_grid("sphere", 48),
+                            Divisor(((0.0, 0.0), POINT_AT_INFINITY), (m, m)))
+    sol = solve_eb_radial(tau, m, m, log_scale=section.normalization)
+    assert sol.converged and sol.iterations <= 16
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("offset", [0.05, None], ids=["near-bound", "tau15"])
+def test_radial_oracle_converges_across_its_domain(m, offset):
+    tau = 15.0 if offset is None else 4.0 * m + offset
+    assert solve_eb_radial(tau, m, m).converged
+
+
+def test_a_singular_jacobian_ends_the_radial_solve_unconverged(monkeypatch):
+    # past the domain, m=1 at tau = 28.55 meets an exactly singular Jacobian (one BLAS thread)
+    assert not solve_eb_radial(28.55, 1, 1).converged
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    sol = solve_eb_radial(8.0, 1, 1)
+    assert not sol.converged and sol.iterations == 1 and sol.residual > 1e-8

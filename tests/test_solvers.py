@@ -762,7 +762,7 @@ def _torus_case(resolution, alpha=0.035):
 def _cold(monkeypatch, solve):
     """The solve without grid sequencing."""
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_solve_sequenced", lambda *args: None)
+        patch.setattr(solvers, "_solve_sequenced", lambda *args: (None, 0))
         return solve()
 
 
@@ -775,7 +775,7 @@ def _count_newton_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("solve,coarse,max_steps", [
-    (_eb_case(48, 1, 8.0), 12, 17), (_eb_case(48, 2, 12.0), 12, 13), (_torus_case(64), 16, 10)],
+    (_eb_case(48, 1, 8.0), 12, 11), (_eb_case(48, 2, 12.0), 12, 11), (_torus_case(64), 16, 6)],
     ids=["eb-l48-m1", "eb-l48-m2", "torus-n64-gravitating"])
 def test_sequenced_solve_matches_the_cold_solve(monkeypatch, solve, coarse, max_steps):
     cold, cold_report = _cold(monkeypatch, solve)
@@ -792,7 +792,7 @@ def test_sequenced_solve_matches_the_cold_solve(monkeypatch, solve, coarse, max_
     assert report.to_dict()["coarse_resolution"] == coarse
 
 
-def test_the_coarse_stage_jumps_to_alpha_unless_given_a_schedule(monkeypatch):
+def test_the_coarse_stage_starts_at_alpha_unless_given_a_schedule(monkeypatch):
     grid = build_grid("torus", 64)
     section = build_section(grid, Divisor(((0.1, 0.2), (0.6, 0.71)), (1, 1)))
     starts, newton_loop = [], solvers._newton_loop
@@ -802,12 +802,20 @@ def test_the_coarse_stage_jumps_to_alpha_unless_given_a_schedule(monkeypatch):
         first = len(starts)
         _, report = solve_gravitating(grid, section, 6.0, 0.035, schedule)
         assert report.converged and report.coarse_resolution == 16
-        targets = (0.0, 0.035) if schedule is None else schedule.alpha_targets
+        targets = (0.035,) if schedule is None else schedule.alpha_targets
         assert [s.spec.alpha for s in starts[first:]] == [*targets, 0.035]
         assert starts[-1].spec.grid is grid
+    # without a schedule the one coarse loop starts from initial_state at the target coupling
+    direct = starts[0]
+    assert direct.spec.kind is EquationKind.GRAVITATING and direct.spec.c_prime == 0.0
+    assert np.ptp(direct.f.values) == 0.0 and not direct.v.values.any()
+    guess = initial_state(direct.spec)
+    assert np.array_equal(direct.f.values, guess.f.values)
+    # a given schedule is followed from the vortex anchor
+    assert starts[2].spec.kind is EquationKind.VORTEX
     # both solves ran their coarse loops on the one quarter grid the fine grid keeps
     coarse = [s.spec.grid for s in starts if s.spec.grid is not grid]
-    assert len(coarse) == 5 and all(g is grid.quarter_grid for g in coarse)
+    assert len(coarse) == 4 and all(g is grid.quarter_grid for g in coarse)
 
 
 def test_sequencing_leaves_the_alpha_zero_anchor_for_warm_starts():
@@ -848,18 +856,28 @@ def test_the_fine_grid_certifies_the_prolonged_coarse_solution(monkeypatch):
 def test_a_failed_stage_gives_exactly_the_cold_report(monkeypatch, failing_grid):
     solve = _eb_case(48, 1, 8.0)
     cold, cold_report = _cold(monkeypatch, solve)
-    newton_loop, failed = solvers._newton_loop, []
+    newton_loop, failed, loops = solvers._newton_loop, [], []
 
     def fail_once(state, config):
         if state.spec.grid.resolution == failing_grid and not failed:
             failed.append(state)
-            return solvers._LoopResult(state, 1, 1.0, FailureReason.MAX_ITERS, "forced")
-        return newton_loop(state, config)
+            out = solvers._LoopResult(state, 1, 1.0, FailureReason.MAX_ITERS, "forced")
+        else:
+            out = newton_loop(state, config)
+        loops.append((state.spec, out.iterations))
+        return out
 
     monkeypatch.setattr(solvers, "_newton_loop", fail_once)
     state, report = solve()
     assert failed and report.coarse_resolution is None
-    assert report.to_dict() == cold_report.to_dict()
+    # the fallback starts at the vortex anchor on the target grid; the steps run before it count
+    fallback = next(k for k, (spec, _) in enumerate(loops)
+                    if spec.grid.resolution == 48 and spec.kind is EquationKind.VORTEX)
+    assert fallback == (1 if failing_grid == 12 else 2)
+    sequenced = sum(steps for _, steps in loops[:fallback])
+    assert report.iterations == cold_report.iterations + sequenced
+    assert report.iterations == sum(steps for _, steps in loops)
+    assert replace(report, iterations=cold_report.iterations).to_dict() == cold_report.to_dict()
     assert np.array_equal(state.f.values, cold.f.values)
 
 
