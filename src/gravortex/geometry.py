@@ -2,7 +2,8 @@
 
 * ``sphere`` -- the round sphere of radius 1/sqrt(2) (area 2*pi, scalar
   curvature 4), sampled on (L+1) Gauss-Legendre latitudes x 2(L+1)
-  equispaced longitudes for the spherical-harmonic band limit L.
+  equispaced longitudes for the spherical-harmonic band limit L; the
+  latitude rule is numpy's ``leggauss`` (Golub-Welsch plus one Newton step).
 * ``torus`` -- the flat square torus C/(Z+iZ) rescaled to area 2*pi,
   sampled on an n x n equispaced grid (real FFT; half-spectrum ``_eigs``).
 
@@ -15,7 +16,8 @@ cached eigenvalue array ``grid._eigs`` (``_spectral``).
 
 The sphere transform (``_SphereTransform``) does its longitude DFT as one
 real GEMM and its Legendre stage on the northern nodes only, split by the
-parity of l - m (one tensor pair for both directions).  Transforms are exact
+parity of l - m (one tensor pair for both directions, the parity slices of
+``_legendre_tables``' (m, l - m, node) array).  Transforms are exact
 on band-limited data: Gauss-Legendre in latitude and the trapezoid rule in
 the periodic directions integrate band-limited products exactly.
 """
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import roots_legendre
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,32 +49,29 @@ class SurfaceModel(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-def _legendre_tables(lmax: int, xi: np.ndarray) -> list[np.ndarray]:
+def _legendre_tables(lmax: int, xi: np.ndarray) -> np.ndarray:
     """Orthonormal associated Legendre functions at the nodes ``xi``.
 
-    Returns a list indexed by order m; entry m is the (n_nodes, lmax+1-m)
-    array of P_lm(xi) for l = m..lmax, normalised so that
-    integral_{-1}^{1} P_lm(x) P_l'm(x) dx = delta_{l l'}.  Uses the
-    standard stable three-term recurrences (no Condon-Shortley phase).
+    Returns one (lmax+1, lmax+1, n_nodes) array indexed by (order m, l - m,
+    node): P_lm(xi) for l = m..lmax, and exactly 0 where l > lmax.  Normalised
+    so that integral_{-1}^{1} P_lm(x) P_l'm(x) dx = delta_{l l'}, with no
+    Condon-Shortley phase.  The standard stable three-term recurrence in
+    l - m runs over every order m at once.
     """
-    n = xi.shape[0]
     s = np.sqrt(np.maximum(0.0, 1.0 - xi * xi))
-    tables: list[np.ndarray] = []
-    # seed: P_mm, built up in m
-    pmm = np.full(n, math.sqrt(0.5))
-    for m in range(lmax + 1):
-        cols = np.empty((n, lmax + 1 - m))
-        cols[:, 0] = pmm
-        if m + 1 <= lmax:
-            cols[:, 1] = math.sqrt(2 * m + 3) * xi * pmm
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            cols[:, l - m] = a * (xi * cols[:, l - m - 1] - b * cols[:, l - m - 2])
-        tables.append(cols)
-        if m < lmax:
-            pmm = pmm * s * math.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0))
-    return tables
+    p = np.empty((lmax + 1, lmax + 1, xi.shape[0]))
+    p[0, 0] = math.sqrt(0.5)
+    for k in range(lmax):  # the seeds P_mm, built up in m
+        p[k + 1, 0] = p[k, 0] * s * math.sqrt((2.0 * k + 3.0) / (2.0 * k + 2.0))
+    m = np.arange(lmax + 1)[:, None]
+    p[:, 1] = np.sqrt(2 * m + 3.0) * xi * p[:, 0]
+    for j in range(2, lmax + 1):
+        l = m + j
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        p[:, j] = a * (xi * p[:, j - 1] - b * p[:, j - 2])
+    p[m + np.arange(lmax + 1) > lmax] = 0.0  # beyond the band: prolong copies these slots
+    return p
 
 
 class _SphereTransform:
@@ -94,7 +92,7 @@ class _SphereTransform:
         self.lmax = lmax
         self.n_lat = lmax + 1
         self.n_lon = 2 * (lmax + 1)
-        nodes, wgl = roots_legendre(self.n_lat)
+        nodes, wgl = np.polynomial.legendre.leggauss(self.n_lat)
         # store north -> south (descending xi) so latitude index runs
         # from the north pole toward the south pole
         self.xi = nodes[::-1].copy()
@@ -106,11 +104,9 @@ class _SphereTransform:
         self._w_north[self.n_lat // 2 :] *= 0.5  # the equator node; empty when n_lat is even
         mphi = np.outer(self.phi, np.arange(lmax + 1))
         self._dft = np.stack([np.cos(mphi), -np.sin(mphi)], axis=-1).reshape(self.n_lon, -1)
-        self._p_even = np.zeros((lmax + 1, lmax // 2 + 1, n_north))  # (m, k, node)
-        self._p_odd = np.zeros((lmax + 1, (lmax + 1) // 2, n_north))
-        for m, t in enumerate(_legendre_tables(lmax, self.xi[:n_north])):
-            self._p_even[m, : (lmax - m) // 2 + 1] = t[:, 0::2].T
-            self._p_odd[m, : (lmax - m + 1) // 2] = t[:, 1::2].T
+        p = _legendre_tables(lmax, self.xi[:n_north])
+        self._p_even = np.ascontiguousarray(p[:, 0::2])  # (m, k, node)
+        self._p_odd = np.ascontiguousarray(p[:, 1::2])
 
     def degrees(self) -> np.ndarray:
         """Degree l of every coefficient slot, shape (2, L+1, 1, K)."""
