@@ -177,10 +177,10 @@ def _nonlinearity(spec: ProblemSpec, f: np.ndarray, v: np.ndarray, c_prime: floa
 def _residual_rows(spec: ProblemSpec, f: np.ndarray, v: np.ndarray, p: np.ndarray,
                    w: np.ndarray) -> list:
     """[R1] for vortex and EB, [R1, R2] for gravitating, from P and W of ``_nonlinearity``."""
-    r1 = laplacian_values(spec.grid, f) + 0.5 * (p - spec.tau) * w + spec.degree
     if spec.kind is not EquationKind.GRAVITATING:
-        return [r1]
-    return [r1, laplacian_values(spec.grid, v) + w - 1.0]
+        return [laplacian_values(spec.grid, f) + 0.5 * (p - spec.tau) * w + spec.degree]
+    lap_f, lap_v = laplacian_values(spec.grid, np.stack([f, v]))
+    return [lap_f + 0.5 * (p - spec.tau) * w + spec.degree, lap_v + w - 1.0]
 
 
 def residual_fields(state: FieldState) -> tuple[ScalarField, ...]:

@@ -12,7 +12,11 @@ analyst's): the torus mode exp(2*pi*i(kx+my)) has eigenvalue
 2*pi*(k^2+m^2), the degree-l sphere harmonics 2*l*(l+1).  In a conformal
 chart with area element lambda dx dy, ``laplacian_apply(f) =
 -(1/lambda) * (f_xx + f_yy)``.  Every operator is a multiplier on the
-cached eigenvalue array ``grid._eigs`` (``_spectral``).
+cached eigenvalue array ``grid._eigs`` (``_spectral``).  The raw-array helpers
+(``_spectral``, ``laplacian_values``, ``smoothing_invert`` with one shift per row,
+``prolong``) take one (n_nodes,) row or a (k, n_nodes) stack: one FFT pair for the
+torus stack, each row bit-identical to its own call; row by row on the sphere, where
+folding the stack into the DFT GEMM measured 10 % faster to 25 % slower at L = 12-96.
 
 The sphere transform (``_SphereTransform``) does its longitude DFT as one
 real GEMM and its Legendre stage on the northern nodes only, split by the
@@ -285,20 +289,24 @@ def mean_value(f: ScalarField) -> float:
 
 
 def _spectral(grid: SurfaceGrid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Apply a spectral multiplier, an array shaped like ``grid._eigs``, to raw node values."""
-    v2 = values.reshape(grid._shape)
+    """Apply a spectral multiplier (shaped like ``grid._eigs``, or one per row) to node values."""
     if grid.model is SurfaceModel.SPHERE:
-        sht = grid._sht
-        out = sht.synthesize(sht.analyze(v2) * mult)
+        if values.ndim > 1:
+            mults = np.broadcast_to(mult, values.shape[:1] + grid._eigs.shape)
+            return np.stack([_spectral(grid, row, m) for row, m in zip(values, mults)])
+        out = grid._sht.synthesize(grid._sht.analyze(values.reshape(grid._shape)) * mult)
     else:
-        out = np.fft.irfft2(np.fft.rfft2(v2) * mult, s=v2.shape)
-    return out.reshape(-1)
+        v2 = values.reshape(values.shape[:-1] + grid._shape)
+        out = np.fft.irfft2(np.fft.rfft2(v2) * mult, s=grid._shape)
+    return out.reshape(values.shape)
 
 
 def laplacian_values(grid: SurfaceGrid, values: np.ndarray) -> np.ndarray:
-    """Positive background Laplacian of raw node values (the hot-loop form)."""
+    """Positive background Laplacian of raw node values, one row or a (k, n_nodes) stack."""
     # the constant mode's FFT roundoff would scale with the mean; Delta drops it anyway
-    return _spectral(grid, values - np.dot(grid.quad_weights, values) / TWO_PI, grid._eigs)
+    wq = grid.quad_weights  # one dot per row: each row's arithmetic is that of its own call
+    means = np.dot(wq, values) if values.ndim == 1 else np.array([[np.dot(wq, r)] for r in values])
+    return _spectral(grid, values - means / TWO_PI, grid._eigs)
 
 
 def laplacian_apply(f: ScalarField) -> ScalarField:
@@ -328,29 +336,35 @@ def laplacian_invert(rhs: ScalarField) -> ScalarField:
     return ScalarField(grid, u.values - mean_value(u))
 
 
-def smoothing_invert(f_values: np.ndarray, grid: SurfaceGrid, shift: float = 1.0) -> np.ndarray:
+def smoothing_invert(f_values: np.ndarray, grid: SurfaceGrid, shift: float | tuple = 1.0):
     """Apply the exact spectral (Laplacian + shift)^{-1} to raw node values.
 
-    Preconditioner helper.  Raises ValueError unless shift is finite and
-    positive: at zero the operator is singular, and below zero it is not
-    positive definite.
+    Preconditioner helper.  ``f_values`` is one row, or a (k, n_nodes) stack with ``shift`` a
+    sequence of k shifts, one per row.  Raises ValueError unless every shift is finite and
+    positive: at zero the operator is singular, and below zero it is not positive definite.
     """
-    if not (math.isfinite(shift) and shift > 0.0):
-        raise ValueError(f"smoothing_invert needs a finite positive shift; got {shift!r}")
-    return _spectral(grid, np.asarray(f_values, dtype=float), 1.0 / (grid._eigs + shift))
+    values = np.asarray(f_values, dtype=float)
+    if not all(math.isfinite(s) and s > 0.0 for s in (shift if values.ndim > 1 else (shift,))):
+        raise ValueError(f"smoothing_invert needs finite positive shifts; got {shift!r}")
+    if values.ndim > 1:
+        shift = np.reshape(shift, (-1,) + (1,) * grid._eigs.ndim)
+    return _spectral(grid, values, 1.0 / (grid._eigs + shift))
 
 
 def prolong(values: np.ndarray, coarse: SurfaceGrid, fine: SurfaceGrid) -> np.ndarray:
     """Node values on ``fine`` of the band-limited interpolant of node values on ``coarse``.
 
     Zero-pads the coefficients, so band-limited data carry over exactly; a torus
-    Nyquist mode (a sampled cosine) is split evenly between +n/2 and -n/2.
+    Nyquist mode (a sampled cosine) is split evenly between +n/2 and -n/2.  A (k, n_nodes)
+    stack takes one FFT pair on the torus and goes row by row on the sphere.
     """
     if coarse.model is not fine.model or fine.resolution < coarse.resolution:
         raise ValueError(f"cannot prolong from {coarse!r} to {fine!r}")
-    v2 = np.asarray(values, dtype=float).reshape(coarse._shape)
+    values = np.asarray(values, dtype=float)
     if fine.model is SurfaceModel.SPHERE:
-        coef = coarse._sht.analyze(v2)
+        if values.ndim > 1:
+            return np.stack([prolong(row, coarse, fine) for row in values])
+        coef = coarse._sht.analyze(values.reshape(coarse._shape))
         padded = np.zeros((2, fine.resolution + 1, 2, fine.resolution // 2 + 1))
         padded[:, : coef.shape[1], :, : coef.shape[3]] = coef
         return fine._sht.synthesize(padded).reshape(-1)
@@ -360,7 +374,8 @@ def prolong(values: np.ndarray, coarse: SurfaceGrid, fine: SurfaceGrid) -> np.nd
     if n % 2 == 0:
         pad[:, n // 2] *= 0.5
         pad[n // 2, n // 2] += 0.5 * m / n
-    return np.real(np.fft.ifft2(pad @ np.fft.fft2(v2) @ pad.T)).reshape(-1)
+    v2 = values.reshape(values.shape[:-1] + coarse._shape)
+    return np.real(np.fft.ifft2(pad @ np.fft.fft2(v2) @ pad.T)).reshape(values.shape[:-1] + (-1,))
 
 
 def conformal_density(grid: SurfaceGrid, v: ScalarField) -> ScalarField:

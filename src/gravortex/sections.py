@@ -36,7 +36,7 @@ from .geometry import (
     laplacian_apply,  # noqa: F401  (unused here; perfbench/tracer.py patches this binding)
 )
 
-_THETA_TERMS = 8
+_THETA_TERMS = 4  # |Im w| <= pi/2 in use: term k is below e^{-pi (k^2 - 1/4)} of the first
 
 
 def is_infinity(p) -> bool:

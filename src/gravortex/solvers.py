@@ -19,9 +19,9 @@ row scaled by sqrt(n_nodes) so that the 2-norm it minimises is the Armijo
 merit's, to an Eisenstat-Walker forcing tolerance capped at eta_max (inexact
 Newton-Krylov; see ``_forcing``); d = P y, P the spectral (Delta + shift)^{-1}
 per field block, is assembled from the P v_j the Krylov loop keeps.
-Delta P = I - shift P makes J P y one transform round trip per block (on the
-sphere exactly for band-limited y; the operator passes the rest of y through
-and P drops it), and the true residual J d + R no round trip at all.  Armijo
+Delta P = I - shift P makes J P y one transform call for all field blocks (on
+the sphere exactly for band-limited y; the operator passes the rest of y through
+and P drops it), and the true residual J d + R no transform at all.  Armijo
 backtracking on (1/2)||R||^2 (background L2) damps d.
 
 Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
@@ -245,7 +245,7 @@ class _NewtonSystem:
         """J x; ``lap`` holds the Laplacians of the field blocks of x when the caller has them."""
         df, dv, dc = self._split(x)
         if lap is None:
-            lap = [laplacian_values(self.grid, b) for b in (df, dv)[: 1 + self.has_v]]
+            lap = laplacian_values(self.grid, x[: self.field_rows].reshape(-1, self.n))
         a, pw, half_pt = self._jacobian
         dw = self.w * (a * df - 2.0 * self.spec.c * dv + 2.0 * dc)
         rows = [lap[0] + pw * df + half_pt * dw]
@@ -265,12 +265,11 @@ class _NewtonSystem:
 
     # -- preconditioner -------------------------------------------------------
     def precond(self, x: np.ndarray) -> np.ndarray:
-        """(Delta + shift)^{-1} on each field block; identity on the gauge entry."""
-        n, g = self.n, self.grid
-        parts = [smoothing_invert(x[k * n : (k + 1) * n], g, shift)
-                 for k, shift in enumerate(self._shifts)]
-        parts.append(x[self.field_rows :])
-        return np.concatenate(parts)
+        """(Delta + shift)^{-1} on the field blocks, in one call; identity on the gauge entry."""
+        fields = x[: self.field_rows].reshape(2, self.n) if self.has_v else x[: self.n]
+        shift = self._shifts if self.has_v else self._shifts[0]
+        out = smoothing_invert(fields, self.grid, shift).reshape(-1)
+        return np.concatenate([out, x[self.field_rows :]])
 
     # -- merit weights --------------------------------------------------------
     def krylov_scale(self, vec: np.ndarray) -> np.ndarray:
@@ -647,7 +646,7 @@ def _solve_sequenced(grid, section, tau, kind, alpha, schedule, config):
         cstate, creport = _solve_coupled(cgrid, csection, tau, kind, alpha, schedule, config, None)
     if not creport.converged:
         return None, creport.iterations
-    f, v = (prolong(a.values, cgrid, grid) for a in (cstate.f, cstate.v))
+    f, v = prolong(np.stack([cstate.f.values, cstate.v.values]), cgrid, grid)
     spec = replace(cstate.spec, grid=grid, section=section)
     loop = _newton_loop(make_state(spec, f, v - float(np.dot(grid.quad_weights, v)) / TWO_PI),
                         config)

@@ -243,6 +243,31 @@ def test_smoothing_invert_rejects_nonpositive_shift(sphere16, torus24, shift):
             smoothing_invert(np.zeros(grid.n_nodes), grid, shift=shift)
 
 
+@pytest.mark.parametrize("model,resolution", [("torus", 16), ("torus", 15), ("sphere", 12),
+                                              ("sphere", 13)])
+def test_a_stack_of_rows_equals_one_call_per_row(model, resolution):
+    # one call for a (k, n_nodes) stack: every row comes out exactly as from its own call
+    grid, fine = build_grid(model, resolution), build_grid(model, 2 * resolution)
+    rng = np.random.default_rng(resolution)
+    stack = rng.standard_normal((3, grid.n_nodes)) + np.array([[0.4], [-2.0], [0.0]])
+    shifts = (0.3, 2.5, 1e-6)
+    want = [smoothing_invert(row, grid, s) for row, s in zip(stack, shifts)]
+    assert np.array_equal(smoothing_invert(stack, grid, shifts), want)
+    assert np.array_equal(laplacian_values(grid, stack), [laplacian_values(grid, r) for r in stack])
+    assert np.array_equal(prolong(stack, grid, fine), [prolong(r, grid, fine) for r in stack])
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+def test_smoothing_invert_rejects_a_stack_with_one_bad_shift(sphere16, torus24, bad):
+    for grid in (sphere16, torus24):
+        stack = np.zeros((2, grid.n_nodes))
+        for shifts in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="shift"):
+                smoothing_invert(stack, grid, shifts)
+        with pytest.raises(ValueError):  # one shift per row, no fewer and no more
+            smoothing_invert(stack, grid, (1.0, 1.0, 1.0))
+
+
 def test_integration_by_parts(torus24):
     # integral of (Delta f) g equals integral of f (Delta g)
     x = torus24.node_coords[:, 0]

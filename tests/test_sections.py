@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gravortex import sections
 from gravortex.geometry import POINT_AT_INFINITY, build_grid, geodesic_distance
 from gravortex.sections import (
     Divisor,
@@ -120,6 +121,24 @@ def test_theta1_against_mpmath():
         mine = _theta1(complex(w))
         ref = complex(mp.jtheta(1, mp.mpc(w), q))
         assert abs(mine - ref) < 1e-13 * max(1.0, abs(ref))
+
+
+def test_theta1_is_exact_on_the_wrapped_domain_with_four_terms(monkeypatch):
+    # torus_green_kernel calls theta1 at pi (dx + i dy), |dx|, |dy| <= 1/2, where term k is at
+    # most e^{-pi (k^2 - 1/4)} of the first: terms from k = 4 on fall below 1.5e-22
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1904)
+    w = math.pi * (rng.uniform(-0.5, 0.5, 300) + 1j * rng.uniform(-0.5, 0.5, 300))
+    with mpmath.workdps(30):
+        q = mpmath.exp(-mpmath.pi)
+        want = np.array([complex(mpmath.jtheta(1, mpmath.mpc(z), q)) for z in w])
+
+    def worst():
+        return float(np.max(np.abs(_theta1(w) - want) / np.abs(want)))
+
+    assert sections._THETA_TERMS == 4 and worst() < 2e-15
+    monkeypatch.setattr(sections, "_THETA_TERMS", 3)  # one term fewer misses near |Im w| = pi/2
+    assert worst() > 2e-15
 
 
 def test_torus_green_kernel_periodicity():

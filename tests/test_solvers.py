@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gravortex
-from gravortex import solvers, stability
+from gravortex import equations, solvers, stability
 from gravortex.equations import (
     EquationKind,
     ProblemSpec,
@@ -345,6 +345,35 @@ def test_newton_step_applies_jacobian_once_per_krylov_iteration(monkeypatch, mod
     assert counts["matvec"] == iterations + residuals
     # d comes from the stored P v_j: no P beyond one per Krylov iteration
     assert counts["precond"] == iterations
+
+
+@pytest.mark.parametrize("model,resolution,kind", [
+    ("torus", 16, "vortex"), ("torus", 16, "gravitating"),
+    ("sphere", 8, "vortex"), ("sphere", 8, "eb"), ("sphere", 8, "gravitating")])
+def test_field_blocks_share_one_transform_call(monkeypatch, model, resolution, kind):
+    # gravitating: the (2, n_nodes) stack of f and v in one call per preconditioner and per
+    # residual; vortex and EB: their one block as a 1-D array, as before
+    system = _unsolved_system(model, resolution, kind)
+    shape = (2, system.n) if kind == "gravitating" else (system.n,)
+    seen = {}
+
+    def spy(owner, name, arg=None):
+        """Record each call of owner.name, with the shape of its argument ``arg`` if given."""
+        fn, seen[name] = getattr(owner, name), []
+
+        def wrapped(*args):
+            seen[name].append(None if arg is None else np.shape(args[arg]))
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    spy(solvers, "smoothing_invert", 0)
+    spy(equations, "laplacian_values", 1)
+    spy(solvers._NewtonSystem, "precond")
+    spy(solvers, "_residual_rows")
+    _, info = newton_step(system.state, _system=system)
+    assert info["step_scale"] > 0.0 and seen["precond"] and len(seen["_residual_rows"]) >= 2
+    assert seen["smoothing_invert"] == [shape] * len(seen["precond"])
+    assert seen["laplacian_values"] == [shape] * len(seen["_residual_rows"])
 
 
 @pytest.mark.parametrize("cut", [None, 1])
