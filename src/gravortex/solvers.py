@@ -38,12 +38,12 @@ their standard tolerances, and the exact degree bound N < tau * Vol/(4 pi)
 fails the equations have no solution and residual-small iterates are
 collapse artefacts, so the report says non-converged and cites the bound.
 
-Gravitating and EB solves run through one driver, ``_solve_coupled``.  On a grid
-of resolution >= 48 it starts with one Newton loop at the target alpha on the
-quarter grid; else, or on failure, it continues in alpha (Allgower & Georg,
-Introduction to Numerical Continuation Methods, 2003) from the vortex solution at
-alpha = 0: ``_continue_in_alpha`` poses each target (the spec derives c) from the
-secant through the last two certified states, and bisects failed steps.
+Gravitating and EB solves run through one driver, ``_solve_coupled``.  Data that
+pass the existence gates, on a grid of resolution >= 48, start with one Newton loop
+at the target alpha on the quarter grid, whatever the schedule; else, or on failure,
+it continues in alpha (Allgower & Georg, 2003) along the schedule from the vortex
+solution at alpha = 0, each target posed from the secant through the last two
+certified states, failed steps bisected.
 """
 
 from __future__ import annotations
@@ -604,13 +604,13 @@ def _solve_coupled(
 
     Data that pass ``gate`` (the target's existence gate; None when they do) at alpha > 0 are
     first solved through ``grid.quarter_grid`` when its resolution is >= 12
-    (``_solve_sequenced``).  Else, or should that fail, the vortex anchor is continued along
-    ``schedule`` (default ``default_alpha_targets(alpha)``); at alpha = 0, or when the anchor
-    fails, its report stands, citing ``gate`` first.  The report counts every Newton step run.
+    (``_solve_sequenced``).  Else, or should that fail, the vortex anchor, certified against
+    the degree bound, is continued along ``schedule`` (default targets if None); at alpha = 0,
+    or when the anchor fails, its report stands, citing ``gate`` first unless it already does.
     """
     if schedule is not None and schedule.alpha_targets[-1] != alpha:
         raise ValueError(f"the continuation schedule must end at alpha = {alpha}")
-    sequenced, spent = (_solve_sequenced(grid, section, tau, kind, alpha, schedule, config)
+    sequenced, spent = (_solve_sequenced(grid, section, tau, kind, alpha, config)
                         if gate is None and alpha > 0.0 and grid.resolution >= 48 else (None, 0))
     if sequenced is not None:
         return sequenced
@@ -620,7 +620,7 @@ def _solve_coupled(
     if kind is EquationKind.GRAVITATING:
         anchor = FieldState(anchor.f, anchor.v, replace(anchor.spec, kind=kind))
     if alpha == 0.0 or not report.converged:
-        if gate is not None:
+        if gate is not None and gate not in report.message:
             report = replace(report, message=f"{gate}; {report.message}")
         return anchor, report
     state, reached, last, iters = _continue_in_alpha(anchor, kind, schedule, config)
@@ -632,25 +632,24 @@ def _solve_coupled(
     return state, _certify(loop, reached, gate)
 
 
-def _solve_sequenced(grid, section, tau, kind, alpha, schedule, config):
-    """(solve, Newton steps run): one Newton loop at alpha from ``initial_state`` (or the given
-    ``schedule`` from the vortex anchor) on ``grid.quarter_grid``, prolonged to ``grid`` and
-    finished and certified there by one Newton loop; the solve is None when either stage fails."""
+def _solve_sequenced(grid, section, tau, kind, alpha, config):
+    """(solve, Newton steps run): one Newton loop at alpha from ``initial_state`` on
+    ``grid.quarter_grid``, its unknown fields prolonged to ``grid`` and finished and certified
+    there by one Newton loop; the solve is None when either stage fails."""
     cgrid = grid.quarter_grid
     csection = build_section(cgrid, section.divisor)
     csection = rescale(csection, 0.5 * (section.normalization - csection.normalization))
-    if schedule is None:
-        loop = _newton_loop(initial_state(ProblemSpec(cgrid, csection, tau, kind, alpha)), config)
-        cstate, creport = loop.state, _certify(loop, alpha, None)
+    coarse = _newton_loop(initial_state(ProblemSpec(cgrid, csection, tau, kind, alpha)), config)
+    if not _certify(coarse, alpha, None).converged:
+        return None, coarse.iterations
+    if kind is EquationKind.GRAVITATING:
+        f, v = prolong(np.stack([coarse.state.f.values, coarse.state.v.values]), cgrid, grid)
+        v = v - float(np.dot(grid.quad_weights, v)) / TWO_PI
     else:
-        cstate, creport = _solve_coupled(cgrid, csection, tau, kind, alpha, schedule, config, None)
-    if not creport.converged:
-        return None, creport.iterations
-    f, v = prolong(np.stack([cstate.f.values, cstate.v.values]), cgrid, grid)
-    spec = replace(cstate.spec, grid=grid, section=section)
-    loop = _newton_loop(make_state(spec, f, v - float(np.dot(grid.quad_weights, v)) / TWO_PI),
-                        config)
-    loop.iterations += creport.iterations
+        f, v = prolong(coarse.state.f.values, cgrid, grid), None
+    spec = replace(coarse.state.spec, grid=grid, section=section)
+    loop = _newton_loop(make_state(spec, f, v), config)
+    loop.iterations += coarse.iterations
     report = replace(_certify(loop, alpha, None), coarse_resolution=cgrid.resolution)
     return (loop.state, report) if report.converged else None, loop.iterations
 
@@ -672,15 +671,15 @@ def solve_gravitating(
 ) -> tuple[FieldState, SolveReport]:
     """Solve the gravitating system, sequenced or by continuation in the coupling.
 
-    A grid of resolution >= 48 first solves at alpha on its quarter grid (along
-    ``schedule`` if given).  Continuation anchors at the vortex solution, v = c' = 0;
-    each target re-poses the problem (the spec derives c = chi - 2*alpha*tau*N) from
-    the secant prediction of (f, v, c'), bisecting failed steps until
-    ``schedule.max_step_halvings`` is exhausted.
+    Data that pass the degree bound are first solved at alpha > 0 on the quarter grid of a
+    grid of resolution >= 48, whatever the ``schedule``.  Else, or on failure, the vortex
+    solution (v = c' = 0), certified against the bound, anchors a continuation along
+    ``schedule``, each target posed (c = chi - 2*alpha*tau*N) from the secant prediction
+    of (f, v, c'), failed steps bisected until ``schedule.max_step_halvings`` runs out.
     """
     alpha = _check_alpha(alpha)
     return _solve_coupled(grid, section, tau, EquationKind.GRAVITATING, alpha, schedule,
-                          config, None)
+                          config, _bradlow_gate(section.divisor.total_degree, tau))
 
 
 def advance_gravitating(
@@ -692,14 +691,15 @@ def advance_gravitating(
 
     Used by parameter sweeps: the previous converged state seeds the Newton
     iteration at the next coupling directly, with no intermediate
-    continuation targets.  On failure the report's ``alpha_reached`` is the
-    seed's coupling, the last value actually certified.
+    continuation targets, and certifies against the degree bound.  When the Newton
+    loop fails, ``alpha_reached`` is the seed's coupling, the last value certified.
     """
     alpha = _check_alpha(alpha)
     spec = replace(state.spec, kind=EquationKind.GRAVITATING, alpha=alpha)
     loop = _newton_loop(FieldState(state.f, state.v, spec), config)
     reached = alpha if loop.failure is None else state.spec.alpha
-    return loop.state, _certify(loop, reached, None)
+    gate = _bradlow_gate(spec.section.divisor.total_degree, spec.tau)
+    return loop.state, _certify(loop, reached, gate)
 
 
 def solve_eb(

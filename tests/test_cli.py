@@ -444,6 +444,22 @@ def test_solve_record_names_the_coarse_grid(capsys):
     assert json.dumps(records[0], sort_keys=True) == json.dumps(records[1], sort_keys=True)
 
 
+def test_data_that_fail_the_degree_bound_exit_two_and_every_sweep_row_is_no_solution(
+        capsys, tmp_path):
+    surface = ["--model", "torus", "--resolution", "64", "--tau", "2",
+               "--set", "divisor=[[0.25,0.25,1]]"]
+    code, out, _ = _run(capsys, ["solve", "--kind", "gravitating", *surface, "--alpha", "0.035"])
+    assert code == 2
+    report = json.loads(out)["report"]
+    assert report["failure_reason"] == "NoSolution" and report["coarse_resolution"] is None
+    assert report["message"].count("degree bound") == 1
+    code, out, _ = _run(capsys, ["sweep", *surface, "--alphas", "0,0.01,0.035",
+                                 "--summary-csv", str(tmp_path / "summary.csv")])
+    assert code == 0
+    reports = [json.loads(line)["report"] for line in out.splitlines()]
+    assert [r["failure_reason"] for r in reports] == ["NoSolution"] * 3
+
+
 def test_sweep_rejects_bad_alpha_lists(capsys):
     code, _, err = _run(capsys, [
         "sweep", "--model", "torus", "--resolution", "16", "--tau", "2.5",

@@ -17,6 +17,7 @@ from gravortex.equations import (
     EquationKind,
     ProblemSpec,
     initial_state,
+    make_state,
     metric_density,
     residual_fields,
 )
@@ -806,8 +807,9 @@ def _count_newton_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("solve,coarse,max_steps", [
-    (_eb_case(48, 1, 8.0), 12, 11), (_eb_case(48, 2, 12.0), 12, 11), (_torus_case(64), 16, 6)],
-    ids=["eb-l48-m1", "eb-l48-m2", "torus-n64-gravitating"])
+    (_eb_case(48, 1, 8.0), 12, 11), (_eb_case(48, 2, 12.0), 12, 11), (_torus_case(64), 16, 6),
+    (_torus_case(48), 12, 7)],
+    ids=["eb-l48-m1", "eb-l48-m2", "torus-n64-gravitating", "torus-n48-gravitating"])
 def test_sequenced_solve_matches_the_cold_solve(monkeypatch, solve, coarse, max_steps):
     cold, cold_report = _cold(monkeypatch, solve)
     steps = _count_newton_steps(monkeypatch)
@@ -823,30 +825,52 @@ def test_sequenced_solve_matches_the_cold_solve(monkeypatch, solve, coarse, max_
     assert report.to_dict()["coarse_resolution"] == coarse
 
 
-def test_the_coarse_stage_starts_at_alpha_unless_given_a_schedule(monkeypatch):
+def test_the_coarse_stage_starts_at_alpha_with_or_without_a_schedule(monkeypatch):
     grid = build_grid("torus", 64)
     section = build_section(grid, Divisor(((0.1, 0.2), (0.6, 0.71)), (1, 1)))
     starts, newton_loop = [], solvers._newton_loop
     monkeypatch.setattr(solvers, "_newton_loop",
                         lambda state, config: starts.append(state) or newton_loop(state, config))
+    solves = []
     for schedule in (None, ContinuationSchedule((0.0, 0.0175, 0.035))):
         first = len(starts)
-        _, report = solve_gravitating(grid, section, 6.0, 0.035, schedule)
+        state, report = solve_gravitating(grid, section, 6.0, 0.035, schedule)
         assert report.converged and report.coarse_resolution == 16
-        targets = (0.035,) if schedule is None else schedule.alpha_targets
-        assert [s.spec.alpha for s in starts[first:]] == [*targets, 0.035]
-        assert starts[-1].spec.grid is grid
-    # without a schedule the one coarse loop starts from initial_state at the target coupling
-    direct = starts[0]
-    assert direct.spec.kind is EquationKind.GRAVITATING and direct.spec.c_prime == 0.0
-    assert np.ptp(direct.f.values) == 0.0 and not direct.v.values.any()
-    guess = initial_state(direct.spec)
-    assert np.array_equal(direct.f.values, guess.f.values)
-    # a given schedule is followed from the vortex anchor
-    assert starts[2].spec.kind is EquationKind.VORTEX
-    # both solves ran their coarse loops on the one quarter grid the fine grid keeps
-    coarse = [s.spec.grid for s in starts if s.spec.grid is not grid]
-    assert len(coarse) == 4 and all(g is grid.quarter_grid for g in coarse)
+        # one coarse loop at the target coupling, then the fine loop: no anchor, no targets
+        coarse, fine = starts[first:]
+        assert coarse.spec.alpha == fine.spec.alpha == 0.035
+        assert coarse.spec.grid is grid.quarter_grid and fine.spec.grid is grid
+        # the coarse loop starts from initial_state
+        assert coarse.spec.kind is EquationKind.GRAVITATING and coarse.spec.c_prime == 0.0
+        assert np.array_equal(coarse.f.values, initial_state(coarse.spec).f.values)
+        assert not coarse.v.values.any()
+        solves.append((state, report))
+    (plain, plain_report), (scheduled, scheduled_report) = solves
+    assert np.max(np.abs(scheduled.f.values - plain.f.values)) < 1e-10
+    assert np.max(np.abs(scheduled.v.values - plain.v.values)) < 1e-10
+    assert abs(scheduled_report.c_prime - plain_report.c_prime) < 1e-10
+
+
+def test_a_failed_coarse_stage_falls_back_along_the_given_schedule(monkeypatch):
+    grid = build_grid("torus", 64)
+    section = build_section(grid, Divisor(((0.1, 0.2), (0.6, 0.71)), (1, 1)))
+    schedule = ContinuationSchedule((0.0, 0.0175, 0.035))
+    newton_loop, loops = solvers._newton_loop, []
+
+    def fail_coarse(state, config):
+        loops.append(state.spec)
+        if state.spec.grid is grid.quarter_grid:
+            return solvers._LoopResult(state, 1, 1.0, FailureReason.MAX_ITERS, "forced")
+        return newton_loop(state, config)
+
+    monkeypatch.setattr(solvers, "_newton_loop", fail_coarse)
+    _, report = solve_gravitating(grid, section, 6.0, 0.035, schedule)
+    assert report.converged and report.coarse_resolution is None
+    # one failed coarse loop, then the vortex anchor and the given targets on the target grid
+    assert [spec.grid is grid for spec in loops] == [False, True, True, True]
+    assert loops[1].kind is EquationKind.VORTEX
+    assert [spec.alpha for spec in loops[1:]] == list(schedule.alpha_targets)
+    assert report.alpha_reached == 0.035
 
 
 def test_sequencing_leaves_the_alpha_zero_anchor_for_warm_starts():
@@ -926,6 +950,49 @@ def test_a_failed_existence_gate_is_not_sequenced(monkeypatch):
     section = build_section(grid, Divisor(((0.0, 0.0),), (2,)))
     _, report = solve_eb(grid, section, 8.0, SolverConfig(max_newton_iters=1))
     assert "polystable" in report.message and report.coarse_resolution is None
+
+
+def test_sequenced_eb_prolongs_f_alone(monkeypatch):
+    rows, real = [], solvers.prolong
+    monkeypatch.setattr(solvers, "prolong",
+                        lambda values, *grids: rows.append(values.shape) or real(values, *grids))
+    _, report = _eb_case(48, 1, 8.0)()
+    assert report.converged and report.coarse_resolution == 12
+    assert rows == [(build_grid("sphere", 12).n_nodes,)]  # one row: EB's v is not an unknown
+    _, report = _torus_case(64)()
+    assert report.converged and rows[1] == (2, build_grid("torus", 16).n_nodes)
+
+
+@pytest.mark.parametrize("model,resolution,points,mults,tau,alpha", [
+    ("torus", 64, ((0.25, 0.25),), (1,), 2.0, 0.035),
+    ("sphere", 48, ((0.0, 0.0), POINT_AT_INFINITY), (1, 1), 4.0, 0.03)],
+    ids=["torus-n64", "sphere-l48"])
+def test_data_that_fail_the_degree_bound_are_not_sequenced(monkeypatch, model, resolution,
+                                                           points, mults, tau, alpha):
+    # sequenced through the quarter grid, these data would certify collapse artefacts
+    grid = build_grid(model, resolution)
+    section = build_section(grid, Divisor(points, mults))
+    assert not stability.bradlow_check(section.divisor.total_degree, tau)
+
+    def solve():
+        return solve_gravitating(grid, section, tau, alpha)
+
+    cold, cold_report = _cold(monkeypatch, solve)
+    state, report = solve()
+    assert not report.converged and report.failure_reason is FailureReason.NO_SOLUTION
+    assert report.coarse_resolution is None and report.message.count("degree bound") == 1
+    assert report.to_dict() == cold_report.to_dict()
+    assert np.array_equal(state.f.values, cold.f.values)
+
+
+def test_advance_from_data_that_fail_the_degree_bound_is_no_solution():
+    grid = build_grid("torus", 32)
+    section = build_section(grid, Divisor(((0.25, 0.25),), (1,)))
+    spec = ProblemSpec(grid, section, 2.0, EquationKind.GRAVITATING, 0.0)
+    _, report = advance_gravitating(make_state(spec, np.full(grid.n_nodes, -11.5)), 0.035)
+    assert report.final_residual <= SolverConfig().newton_tol  # a collapse artefact
+    assert not report.converged and report.failure_reason is FailureReason.NO_SOLUTION
+    assert report.message.count("degree bound") == 1
 
 
 def test_eb_antipodal_at_l192_certifies_against_the_radial_oracle():
