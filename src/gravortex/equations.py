@@ -47,7 +47,6 @@ from .geometry import (
     ScalarField,
     SurfaceGrid,
     SurfaceModel,
-    conformal_density,
     constant_field,
     laplacian_apply,
     laplacian_values,
@@ -205,29 +204,31 @@ def scalar_curvature(grid: SurfaceGrid, u: ScalarField) -> ScalarField:
     return ScalarField(grid, np.exp(-2.0 * u.values) * (s0 + 2.0 * lap.values))
 
 
-def conformal_exponent(state: FieldState) -> ScalarField:
-    """u with metric e^{2u} g_0 for the state's kind.
-
-    Gravitating: (1/2) log(1 - Delta v), which requires the density to be
-    positive.  Vortex and EB: half the weight exponent (0 for vortex).
-    """
+def _solved_metric(state: FieldState) -> tuple:
+    """(P, W, the density e^{2u} of the solved metric, 2u) from one evaluation of the
+    nonlinearity.  The density is 1 - Delta v when v is an unknown (gravitating) and W
+    otherwise (then 2u = q, the exponent of W); 2u is None when the density is not positive."""
     s = state.spec
+    p, q, _ = _nonlinearity(s, state.f.values, state.v.values, s.c_prime)
+    w = _clamped_exp(q)
     if s.kind is not EquationKind.GRAVITATING:
-        _, q, _ = _nonlinearity(s, state.f.values, state.v.values, s.c_prime)
-        return ScalarField(s.grid, 0.5 * q)
-    dens = conformal_density(s.grid, state.v)
-    if float(np.min(dens.values)) <= 0.0:
+        return p, w, w, q
+    dens = 1.0 - laplacian_apply(state.v).values
+    return p, w, dens, np.log(dens) if float(np.min(dens)) > 0.0 else None
+
+
+def conformal_exponent(state: FieldState) -> ScalarField:
+    """u with metric e^{2u} g_0: (1/2) log(1 - Delta v) when v is an unknown, else half the
+    exponent of W (0 for vortex).  Raises ValueError when the density is not positive."""
+    two_u = _solved_metric(state)[3]
+    if two_u is None:
         raise ValueError("conformal density 1 - Delta v is not positive")
-    return ScalarField(s.grid, 0.5 * np.log(dens.values))
+    return ScalarField(state.spec.grid, 0.5 * two_u)
 
 
 def metric_density(state: FieldState) -> ScalarField:
     """Conformal density of the solved metric: 1 - Delta v (gravitating) or W."""
-    s = state.spec
-    if s.kind is EquationKind.GRAVITATING:
-        return conformal_density(s.grid, state.v)
-    _, q, _ = _nonlinearity(s, state.f.values, state.v.values, s.c_prime)
-    return ScalarField(s.grid, _clamped_exp(q))
+    return ScalarField(state.spec.grid, _solved_metric(state)[2])
 
 
 def direct_gve_residual(state: FieldState) -> tuple[ScalarField, ScalarField]:
@@ -248,11 +249,13 @@ def direct_gve_residual(state: FieldState) -> tuple[ScalarField, ScalarField]:
     s = state.spec
     if s.kind is EquationKind.VORTEX:
         raise ValueError("the unreduced system is defined for gravitating/EB states")
-    u = conformal_exponent(state)
-    p, _, _ = _nonlinearity(s, state.f.values, state.v.values, s.c_prime)
-    inv = np.exp(-2.0 * u.values)
+    p, _, _, two_u = _solved_metric(state)
+    if two_u is None:
+        raise ValueError("conformal density 1 - Delta v is not positive")
+    inv = np.exp(-two_u)
     lap_f = laplacian_apply(state.f).values
     r1 = inv * (s.degree + lap_f) + 0.5 * (p - s.tau)
+    u = ScalarField(s.grid, 0.5 * two_u)
     s_eq = inv * (0.5 * s.grid.base_scalar_curvature + laplacian_apply(u).values)
     lap_p = laplacian_apply(ScalarField(s.grid, p)).values
     r2 = s_eq + s.alpha * (inv * lap_p + s.tau * (p - s.tau)) - s.c
@@ -274,7 +277,7 @@ class IdentityReport:
     gauss_bonnet : integral of the Riemannian scalar curvature against the
         solved area form minus 4 pi chi (NaN when the gravitating density
         fails to be positive, since the metric is then undefined).
-    min_density : minimum of 1 - Delta v (metric positivity flag).
+    min_density : minimum of 1 - Delta v (metric positivity flag; 1 when v = 0).
     """
 
     degree_identity: float
@@ -287,17 +290,11 @@ class IdentityReport:
 
 
 def identity_report(state: FieldState) -> IdentityReport:
-    """The identities from one evaluation of the nonlinearity; Gauss-Bonnet takes
-    2u = log(1 - Delta v) when v is an unknown and 2u = q otherwise (v = 0)."""
+    """The identities from one evaluation of the nonlinearity (``_solved_metric``)."""
     s, grid = state.spec, state.spec.grid
     wq = grid.quad_weights
-    p, q, _ = _nonlinearity(s, state.f.values, state.v.values, s.c_prime)
-    w = _clamped_exp(q)
-    two_u, min_density, gauss_bonnet = q, 1.0, math.nan
-    if s.kind is EquationKind.GRAVITATING:
-        dens = conformal_density(grid, state.v).values
-        min_density = float(np.min(dens))
-        two_u = np.log(dens) if min_density > 0.0 else None
+    p, w, dens, two_u = _solved_metric(state)
+    gauss_bonnet = math.nan
     if two_u is not None:
         total = float(np.dot(wq, grid.base_scalar_curvature + laplacian_values(grid, two_u)))
         gauss_bonnet = total - 2.0 * TWO_PI * grid.euler_characteristic
@@ -305,5 +302,5 @@ def identity_report(state: FieldState) -> IdentityReport:
         degree_identity=float(np.dot(wq, p * w)) - (TWO_PI * s.tau - 2.0 * TWO_PI * s.degree),
         volume_identity=float(np.dot(wq, w)) - TWO_PI,
         gauss_bonnet=gauss_bonnet,
-        min_density=min_density,
+        min_density=1.0 if dens is w else float(np.min(dens)),
     )

@@ -378,18 +378,6 @@ def prolong(values: np.ndarray, coarse: SurfaceGrid, fine: SurfaceGrid) -> np.nd
     return np.real(np.fft.ifft2(pad @ np.fft.fft2(v2) @ pad.T)).reshape(values.shape[:-1] + (-1,))
 
 
-def conformal_density(grid: SurfaceGrid, v: ScalarField) -> ScalarField:
-    """Density 1 - (Laplacian v) of the conformal metric relative to the background.
-
-    Positivity is the caller's concern: the field is returned as computed and
-    ``min(density.values) > 0`` is the metric-positivity flag.
-    """
-    if not same_grid(v.grid, grid):
-        raise ValueError("field does not live on the given grid")
-    lap = laplacian_apply(v)
-    return ScalarField(grid, 1.0 - lap.values)
-
-
 # ---------------------------------------------------------------------------
 # chart points and distances
 # ---------------------------------------------------------------------------

@@ -33,13 +33,14 @@ A MaxIters or StepFloor message names the GMRES exit code (1) when the last
 linear solve stopped short of its tolerance.
 Reports are certified: ``converged`` additionally requires the integral
 identities (degree, volume, Gauss-Bonnet, metric positivity) to hold at
-their standard tolerances, and the exact degree bound N < tau * Vol/(4 pi)
-(respectively polystability, for EB) to hold for the data -- when the bound
-fails the equations have no solution and residual-small iterates are
-collapse artefacts, so the report says non-converged and cites the bound.
+their standard tolerances, and the data to pass ``_existence_gate``: the degree
+bound N < tau * Vol/(4 pi), and on the sphere at alpha > 0 polystability.  Where it
+fails the equations have no solution and residual-small iterates are collapse
+artefacts, so the report says NoSolution and cites the gate once.  The gate only
+decides whether a solve is sequenced and certifies it; it never cuts a solve short.
 
 Gravitating and EB solves run through one driver, ``_solve_coupled``.  Data that
-pass the existence gates, on a grid of resolution >= 48, start with one Newton loop
+pass the gate at alpha > 0, on a grid of resolution >= 48, start with one Newton loop
 at the target alpha on the quarter grid, whatever the schedule; else, or on failure,
 it continues in alpha (Allgower & Georg, 2003) along the schedule from the vortex
 solution at alpha = 0, each target posed from the secant through the last two
@@ -287,11 +288,14 @@ class _NewtonSystem:
         return 0.5 * (total + TWO_PI * float(np.dot(gauge, gauge)))
 
     def apply_update(self, x: np.ndarray, t: float) -> _NewtonSystem:
-        """The system at the iterate moved by t times the Newton direction x (v kept mean-zero)."""
+        """The system at the iterate moved by t times the Newton direction x, v re-centred to
+        mean zero and c' moved by -c times the mean: W reads v only through -2c v + 2c', so this
+        gauge move leaves every field row as it was."""
         df, dv, dc = self._split(x)
         v = self.v + t * dv
-        v = v - float(np.dot(self.grid.quad_weights, v)) / TWO_PI
-        return _NewtonSystem(self.spec, self.f + t * df, v, self.c_prime + t * dc)
+        mean = float(np.dot(self.grid.quad_weights, v)) / TWO_PI
+        return _NewtonSystem(self.spec, self.f + t * df, v - mean,
+                             self.c_prime + t * dc - self.spec.c * mean)
 
 
 # ---------------------------------------------------------------------------
@@ -496,22 +500,18 @@ def _certify(loop: _LoopResult, alpha_reached: float, extra_gate: Optional[str])
     )
 
 
-def _bradlow_gate(n: int, tau: float) -> Optional[str]:
-    if stability.bradlow_check(n, tau):
-        return None
-    bound = stability.bradlow_bound(tau)
-    return (
-        f"no solution at this tau: degree bound fails (N = {n} >= tau*Vol/(4*pi) = {float(bound)})"
-    )
-
-
-def _polystable_gate(section: SectionData) -> Optional[str]:
-    cls = stability.classify_divisor(section.divisor)
-    if cls.verdict is stability.StabilityVerdict.UNSTABLE:
-        return (
-            "no solution at this coupling: divisor is not polystable "
-            f"(witness point index {cls.witness})"
-        )
+def _existence_gate(section: SectionData, tau: float, alpha: float) -> Optional[str]:
+    """Why no solution exists at (tau, alpha), or None: the degree bound N < tau*Vol/(4*pi)
+    at every coupling, then divisor polystability on the sphere at alpha > 0."""
+    n = section.divisor.total_degree
+    if not stability.bradlow_check(n, tau):
+        bound = float(stability.bradlow_bound(tau))
+        return f"no solution at this tau: degree bound fails (N = {n} >= tau*Vol/(4*pi) = {bound})"
+    if alpha > 0.0 and section.grid.model is SurfaceModel.SPHERE:
+        cls = stability.classify_divisor(section.divisor)
+        if cls.verdict is stability.StabilityVerdict.UNSTABLE:
+            return ("no solution at this coupling: divisor is not polystable "
+                    f"(witness point index {cls.witness})")
     return None
 
 
@@ -538,8 +538,7 @@ def solve_vortex(
     spec = ProblemSpec(grid=grid, section=section, tau=tau, kind=EquationKind.VORTEX)
     state = initial_state(spec) if initial is None else make_state(spec, initial)
     loop = _newton_loop(state, config)
-    gate = _bradlow_gate(section.divisor.total_degree, tau)
-    return loop.state, _certify(loop, 0.0, gate)
+    return loop.state, _certify(loop, 0.0, _existence_gate(section, tau, 0.0))
 
 
 def default_alpha_targets(alpha: float) -> tuple:
@@ -598,18 +597,18 @@ def _solve_coupled(
     alpha: float,
     schedule: Optional[ContinuationSchedule],
     config: SolverConfig,
-    gate: Optional[str],
 ) -> tuple[FieldState, SolveReport]:
     """Solve a ``kind`` problem at alpha, sequenced or continued from the vortex anchor.
 
-    Data that pass ``gate`` (the target's existence gate; None when they do) at alpha > 0 are
-    first solved through ``grid.quarter_grid`` when its resolution is >= 12
-    (``_solve_sequenced``).  Else, or should that fail, the vortex anchor, certified against
-    the degree bound, is continued along ``schedule`` (default targets if None); at alpha = 0,
-    or when the anchor fails, its report stands, citing ``gate`` first unless it already does.
+    Data that pass ``_existence_gate`` at alpha > 0 are first solved through
+    ``grid.quarter_grid`` when ``grid``'s resolution is >= 48 (``_solve_sequenced``).  Else, or
+    should that fail, the vortex anchor is continued along ``schedule`` (default targets if
+    None) and the result certified against the gate; at alpha = 0, or when the anchor fails,
+    its report stands, citing the gate first unless it already does.
     """
     if schedule is not None and schedule.alpha_targets[-1] != alpha:
         raise ValueError(f"the continuation schedule must end at alpha = {alpha}")
+    gate = _existence_gate(section, tau, alpha)
     sequenced, spent = (_solve_sequenced(grid, section, tau, kind, alpha, config)
                         if gate is None and alpha > 0.0 and grid.resolution >= 48 else (None, 0))
     if sequenced is not None:
@@ -642,12 +641,13 @@ def _solve_sequenced(grid, section, tau, kind, alpha, config):
     coarse = _newton_loop(initial_state(ProblemSpec(cgrid, csection, tau, kind, alpha)), config)
     if not _certify(coarse, alpha, None).converged:
         return None, coarse.iterations
+    spec = replace(coarse.state.spec, grid=grid, section=section)
     if kind is EquationKind.GRAVITATING:
         f, v = prolong(np.stack([coarse.state.f.values, coarse.state.v.values]), cgrid, grid)
-        v = v - float(np.dot(grid.quad_weights, v)) / TWO_PI
+        mean = float(np.dot(grid.quad_weights, v)) / TWO_PI  # a gauge move, as in apply_update
+        v, spec = v - mean, replace(spec, c_prime=spec.c_prime - spec.c * mean)
     else:
         f, v = prolong(coarse.state.f.values, cgrid, grid), None
-    spec = replace(coarse.state.spec, grid=grid, section=section)
     loop = _newton_loop(make_state(spec, f, v), config)
     loop.iterations += coarse.iterations
     report = replace(_certify(loop, alpha, None), coarse_resolution=cgrid.resolution)
@@ -671,15 +671,14 @@ def solve_gravitating(
 ) -> tuple[FieldState, SolveReport]:
     """Solve the gravitating system, sequenced or by continuation in the coupling.
 
-    Data that pass the degree bound are first solved at alpha > 0 on the quarter grid of a
+    Data that pass the existence gate are first solved at alpha > 0 on the quarter grid of a
     grid of resolution >= 48, whatever the ``schedule``.  Else, or on failure, the vortex
-    solution (v = c' = 0), certified against the bound, anchors a continuation along
+    solution (v = c' = 0), certified against the degree bound, anchors a continuation along
     ``schedule``, each target posed (c = chi - 2*alpha*tau*N) from the secant prediction
     of (f, v, c'), failed steps bisected until ``schedule.max_step_halvings`` runs out.
     """
     alpha = _check_alpha(alpha)
-    return _solve_coupled(grid, section, tau, EquationKind.GRAVITATING, alpha, schedule,
-                          config, _bradlow_gate(section.divisor.total_degree, tau))
+    return _solve_coupled(grid, section, tau, EquationKind.GRAVITATING, alpha, schedule, config)
 
 
 def advance_gravitating(
@@ -691,15 +690,14 @@ def advance_gravitating(
 
     Used by parameter sweeps: the previous converged state seeds the Newton
     iteration at the next coupling directly, with no intermediate
-    continuation targets, and certifies against the degree bound.  When the Newton
+    continuation targets, and certifies against the existence gate.  When the Newton
     loop fails, ``alpha_reached`` is the seed's coupling, the last value certified.
     """
     alpha = _check_alpha(alpha)
     spec = replace(state.spec, kind=EquationKind.GRAVITATING, alpha=alpha)
     loop = _newton_loop(FieldState(state.f, state.v, spec), config)
     reached = alpha if loop.failure is None else state.spec.alpha
-    gate = _bradlow_gate(spec.section.divisor.total_degree, spec.tau)
-    return loop.state, _certify(loop, reached, gate)
+    return loop.state, _certify(loop, reached, _existence_gate(spec.section, spec.tau, alpha))
 
 
 def solve_eb(
@@ -723,4 +721,4 @@ def solve_eb(
         raise ValueError(f"solve_eb requires N < tau/2 (got N = {n}, tau = {tau})")
     alpha_eb = float(stability.eb_coupling(tau, n))
     return _solve_coupled(grid, section, tau, EquationKind.EINSTEIN_BOGOMOLNYI, alpha_eb,
-                          None, config, _polystable_gate(section))
+                          None, config)

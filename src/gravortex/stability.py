@@ -7,10 +7,11 @@ background surface has area Vol = 2*pi, so the degree bound tau * Vol / (4*pi)
 is tau / 2 and the topological constant 2*pi*(chi - 2 alpha tau N) / Vol is
 chi - 2 alpha tau N, both exactly.
 
-The existence oracle combines the degree bound (a solution forces
-N < tau * Vol / (4*pi)), the divisor classification on the sphere, the
-coupling sign c = chi - 2 alpha tau N, and the higher-genus coupling window,
-returning a verdict plus the theorem tag that justifies it.
+The existence oracle combines the degree bound (at every genus a solution
+forces N < tau * Vol / (4*pi): integrate the first equation), the divisor
+classification on the sphere, the coupling sign c = chi - 2 alpha tau N, and
+the higher-genus coupling window, returning a verdict plus the theorem tag
+that justifies it.
 """
 
 from __future__ import annotations
@@ -214,6 +215,7 @@ TAG_GENUS0_GPY = "Theorem 3.6 converse (GPY)"
 TAG_EB_CORRESPONDENCE = "Theorem 3.5/3.7"
 TAG_SUPERIMPOSED = "Theorem 3.8"
 TAG_HIGHER_GENUS = "Theorem 3.9"
+TAG_DEGREE_IDENTITY = "degree identity"  # the first equation integrated, at every genus
 
 
 @dataclass(frozen=True)
@@ -270,20 +272,20 @@ def existence_oracle(
             ExistenceVerdict.UNKNOWN, None, "negative coupling is outside the known theory"
         )
 
+    if genus == 0 and len(mults) == 1:
+        return ExistenceReport(
+            ExistenceVerdict.NOT_EXISTS,
+            TAG_SUPERIMPOSED,
+            f"all {n} zeros coincide: no solution for any positive coupling",
+        )
+    if not bradlow:
+        return ExistenceReport(
+            ExistenceVerdict.NOT_EXISTS,
+            TAG_GENUS0_NECESSITY if genus == 0 else TAG_DEGREE_IDENTITY,
+            f"degree bound fails (N={n} >= {bound})",
+        )
     if genus == 0:
         cls = classify_multiplicities(mults)
-        if len(mults) == 1:
-            return ExistenceReport(
-                ExistenceVerdict.NOT_EXISTS,
-                TAG_SUPERIMPOSED,
-                f"all {n} zeros coincide: no solution for any positive coupling",
-            )
-        if not bradlow:
-            return ExistenceReport(
-                ExistenceVerdict.NOT_EXISTS,
-                TAG_GENUS0_NECESSITY,
-                f"degree bound fails (N={n} >= {bound})",
-            )
         if cls.verdict is StabilityVerdict.UNSTABLE:
             return ExistenceReport(
                 ExistenceVerdict.NOT_EXISTS,
@@ -312,16 +314,14 @@ def existence_oracle(
         return ExistenceReport(
             ExistenceVerdict.UNKNOWN, None, "c < 0 at genus 0 is not covered"
         )
-
     if genus >= 2:
-        if Fraction(n) < t / 2:
-            cap = alpha_star(genus, tau, n)
-            if a <= cap:
-                return ExistenceReport(
-                    ExistenceVerdict.EXISTS_UNIQUE,
-                    TAG_HIGHER_GENUS,
-                    f"higher genus with 0 < N < tau/2 and alpha <= {cap}",
-                )
+        cap = alpha_star(genus, tau, n)
+        if a <= cap:
+            return ExistenceReport(
+                ExistenceVerdict.EXISTS_UNIQUE,
+                TAG_HIGHER_GENUS,
+                f"higher genus with 0 < N < tau/2 and alpha <= {cap}",
+            )
         return ExistenceReport(
             ExistenceVerdict.UNKNOWN,
             None,

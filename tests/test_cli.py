@@ -277,6 +277,18 @@ def test_oracle_superimposed(capsys):
     assert verdict["theorem_tag"] == "Theorem 3.8"
 
 
+def test_oracle_applies_the_degree_bound_on_the_torus(capsys):
+    # the solver reports NoSolution for these data; the oracle agrees
+    code, out, _ = _run(capsys, [
+        "oracle", "--genus", "1", "--tau", "2", "--alpha", "0.035",
+        "--set", "divisor=[[0.25,0.25,1]]",
+    ])
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["verdict"] == "NotExists"
+    assert verdict["theorem_tag"] == "degree identity"
+
+
 def test_triple_subcommand(capsys):
     code, out, _ = _run(capsys, ["triple", "--triple", "2,1,3,1", "--sigma", "1/3"])
     assert code == 0

@@ -222,6 +222,16 @@ def test_scalar_curvature_gauss_bonnet(torus24, sphere16):
         assert total == pytest.approx(4.0 * math.pi * grid.euler_characteristic, abs=1e-8)
 
 
+def test_metric_density_mean_preserved(torus24, torus24_section):
+    spec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
+                       kind=EquationKind.GRAVITATING, alpha=0.0)
+    x = torus24.node_coords[:, 0]
+    state = make_state(spec, np.zeros(torus24.n_nodes), 0.01 * np.cos(2 * math.pi * x))
+    w = metric_density(state)
+    assert integrate(w) == pytest.approx(TWO_PI, rel=1e-12)
+    assert np.min(w.values) > 0
+
+
 def test_conformal_exponent_and_density(torus24, torus24_section):
     gspec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
                         kind=EquationKind.GRAVITATING, alpha=0.0)

@@ -13,7 +13,6 @@ from gravortex.geometry import (
     _spectral,
     _SphereTransform,
     build_grid,
-    conformal_density,
     constant_field,
     field,
     geodesic_distance,
@@ -291,14 +290,6 @@ def test_laplacian_has_zero_mean(k, m, amp):
     y = grid.node_coords[:, 1]
     f = field(grid, np.exp(amp * np.cos(2 * math.pi * (k * x + m * y))))
     assert abs(integrate(laplacian_apply(f))) < 1e-8
-
-
-def test_conformal_density_mean_preserved(torus24):
-    x = torus24.node_coords[:, 0]
-    v = field(torus24, 0.01 * np.cos(2 * math.pi * x))
-    w = conformal_density(torus24, v)
-    assert integrate(w) == pytest.approx(TWO_PI, rel=1e-12)
-    assert np.min(w.values) > 0
 
 
 def test_scalar_field_validation(torus24):

@@ -952,6 +952,39 @@ def test_a_failed_existence_gate_is_not_sequenced(monkeypatch):
     assert "polystable" in report.message and report.coarse_resolution is None
 
 
+_GATE_POINTS = {"sphere": ((0.0, 0.0), POINT_AT_INFINITY, (1.0, 0.0), (0.5, 0.3)),
+                "torus": ((0.1, 0.2), (0.6, 0.7), (0.3, 0.8), (0.85, 0.4))}
+_GATE_SHAPES = [(1,), (2,), (1, 1), (2, 1), (3, 1), (1, 1, 1), (2, 2), (2, 1, 1)]
+
+
+@pytest.mark.parametrize("coupling", ["zero", "small", "eb", "large"])
+@pytest.mark.parametrize("model,genus", [("sphere", 0), ("torus", 1)])
+def test_existence_gate_fires_exactly_where_the_oracle_says_not_exists(model, genus, coupling):
+    grid = build_grid(model, 8)
+    fired = 0
+    for mults in _GATE_SHAPES:
+        section = build_section(grid, Divisor(_GATE_POINTS[model][: len(mults)], mults))
+        for tau in (1.5, 2.0, 3.0, 4.0, 5.0, 8.0, 12.0):
+            alpha = {"zero": 0.0, "small": 0.01, "large": 1.0,
+                     "eb": float(stability.eb_coupling(tau, sum(mults)))}[coupling]
+            gate = solvers._existence_gate(section, tau, alpha)
+            oracle = stability.existence_oracle(genus, section.divisor, tau, alpha)
+            assert (gate is not None) == (oracle.verdict is stability.ExistenceVerdict.NOT_EXISTS)
+            fired += gate is not None
+    assert 0 < fired < len(_GATE_SHAPES) * 7
+
+
+def test_unstable_sphere_data_at_positive_coupling_are_not_sequenced(monkeypatch):
+    monkeypatch.setattr(solvers, "_solve_sequenced", None)  # a call would raise
+    grid = build_grid("sphere", 48)
+    section = build_section(grid, Divisor(((0.0, 0.0), (1.0, 0.0)), (3, 1)))
+    schedule = ContinuationSchedule((0.0, 0.01), max_step_halvings=0)
+    _, report = solve_gravitating(grid, section, 12.0, 0.01, schedule,
+                                  SolverConfig(max_newton_iters=10))
+    assert not report.converged and report.coarse_resolution is None
+    assert report.message.count("not polystable (witness point index 0)") == 1
+
+
 def test_sequenced_eb_prolongs_f_alone(monkeypatch):
     rows, real = [], solvers.prolong
     monkeypatch.setattr(solvers, "prolong",
@@ -993,6 +1026,52 @@ def test_advance_from_data_that_fail_the_degree_bound_is_no_solution():
     assert report.final_residual <= SolverConfig().newton_tol  # a collapse artefact
     assert not report.converged and report.failure_reason is FailureReason.NO_SOLUTION
     assert report.message.count("degree bound") == 1
+
+
+def test_warm_started_torus_sweep_to_alpha_0_2_certifies_every_row():
+    # re-centring v must move c' with it, or the line search rejects every trial near 0.195
+    grid = build_grid("torus", 32)
+    section = build_section(grid, Divisor(((0.1, 0.2),), (1,)))
+    state, report = solve_gravitating(grid, section, 6.0, 0.0)
+    assert report.converged
+    for k in range(1, 81):
+        state, report = advance_gravitating(state, 0.0025 * k)
+        assert report.converged, (0.0025 * k, report.message)
+    assert report.alpha_reached == pytest.approx(0.2)
+
+
+def test_apply_update_recentres_v_as_a_pure_gauge_move(torus32):
+    section = build_section(torus32, Divisor(((0.1, 0.2),), (1,)))
+    spec = ProblemSpec(torus32, section, 6.0, EquationKind.GRAVITATING, 0.1)
+    assert spec.c != 0.0
+    n = torus32.n_nodes
+    x, y = torus32.node_coords.T
+    f = initial_state(spec).f.values + 0.1 * np.cos(2 * math.pi * x)
+    v = 0.05 * np.sin(2 * math.pi * y)
+    system = solvers._NewtonSystem(spec, f, v, 0.3)
+    rng = np.random.default_rng(7)
+    d = np.concatenate([0.1 * rng.standard_normal(n), 0.5 + 0.1 * rng.standard_normal(n), [0.2]])
+    t = 0.5
+    trial = system.apply_update(d, t)
+    assert abs(mean_value(trial.state.v)) < 1e-14
+    f2, v2, c2 = f + t * d[:n], v + t * d[n : 2 * n], 0.3 + t * d[-1]
+    p, q, _ = equations._nonlinearity(spec, f2, v2, c2)
+    rows = equations._residual_rows(spec, f2, v2, p, np.exp(q))
+    r, _ = trial.residual_vector()
+    scale = max(float(np.max(np.abs(row))) for row in rows)
+    assert np.max(np.abs(r[: 2 * n] - np.concatenate(rows))) < 1e-13 * scale
+
+
+def test_an_iterate_beyond_the_divergence_guard_reports_divergence():
+    # c = 2 - 2 alpha tau N = 0 exactly, so v enters no exponent and cannot overflow
+    grid = build_grid("sphere", 8)
+    section = build_section(grid, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1)))
+    spec = ProblemSpec(grid, section, 8.0, EquationKind.GRAVITATING, 0.0)
+    state = make_state(spec, initial_state(spec).f.values, 1e7 * grid._xi_flat)
+    _, report = advance_gravitating(state, 1.0 / 16.0)
+    assert replace(spec, alpha=1.0 / 16.0).c == 0.0
+    assert report.failure_reason is FailureReason.DIVERGENCE and report.iterations == 0
+    assert not report.converged and "divergence guard" in report.message
 
 
 def test_eb_antipodal_at_l192_certifies_against_the_radial_oracle():

@@ -288,6 +288,19 @@ def test_oracle_higher_genus():
     assert rep.verdict is ExistenceVerdict.UNKNOWN
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [Fraction(1, 100), Fraction(1, 4), Fraction(3)])
+def test_oracle_applies_the_degree_bound_at_every_genus(genus, alpha):
+    # integrating the first equation: 2 pi tau - 4 pi N = integral of P W > 0
+    for mults, tau in (([1], 2), ([2], 4), ([1, 1], 3), ([3], 2)):
+        rep = existence_oracle(genus, mults, tau, alpha)
+        assert rep.verdict is ExistenceVerdict.NOT_EXISTS
+        assert rep.theorem_tag == "degree identity"
+        assert "degree bound fails" in rep.reason
+    assert existence_oracle(genus, [1], Fraction(201, 100), alpha).verdict is not (
+        ExistenceVerdict.NOT_EXISTS)
+
+
 def test_oracle_serialization():
     d = rep = existence_oracle(0, [2], 8, Fraction(1, 16)).to_dict()
     assert d == {
