@@ -59,7 +59,6 @@ from .stability import (  # noqa: F401
     topological_constant,
 )
 from .solvers import (  # noqa: F401
-    ContinuationSchedule,
     FailureReason,
     SolveReport,
     SolverConfig,

@@ -31,32 +31,24 @@ from .equations import conformal_exponent, metric_density, scalar_curvature
 from .equations import identity_report  # noqa: F401  (perfbench/tracer.py patches this binding)
 from .geometry import POINT_AT_INFINITY, SurfaceGrid, build_grid
 from .sections import Divisor, SectionData, build_section
-from .solvers import (
-    ContinuationSchedule,
-    SolverConfig,
-    advance_gravitating,
-    default_alpha_targets,
-    solve_eb,
-    solve_gravitating,
-    solve_vortex,
-)
+from .solvers import SolverConfig, advance_gravitating, solve_eb, solve_gravitating, solve_vortex
 from .stability import classify_divisor, existence_oracle, sigma_range, sigma_slope
-
-COMMANDS = (
-    "Classify",
-    "SolveVortex",
-    "SolveGravitating",
-    "SolveEB",
-    "SweepAlpha",
-    "Triple",
-    "Oracle",
-)
 
 _SOLVE_KINDS = {
     "vortex": "SolveVortex",
     "gravitating": "SolveGravitating",
     "eb": "SolveEB",
 }
+# the command each subcommand runs; "solve" runs the one its --kind names
+_SUBCOMMANDS = {
+    "classify": "Classify",
+    "solve": _SOLVE_KINDS,
+    "sweep": "SweepAlpha",
+    "triple": "Triple",
+    "oracle": "Oracle",
+}
+COMMANDS = tuple(name for entry in _SUBCOMMANDS.values()
+                 for name in (entry.values() if isinstance(entry, dict) else [entry]))
 
 
 class ConfigError(Exception):
@@ -166,12 +158,10 @@ def _tau(value, path: str):
     return tau
 
 
-def _reals(message: str):
-    def parse(values, path: str) -> tuple:
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError(path, message)
-        return tuple(parse_real(a, f"{path}[{i}]") for i, a in enumerate(values))
-    return parse
+def _reals(values, path: str) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(path, "expected a list")
+    return tuple(parse_real(a, f"{path}[{i}]") for i, a in enumerate(values))
 
 
 def _triple(value, path: str) -> tuple:
@@ -199,12 +189,10 @@ _FORMAT = {
     "divisor": ("divisor", _normalize_divisor),
     "tau": ("tau", _tau),
     "alpha": ("alpha", _canonical_real),
-    "alpha_values": ("alpha_values", _reals("expected a list")),
+    "alpha_values": ("alpha_values", _reals),
     "genus": ("genus", lambda v, p: _expect_int(v, p, 0)),
     "triple": ("triple", _nullable(_triple)),
     "sigma": ("sigma", _nullable(_canonical_real)),
-    "schedule.alpha_targets": ("schedule_targets", _nullable(_reals("expected a list or null"))),
-    "schedule.max_step_halvings": ("max_step_halvings", lambda v, p: _expect_int(v, p, 0)),
     "output.record_path": ("record_path", _nullable(_path_string)),
     "output.fields_csv": ("fields_csv", _nullable(_path_string)),
     "output.sweep_jsonl": ("sweep_jsonl", _nullable(_path_string)),
@@ -236,8 +224,6 @@ class RunConfig:
     triple: Optional[tuple] = None
     sigma: Optional[object] = None
     solver: SolverConfig = SolverConfig()
-    schedule_targets: Optional[tuple] = None
-    max_step_halvings: int = ContinuationSchedule.max_step_halvings
     record_path: Optional[str] = None
     fields_csv: Optional[str] = None
     sweep_jsonl: Optional[str] = None
@@ -369,31 +355,6 @@ def _solve_setup(config: RunConfig) -> tuple[SurfaceGrid, SectionData]:
     return grid, section
 
 
-def _has_default_schedule(config: RunConfig) -> bool:
-    return (config.schedule_targets is None
-            and config.max_step_halvings == RunConfig.max_step_halvings)
-
-
-def _reject_schedule(config: RunConfig) -> None:
-    """Commands other than SolveGravitating run no configurable continuation."""
-    if not _has_default_schedule(config):
-        raise ConfigError("schedule", f"{config.command} does not take a continuation schedule")
-
-
-def _schedule_for(config: RunConfig, alpha: float) -> Optional[ContinuationSchedule]:
-    if _has_default_schedule(config):
-        return None
-    targets = config.schedule_targets
-    if targets is None:
-        targets = default_alpha_targets(alpha)
-    if not targets or targets[-1] != alpha:
-        raise ConfigError("schedule.alpha_targets", f"must end at alpha = {alpha}")
-    try:
-        return ContinuationSchedule(targets, config.max_step_halvings)
-    except ValueError as exc:
-        raise ConfigError("schedule.alpha_targets", str(exc)) from None
-
-
 def run(config: RunConfig) -> dict:
     """Dispatch one non-sweep command; returns the result record."""
     start = time.perf_counter()
@@ -444,17 +405,13 @@ def run(config: RunConfig) -> dict:
             if config.command == "SolveGravitating":
                 if alpha < 0.0:
                     raise ConfigError("alpha", "must be >= 0")
-                state, report = solve_gravitating(
-                    grid, section, tau, alpha,
-                    _schedule_for(config, alpha), config.solver,
-                )
+                state, report = solve_gravitating(grid, section, tau, alpha, config.solver)
             else:
                 eb = config.command == "SolveEB"
                 if alpha != 0.0:
                     reason = ("the EB coupling is determined by tau and N" if eb
                               else "the vortex equations have no coupling")
                     raise ConfigError("alpha", f"{reason}; leave alpha at 0")
-                _reject_schedule(config)
                 state, report = (solve_eb if eb else solve_vortex)(grid, section, tau,
                                                                    config.solver)
         except ValueError as exc:  # solve_eb rejects the torus, then N >= tau/2
@@ -483,7 +440,6 @@ def sweep_alpha(config: RunConfig) -> list[dict]:
         raise ConfigError("alpha_values[0]", "the first alpha must be 0 (continuation anchor)")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ConfigError("alpha_values", "alphas must be strictly ascending")
-    _reject_schedule(config)
     grid, section = _solve_setup(config)
     tau = config.tau_value
 
@@ -492,9 +448,7 @@ def sweep_alpha(config: RunConfig) -> list[dict]:
     for alpha in alphas:
         start = time.perf_counter()
         if alpha == 0.0 or last_good is None:
-            state, report = solve_gravitating(
-                grid, section, tau, alpha, None, config.solver,
-            )
+            state, report = solve_gravitating(grid, section, tau, alpha, config.solver)
         else:
             state, report = advance_gravitating(last_good, alpha, config.solver)
         if report.converged:
@@ -630,9 +584,9 @@ def main(argv: Optional[list] = None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
-        command = _SOLVE_KINDS[args.kind] if args.subcommand == "solve" else {
-            "classify": "Classify", "sweep": "SweepAlpha", "triple": "Triple", "oracle": "Oracle",
-        }[args.subcommand]
+        command = _SUBCOMMANDS[args.subcommand]
+        if args.subcommand == "solve":
+            command = command[args.kind]
         config = _load_config(args, command)
 
         sweep = command == "SweepAlpha"

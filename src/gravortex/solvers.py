@@ -41,10 +41,10 @@ decides whether a solve is sequenced and certifies it; it never cuts a solve sho
 
 Gravitating and EB solves run through one driver, ``_solve_coupled``.  Data that
 pass the gate at alpha > 0, on a grid of resolution >= 48, start with one Newton loop
-at the target alpha on the quarter grid, whatever the schedule; else, or on failure,
-it continues in alpha (Allgower & Georg, 2003) along the schedule from the vortex
-solution at alpha = 0, each target posed from the secant through the last two
-certified states, failed steps bisected.
+at the target alpha on the quarter grid; else, or on failure, it continues in alpha
+(Allgower & Georg, 2003) from the vortex solution at alpha = 0 through the fixed
+targets alpha/4, alpha/2, 3 alpha/4 and alpha, each posed from the secant through the
+last two certified states, failed steps bisected.
 """
 
 from __future__ import annotations
@@ -91,6 +91,11 @@ _EW_GAMMA = 0.9
 _EW_EXPONENT = 2.0
 _ETA_MAX = 0.1
 
+# alpha-continuation: targets alpha * k / _ALPHA_STEPS for k = 1.._ALPHA_STEPS, and the
+# number of failed attempts bisected, over the whole continuation, before it stalls
+_ALPHA_STEPS = 4
+_MAX_STEP_HALVINGS = 10
+
 
 class FailureReason(str, Enum):
     MAX_ITERS = "MaxIters"
@@ -121,27 +126,6 @@ class SolverConfig:
         if not _is_int(self.max_newton_iters) or self.max_newton_iters < 1:
             raise ValueError(
                 f"max_newton_iters must be an integer >= 1; got {self.max_newton_iters!r}")
-
-
-@dataclass(frozen=True)
-class ContinuationSchedule:
-    """Ascending coupling targets, starting at 0, and the bisection budget (an integer >= 0)."""
-
-    alpha_targets: tuple
-    max_step_halvings: int = 10
-
-    def __post_init__(self):
-        if not _is_int(self.max_step_halvings) or self.max_step_halvings < 0:
-            raise ValueError(
-                f"max_step_halvings must be an integer >= 0; got {self.max_step_halvings!r}")
-        targets = tuple(float(a) for a in self.alpha_targets)
-        if not all(math.isfinite(a) for a in targets):
-            raise ValueError("continuation targets must be finite")
-        if not targets or targets[0] != 0.0:
-            raise ValueError("the first continuation target must be 0")
-        if any(b <= a for a, b in zip(targets, targets[1:])):
-            raise ValueError("continuation targets must be strictly ascending")
-        object.__setattr__(self, "alpha_targets", targets)
 
 
 @dataclass(frozen=True)
@@ -541,31 +525,26 @@ def solve_vortex(
     return loop.state, _certify(loop, 0.0, _existence_gate(section, tau, 0.0))
 
 
-def default_alpha_targets(alpha: float) -> tuple:
-    """The default continuation targets 0, alpha/4, alpha/2, 3 alpha/4, alpha."""
-    if alpha == 0.0:
-        return (0.0,)
-    return tuple(alpha * k / 4.0 for k in range(5))
-
-
 def _continue_in_alpha(
     anchor: FieldState,
     kind: EquationKind,
-    schedule: ContinuationSchedule,
+    alpha: float,
     config: SolverConfig,
 ) -> tuple[FieldState, float, _LoopResult, int]:
-    """March the anchor state along the alpha > 0 targets with bisection.
+    """March the anchor state to alpha through the targets alpha * k / _ALPHA_STEPS.
 
     The anchor is the solution at alpha = 0, solved by the caller; an attempt
     poses a ``kind`` problem at its coupling from (f, v, c') extrapolated along
-    the secant through the last two certified states (or from the anchor).
+    the secant through the last two certified states (or from the anchor).  A
+    failed attempt is bisected, at most _MAX_STEP_HALVINGS times in all.
     """
     state = prev = anchor
     reached = 0.0
-    budget = schedule.max_step_halvings
+    budget = _MAX_STEP_HALVINGS
     total_iters = 0
     last = _LoopResult(anchor, 0, 0.0, None)
-    for target in schedule.alpha_targets[1:]:
+    for k in range(1, _ALPHA_STEPS + 1):
+        target = alpha * k / _ALPHA_STEPS
         attempt = target
         while reached < target:
             ratio = (attempt - reached) / (reached - prev.spec.alpha) if state is not prev else 0.0
@@ -595,25 +574,21 @@ def _solve_coupled(
     tau: float,
     kind: EquationKind,
     alpha: float,
-    schedule: Optional[ContinuationSchedule],
     config: SolverConfig,
 ) -> tuple[FieldState, SolveReport]:
     """Solve a ``kind`` problem at alpha, sequenced or continued from the vortex anchor.
 
     Data that pass ``_existence_gate`` at alpha > 0 are first solved through
     ``grid.quarter_grid`` when ``grid``'s resolution is >= 48 (``_solve_sequenced``).  Else, or
-    should that fail, the vortex anchor is continued along ``schedule`` (default targets if
-    None) and the result certified against the gate; at alpha = 0, or when the anchor fails,
-    its report stands, citing the gate first unless it already does.
+    should that fail, the vortex anchor is continued to alpha (``_continue_in_alpha``) and the
+    result certified against the gate; at alpha = 0, or when the anchor fails, its report
+    stands, citing the gate first unless it already does.
     """
-    if schedule is not None and schedule.alpha_targets[-1] != alpha:
-        raise ValueError(f"the continuation schedule must end at alpha = {alpha}")
     gate = _existence_gate(section, tau, alpha)
     sequenced, spent = (_solve_sequenced(grid, section, tau, kind, alpha, config)
                         if gate is None and alpha > 0.0 and grid.resolution >= 48 else (None, 0))
     if sequenced is not None:
         return sequenced
-    schedule = schedule or ContinuationSchedule(default_alpha_targets(alpha))
     anchor, report = solve_vortex(grid, section, tau, config=config)
     report = replace(report, iterations=report.iterations + spent)
     if kind is EquationKind.GRAVITATING:
@@ -622,7 +597,7 @@ def _solve_coupled(
         if gate is not None and gate not in report.message:
             report = replace(report, message=f"{gate}; {report.message}")
         return anchor, report
-    state, reached, last, iters = _continue_in_alpha(anchor, kind, schedule, config)
+    state, reached, last, iters = _continue_in_alpha(anchor, kind, alpha, config)
     message = last.message
     if last.failure is not None:
         message = f"continuation stalled at alpha = {reached} (target {alpha}): {message}"
@@ -666,19 +641,18 @@ def solve_gravitating(
     section: SectionData,
     tau: float,
     alpha: float,
-    schedule: Optional[ContinuationSchedule] = None,
     config: SolverConfig = SolverConfig(),
 ) -> tuple[FieldState, SolveReport]:
     """Solve the gravitating system, sequenced or by continuation in the coupling.
 
     Data that pass the existence gate are first solved at alpha > 0 on the quarter grid of a
-    grid of resolution >= 48, whatever the ``schedule``.  Else, or on failure, the vortex
-    solution (v = c' = 0), certified against the degree bound, anchors a continuation along
-    ``schedule``, each target posed (c = chi - 2*alpha*tau*N) from the secant prediction
-    of (f, v, c'), failed steps bisected until ``schedule.max_step_halvings`` runs out.
+    grid of resolution >= 48.  Else, or on failure, the vortex solution (v = c' = 0),
+    certified against the degree bound, anchors a continuation through alpha/4, alpha/2,
+    3 alpha/4 and alpha, each target posed (c = chi - 2*alpha*tau*N) from the secant
+    prediction of (f, v, c'), failed steps bisected (``_continue_in_alpha``).
     """
     alpha = _check_alpha(alpha)
-    return _solve_coupled(grid, section, tau, EquationKind.GRAVITATING, alpha, schedule, config)
+    return _solve_coupled(grid, section, tau, EquationKind.GRAVITATING, alpha, config)
 
 
 def advance_gravitating(
@@ -710,7 +684,7 @@ def solve_eb(
 
     Genus 0 only; requires N < tau/2.  A sequenced solve's coarse grid starts at
     1/(tau N) directly; else continuation ramps alpha from 0 (the vortex anchor)
-    through ``default_alpha_targets``; the volume gauge c' rides along as a Newton
+    as in ``solve_gravitating``; the volume gauge c' rides along as a Newton
     unknown.  For non-polystable divisors no solution exists and the report
     is non-converged citing the classification.
     """
@@ -720,5 +694,4 @@ def solve_eb(
     if not stability.bradlow_check(n, tau):
         raise ValueError(f"solve_eb requires N < tau/2 (got N = {n}, tau = {tau})")
     alpha_eb = float(stability.eb_coupling(tau, n))
-    return _solve_coupled(grid, section, tau, EquationKind.EINSTEIN_BOGOMOLNYI, alpha_eb,
-                          None, config)
+    return _solve_coupled(grid, section, tau, EquationKind.EINSTEIN_BOGOMOLNYI, alpha_eb, config)

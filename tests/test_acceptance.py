@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from gravortex import (
-    ContinuationSchedule,
     Divisor,
     EquationKind,
     POINT_AT_INFINITY,
@@ -389,7 +388,6 @@ def test_scale_invariance():
     shift = 0.37
     scaled = rescale(section, shift)
     config = SolverConfig(newton_tol=1e-13)
-    schedule = ContinuationSchedule((0.0, 0.025, 0.05))
 
     def check_pair(state_base, state_scaled):
         delta = state_scaled.f.values - state_base.f.values
@@ -410,8 +408,8 @@ def test_scale_invariance():
     assert report0.converged and report1.converged
     check_pair(state0, state1)
 
-    state0, report0 = solve_gravitating(grid, section, 2.5, 0.05, schedule, config)
-    state1, report1 = solve_gravitating(grid, scaled, 2.5, 0.05, schedule, config)
+    state0, report0 = solve_gravitating(grid, section, 2.5, 0.05, config)
+    state1, report1 = solve_gravitating(grid, scaled, 2.5, 0.05, config)
     assert report0.converged and report1.converged
     check_pair(state0, state1)
     assert report1.c_prime - report0.c_prime == pytest.approx(

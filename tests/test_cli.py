@@ -17,7 +17,6 @@ from gravortex.cli import (
     RunConfig,
     _build_parser,
     _load_config,
-    _schedule_for,
     config_from_dict,
     main,
     parse_real,
@@ -59,7 +58,7 @@ def test_config_round_trip_is_identity():
     # all defaults are explicit in the serialized form
     assert set(echoed) == {
         "command", "surface", "divisor", "tau", "alpha", "alpha_values", "genus", "triple",
-        "sigma", "solver", "schedule", "output",
+        "sigma", "solver", "output",
     }
     assert echoed["solver"]["newton_tol"] == 1e-10
 
@@ -129,8 +128,7 @@ def test_config_field_validation_paths():
     assert err.value.path == "surface.resolution"
     for block, key, value in [("solver", "newton_tol", -1), ("solver", "newton_tol", 0),
                               ("solver", "max_newton_iters", 0),
-                              ("solver", "max_newton_iters", 2.5),
-                              ("schedule", "max_step_halvings", -1)]:
+                              ("solver", "max_newton_iters", 2.5)]:
         with pytest.raises(ConfigError) as err:
             config_from_dict({"command": "SolveGravitating", block: {key: value}})
         assert err.value.path == f"{block}.{key}"
@@ -505,8 +503,7 @@ _TORUS = ["--model", "torus", "--resolution", "8", "--set", "divisor=[[0.25,0.25
     (["solve", "--kind", "gravitating", "--alpha", "1e400", *_TORUS], "alpha"),
     (["sweep", "--alphas", "0,1e400", *_TORUS], "alpha_values[1]"),
     (["solve", *_TORUS, "--set", 'solver.newton_tol="1e400"'], "solver.newton_tol"),
-    (["solve", "--kind", "gravitating", "--alpha", "0.01", *_TORUS,
-      "--set", 'schedule.alpha_targets=[0,"1e400"]'], "schedule.alpha_targets[1]"),
+    (["sweep", *_TORUS, "--set", 'alpha_values=[0,"1e400"]'], "alpha_values[1]"),
     (["solve", "--set", 'divisor=[["1e400",0.2,1]]'], "divisor[0][0]"),
     # JSON integers beyond the float range, as --set writes them
     (["solve", "--set", f"tau={10**400}", *_TORUS], "tau"),
@@ -585,26 +582,18 @@ def test_eb_on_torus_names_surface_model(capsys):
 @pytest.mark.parametrize("override", ["schedule.max_step_halvings=3",
                                       "schedule.alpha_targets=[0,0.02]"])
 def test_eb_vortex_and_sweep_reject_schedule(capsys, override):
+    # the continuation is fixed: no command takes a schedule, SolveGravitating included
     eb = ["solve", "--kind", "eb", "--model", "sphere", "--resolution", "8", "--tau", "8",
           "--set", 'divisor=[[0,0,1],["inf",1]]', "--set", override]
     vortex = ["solve", "--kind", "vortex", "--model", "torus", "--resolution", "8",
               "--tau", "2.5", "--set", "divisor=[[0.25,0.25,1]]", "--set", override]
     sweep = ["sweep", "--model", "torus", "--resolution", "16", "--tau", "2.5",
              "--set", "divisor=[[0.25,0.25,1]]", "--alphas", "0,0.02", "--set", override]
-    for argv in (eb, vortex, sweep):
+    gravitating = ["solve", "--kind", "gravitating", "--model", "torus", "--resolution", "8",
+                   "--tau", "2.5", "--alpha", "0.02", "--set", "divisor=[[0.25,0.25,1]]",
+                   "--set", override]
+    for argv in (eb, vortex, gravitating, sweep):
         code, out, err = _run(capsys, argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["field"] == "schedule"
 
-
-def test_gravitating_schedule_defaults_targets():
-    config = config_from_dict({"command": "SolveGravitating", "divisor": [[0.25, 0.25, 1]],
-                               "schedule": {"max_step_halvings": 3}})
-    schedule = _schedule_for(config, 0.08)
-    assert schedule.alpha_targets == (0.0, 0.02, 0.04, 0.06, 0.08)
-    assert schedule.max_step_halvings == 3
-    assert _schedule_for(config_from_dict({"command": "SolveGravitating"}), 0.08) is None
-    empty = config_from_dict({"command": "SolveGravitating", "schedule": {"alpha_targets": []}})
-    with pytest.raises(ConfigError) as err:
-        _schedule_for(empty, 0.08)
-    assert err.value.path == "schedule.alpha_targets"

@@ -25,7 +25,6 @@ from gravortex.geometry import POINT_AT_INFINITY, _spectral, build_grid, integra
 from gravortex.radial import solve_eb_radial
 from gravortex.sections import Divisor, build_section, rescale
 from gravortex.solvers import (
-    ContinuationSchedule,
     FailureReason,
     SolverConfig,
     advance_gravitating,
@@ -54,26 +53,6 @@ def test_solver_config_validation():
             SolverConfig(**{name: value})
     assert SolverConfig().newton_tol == 1e-10
     assert SolverConfig(max_newton_iters=np.int64(1)).max_newton_iters == 1
-
-
-def test_continuation_schedule_validation():
-    with pytest.raises(ValueError):
-        ContinuationSchedule((0.1, 0.2))
-    with pytest.raises(ValueError):
-        ContinuationSchedule((0.0, 0.2, 0.2))
-    with pytest.raises(ValueError):
-        ContinuationSchedule(())
-    for halvings in (-1, 1.5, True):  # -1 would stop at the first failed step
-        with pytest.raises(ValueError, match="max_step_halvings"):
-            ContinuationSchedule((0.0, 0.4), max_step_halvings=halvings)
-    s = ContinuationSchedule((0.0, 0.1), max_step_halvings=0)
-    assert s.alpha_targets == (0.0, 0.1)
-
-
-@pytest.mark.parametrize("targets", [(0.0, math.nan), (0.0, 0.1, math.inf), (math.nan, 0.1)])
-def test_continuation_schedule_rejects_non_finite_targets(targets):
-    with pytest.raises(ValueError, match="finite"):
-        ContinuationSchedule(targets)
 
 
 def test_vortex_converges_above_bound(torus24, torus24_section):
@@ -161,9 +140,8 @@ def test_rescaled_section_costs_no_extra_newton_steps():
     grid = build_grid("torus", 24)
     section = build_section(grid, Divisor(((0.25, 0.25),), (1,)))
     config = SolverConfig(newton_tol=1e-13)
-    schedule = ContinuationSchedule((0.0, 0.025, 0.05))
-    _, base = solve_gravitating(grid, section, 2.5, 0.05, schedule, config)
-    _, scaled = solve_gravitating(grid, rescale(section, 0.37), 2.5, 0.05, schedule, config)
+    _, base = solve_gravitating(grid, section, 2.5, 0.05, config)
+    _, scaled = solve_gravitating(grid, rescale(section, 0.37), 2.5, 0.05, config)
     assert base.converged and scaled.converged
     assert scaled.iterations <= base.iterations + 2
 
@@ -647,11 +625,6 @@ def test_gravitating_negative_alpha_rejected(torus24, torus24_section):
         solve_gravitating(torus24, torus24_section, 2.5, -0.1)
 
 
-def test_schedule_must_end_at_the_target_coupling(torus24, torus24_section):
-    with pytest.raises(ValueError, match="must end at alpha = 0.05"):
-        solve_gravitating(torus24, torus24_section, 2.5, 0.05, ContinuationSchedule((0.0, 0.02)))
-
-
 @pytest.mark.parametrize("alpha", [-0.1, math.nan, math.inf])
 def test_gravitating_coupling_must_be_finite(torus24, torus24_section, alpha):
     with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
@@ -730,13 +703,13 @@ def test_identity_failure_has_its_own_reason(monkeypatch, torus24, torus24_secti
     assert report.to_dict()["failure_reason"] == "IdentityFailure"
 
 
-def test_gravitating_sphere_unstable_stalls(sphere16):
+def test_gravitating_sphere_unstable_stalls(monkeypatch, sphere16):
     divisor = Divisor(points=((0.0, 0.0),), multiplicities=(2,))
     section = build_section(sphere16, divisor)
     # a tight budget keeps this quick; the stall is structural, not budgetary
-    schedule = ContinuationSchedule((0.0, 0.05), max_step_halvings=2)
+    monkeypatch.setattr(solvers, "_MAX_STEP_HALVINGS", 2)
     config = SolverConfig(max_newton_iters=12)
-    state, report = solve_gravitating(sphere16, section, 8.0, 0.05, schedule, config)
+    state, report = solve_gravitating(sphere16, section, 8.0, 0.05, config)
     assert not report.converged
     assert report.alpha_reached < 0.05
 
@@ -825,36 +798,27 @@ def test_sequenced_solve_matches_the_cold_solve(monkeypatch, solve, coarse, max_
     assert report.to_dict()["coarse_resolution"] == coarse
 
 
-def test_the_coarse_stage_starts_at_alpha_with_or_without_a_schedule(monkeypatch):
+def test_the_coarse_stage_starts_at_alpha(monkeypatch):
     grid = build_grid("torus", 64)
     section = build_section(grid, Divisor(((0.1, 0.2), (0.6, 0.71)), (1, 1)))
     starts, newton_loop = [], solvers._newton_loop
     monkeypatch.setattr(solvers, "_newton_loop",
                         lambda state, config: starts.append(state) or newton_loop(state, config))
-    solves = []
-    for schedule in (None, ContinuationSchedule((0.0, 0.0175, 0.035))):
-        first = len(starts)
-        state, report = solve_gravitating(grid, section, 6.0, 0.035, schedule)
-        assert report.converged and report.coarse_resolution == 16
-        # one coarse loop at the target coupling, then the fine loop: no anchor, no targets
-        coarse, fine = starts[first:]
-        assert coarse.spec.alpha == fine.spec.alpha == 0.035
-        assert coarse.spec.grid is grid.quarter_grid and fine.spec.grid is grid
-        # the coarse loop starts from initial_state
-        assert coarse.spec.kind is EquationKind.GRAVITATING and coarse.spec.c_prime == 0.0
-        assert np.array_equal(coarse.f.values, initial_state(coarse.spec).f.values)
-        assert not coarse.v.values.any()
-        solves.append((state, report))
-    (plain, plain_report), (scheduled, scheduled_report) = solves
-    assert np.max(np.abs(scheduled.f.values - plain.f.values)) < 1e-10
-    assert np.max(np.abs(scheduled.v.values - plain.v.values)) < 1e-10
-    assert abs(scheduled_report.c_prime - plain_report.c_prime) < 1e-10
+    _, report = solve_gravitating(grid, section, 6.0, 0.035)
+    assert report.converged and report.coarse_resolution == 16
+    # one coarse loop at the target coupling, then the fine loop: no anchor, no targets
+    coarse, fine = starts
+    assert coarse.spec.alpha == fine.spec.alpha == 0.035
+    assert coarse.spec.grid is grid.quarter_grid and fine.spec.grid is grid
+    # the coarse loop starts from initial_state
+    assert coarse.spec.kind is EquationKind.GRAVITATING and coarse.spec.c_prime == 0.0
+    assert np.array_equal(coarse.f.values, initial_state(coarse.spec).f.values)
+    assert not coarse.v.values.any()
 
 
-def test_a_failed_coarse_stage_falls_back_along_the_given_schedule(monkeypatch):
+def test_a_failed_coarse_stage_falls_back_along_the_fixed_targets(monkeypatch):
     grid = build_grid("torus", 64)
     section = build_section(grid, Divisor(((0.1, 0.2), (0.6, 0.71)), (1, 1)))
-    schedule = ContinuationSchedule((0.0, 0.0175, 0.035))
     newton_loop, loops = solvers._newton_loop, []
 
     def fail_coarse(state, config):
@@ -864,13 +828,44 @@ def test_a_failed_coarse_stage_falls_back_along_the_given_schedule(monkeypatch):
         return newton_loop(state, config)
 
     monkeypatch.setattr(solvers, "_newton_loop", fail_coarse)
-    _, report = solve_gravitating(grid, section, 6.0, 0.035, schedule)
+    _, report = solve_gravitating(grid, section, 6.0, 0.035)
     assert report.converged and report.coarse_resolution is None
-    # one failed coarse loop, then the vortex anchor and the given targets on the target grid
-    assert [spec.grid is grid for spec in loops] == [False, True, True, True]
+    # one failed coarse loop, then the vortex anchor and the four targets on the target grid
+    assert [spec.grid is grid for spec in loops] == [False] + [True] * 5
     assert loops[1].kind is EquationKind.VORTEX
-    assert [spec.alpha for spec in loops[1:]] == list(schedule.alpha_targets)
+    assert [spec.alpha for spec in loops[1:]] == pytest.approx([0.0, 0.00875, 0.0175,
+                                                                0.02625, 0.035])
     assert report.alpha_reached == 0.035
+
+
+def test_continuation_runs_the_anchor_then_four_equal_steps(monkeypatch, torus24,
+                                                            torus24_section):
+    loops, newton_loop = [], solvers._newton_loop
+    monkeypatch.setattr(solvers, "_newton_loop",
+                        lambda state, config: loops.append(state.spec) or newton_loop(state, config))
+    _, report = solve_gravitating(torus24, torus24_section, 2.5, 0.05)
+    assert report.converged and report.alpha_reached == 0.05
+    assert loops[0].kind is EquationKind.VORTEX
+    assert all(spec.kind is EquationKind.GRAVITATING for spec in loops[1:])
+    assert [spec.alpha for spec in loops] == pytest.approx([0.0, 0.0125, 0.025, 0.0375, 0.05])
+
+
+def test_continuation_stalls_after_the_bisection_budget(monkeypatch, torus24, torus24_section):
+    newton_loop, attempts = solvers._newton_loop, []
+
+    def fail_past_the_anchor(state, config):
+        if state.spec.kind is EquationKind.VORTEX:
+            return newton_loop(state, config)
+        attempts.append(state.spec.alpha)
+        return solvers._LoopResult(state, 1, 1.0, FailureReason.MAX_ITERS, "forced")
+
+    monkeypatch.setattr(solvers, "_newton_loop", fail_past_the_anchor)
+    _, report = solve_gravitating(torus24, torus24_section, 2.5, 0.05)
+    assert not report.converged and report.alpha_reached == 0.0
+    assert report.message.startswith("continuation stalled at alpha = 0.0")
+    # the first target, then each failed attempt bisected until the budget runs out
+    assert len(attempts) == solvers._MAX_STEP_HALVINGS + 1 == 11
+    assert attempts == pytest.approx([0.0125 / 2**k for k in range(len(attempts))])
 
 
 def test_sequencing_leaves_the_alpha_zero_anchor_for_warm_starts():
@@ -978,9 +973,8 @@ def test_unstable_sphere_data_at_positive_coupling_are_not_sequenced(monkeypatch
     monkeypatch.setattr(solvers, "_solve_sequenced", None)  # a call would raise
     grid = build_grid("sphere", 48)
     section = build_section(grid, Divisor(((0.0, 0.0), (1.0, 0.0)), (3, 1)))
-    schedule = ContinuationSchedule((0.0, 0.01), max_step_halvings=0)
-    _, report = solve_gravitating(grid, section, 12.0, 0.01, schedule,
-                                  SolverConfig(max_newton_iters=10))
+    monkeypatch.setattr(solvers, "_MAX_STEP_HALVINGS", 0)  # keeps the doomed continuation short
+    _, report = solve_gravitating(grid, section, 12.0, 0.01, SolverConfig(max_newton_iters=10))
     assert not report.converged and report.coarse_resolution is None
     assert report.message.count("not polystable (witness point index 0)") == 1
 
