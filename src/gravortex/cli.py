@@ -280,8 +280,6 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def _build_divisor(config: RunConfig) -> Divisor:
-    if not config.divisor:
-        raise ConfigError("divisor", "at least one divisor point is required")
     points, mults = [], []
     for entry in config.divisor:
         if entry[0] == "inf":

@@ -253,11 +253,9 @@ def direct_gve_residual(state: FieldState) -> tuple[ScalarField, ScalarField]:
     if two_u is None:
         raise ValueError("conformal density 1 - Delta v is not positive")
     inv = np.exp(-two_u)
-    lap_f = laplacian_apply(state.f).values
+    lap_f, lap_u, lap_p = laplacian_values(s.grid, np.stack([state.f.values, 0.5 * two_u, p]))
     r1 = inv * (s.degree + lap_f) + 0.5 * (p - s.tau)
-    u = ScalarField(s.grid, 0.5 * two_u)
-    s_eq = inv * (0.5 * s.grid.base_scalar_curvature + laplacian_apply(u).values)
-    lap_p = laplacian_apply(ScalarField(s.grid, p)).values
+    s_eq = inv * (0.5 * s.grid.base_scalar_curvature + lap_u)
     r2 = s_eq + s.alpha * (inv * lap_p + s.tau * (p - s.tau)) - s.c
     return ScalarField(s.grid, r1), ScalarField(s.grid, r2)
 
@@ -276,7 +274,9 @@ class IdentityReport:
     volume_identity : total solved area minus 2 pi.
     gauss_bonnet : integral of the Riemannian scalar curvature against the
         solved area form minus 4 pi chi (NaN when the gravitating density
-        fails to be positive, since the metric is then undefined).
+        fails to be positive, since the metric is then undefined).  A diagnostic
+        only: the spectral Laplacian integrates to zero, so it is roundoff at
+        every state of positive density, solution or not.
     min_density : minimum of 1 - Delta v (metric positivity flag; 1 when v = 0).
     """
 

@@ -153,9 +153,7 @@ def _validate_divisor_on(grid: SurfaceGrid, divisor: Divisor) -> Divisor:
             raise ValueError("torus divisors cannot contain the point at infinity")
         pts = tuple((p[0] % 1.0, p[1] % 1.0) for p in divisor.points)
         divisor = Divisor(pts, divisor.multiplicities)
-    else:
-        if sum(1 for p in divisor.points if is_infinity(p)) > 1:
-            raise ValueError("at most one divisor point may sit at infinity")
+    # Divisor holds at most one point at infinity: every chart point at infinity is that one
     pts = divisor.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):

@@ -31,13 +31,12 @@ but the exact existence gate rules a solution out), IdentityFailure (the
 residual converged but the integral identities fail at the converged state).
 A MaxIters or StepFloor message names the GMRES exit code (1) when the last
 linear solve stopped short of its tolerance.
-Reports are certified: ``converged`` additionally requires the integral
-identities (degree, volume, Gauss-Bonnet, metric positivity) to hold at
-their standard tolerances, and the data to pass ``_existence_gate``: the degree
-bound N < tau * Vol/(4 pi), and on the sphere at alpha > 0 polystability.  Where it
-fails the equations have no solution and residual-small iterates are collapse
-artefacts, so the report says NoSolution and cites the gate once.  The gate only
-decides whether a solve is sequenced and certifies it; it never cuts a solve short.
+Reports are certified: ``converged`` additionally requires the degree and volume
+identities at their tolerances, a positive solved metric, and data that pass
+``_existence_gate``, the verdict of ``stability.existence_oracle``.  Where it says
+NotExists, residual-small iterates are collapse artefacts: the report says NoSolution
+and quotes the oracle's theorem tag and reason once.  The gate only decides whether a
+solve is sequenced and certifies it; it never cuts a solve short.
 
 Gravitating and EB solves run through one driver, ``_solve_coupled``.  Data that
 pass the gate at alpha > 0, on a grid of resolution >= 48, start with one Newton loop
@@ -79,7 +78,6 @@ TWO_PI = 2.0 * math.pi
 
 DEGREE_IDENTITY_TOL = 1e-6
 VOLUME_IDENTITY_TOL = 1e-8
-GAUSS_BONNET_TOL = 1e-4
 _STEP_FLOOR = 2.0**-25
 _ARMIJO_CONSTANT = 1e-4
 _KRYLOV_INNER = 30  # GMRES iterations per linear solve: one cycle, never restarted
@@ -455,8 +453,6 @@ def _identity_ok(rep: IdentityReport) -> bool:
     return (
         abs(rep.degree_identity) <= DEGREE_IDENTITY_TOL
         and abs(rep.volume_identity) <= VOLUME_IDENTITY_TOL
-        and math.isfinite(rep.gauss_bonnet)
-        and abs(rep.gauss_bonnet) <= GAUSS_BONNET_TOL
         and rep.min_density > 0.0
     )
 
@@ -485,18 +481,11 @@ def _certify(loop: _LoopResult, alpha_reached: float, extra_gate: Optional[str])
 
 
 def _existence_gate(section: SectionData, tau: float, alpha: float) -> Optional[str]:
-    """Why no solution exists at (tau, alpha), or None: the degree bound N < tau*Vol/(4*pi)
-    at every coupling, then divisor polystability on the sphere at alpha > 0."""
-    n = section.divisor.total_degree
-    if not stability.bradlow_check(n, tau):
-        bound = float(stability.bradlow_bound(tau))
-        return f"no solution at this tau: degree bound fails (N = {n} >= tau*Vol/(4*pi) = {bound})"
-    if alpha > 0.0 and section.grid.model is SurfaceModel.SPHERE:
-        cls = stability.classify_divisor(section.divisor)
-        if cls.verdict is stability.StabilityVerdict.UNSTABLE:
-            return ("no solution at this coupling: divisor is not polystable "
-                    f"(witness point index {cls.witness})")
-    return None
+    """The theorem tag and reason of ``stability.existence_oracle`` when it rules a solution
+    out at (tau, alpha), else None."""
+    rep = stability.existence_oracle(section.grid.genus, section.divisor, tau, alpha)
+    ruled_out = rep.verdict is stability.ExistenceVerdict.NOT_EXISTS
+    return f"{rep.theorem_tag}: {rep.reason}" if ruled_out else None
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +506,7 @@ def solve_vortex(
     ``initial_state`` guess).  Returns the final state and a certified
     report.  When the degree bound N < tau*Vol/(4*pi) fails, no solution
     exists; the iteration still runs and the report comes back non-converged
-    citing the violated bound.
+    quoting the oracle's verdict (Theorem 3.2).
     """
     spec = ProblemSpec(grid=grid, section=section, tau=tau, kind=EquationKind.VORTEX)
     state = initial_state(spec) if initial is None else make_state(spec, initial)
@@ -580,29 +569,30 @@ def _solve_coupled(
 
     Data that pass ``_existence_gate`` at alpha > 0 are first solved through
     ``grid.quarter_grid`` when ``grid``'s resolution is >= 48 (``_solve_sequenced``).  Else, or
-    should that fail, the vortex anchor is continued to alpha (``_continue_in_alpha``) and the
-    result certified against the gate; at alpha = 0, or when the anchor fails, its report
-    stands, citing the gate first unless it already does.
+    should that fail, one Newton loop solves the vortex anchor, which is continued to alpha
+    (``_continue_in_alpha``) when alpha > 0 and the anchor certifies against the alpha = 0
+    gate.  The last certified state, or else the anchor, is certified once against the gate
+    at alpha, so a report on data the oracle rules out quotes its verdict once.
     """
     gate = _existence_gate(section, tau, alpha)
     sequenced, spent = (_solve_sequenced(grid, section, tau, kind, alpha, config)
                         if gate is None and alpha > 0.0 and grid.resolution >= 48 else (None, 0))
     if sequenced is not None:
         return sequenced
-    anchor, report = solve_vortex(grid, section, tau, config=config)
-    report = replace(report, iterations=report.iterations + spent)
+    spec = ProblemSpec(grid=grid, section=section, tau=tau, kind=EquationKind.VORTEX)
+    loop = _newton_loop(initial_state(spec), config)
+    loop.iterations += spent
+    state, reached = loop.state, 0.0
     if kind is EquationKind.GRAVITATING:
-        anchor = FieldState(anchor.f, anchor.v, replace(anchor.spec, kind=kind))
-    if alpha == 0.0 or not report.converged:
-        if gate is not None and gate not in report.message:
-            report = replace(report, message=f"{gate}; {report.message}")
-        return anchor, report
-    state, reached, last, iters = _continue_in_alpha(anchor, kind, alpha, config)
-    message = last.message
-    if last.failure is not None:
-        message = f"continuation stalled at alpha = {reached} (target {alpha}): {message}"
-    # report the last certified state, not the failed trial
-    loop = _LoopResult(state, iters + report.iterations, last.residual, last.failure, message)
+        state = FieldState(state.f, state.v, replace(state.spec, kind=kind))
+    anchor_gate = _existence_gate(section, tau, 0.0)
+    if alpha > 0.0 and loop.failure is None and _certify(loop, 0.0, anchor_gate).converged:
+        state, reached, last, iters = _continue_in_alpha(state, kind, alpha, config)
+        message = last.message
+        if last.failure is not None:
+            message = f"continuation stalled at alpha = {reached} (target {alpha}): {message}"
+        # report the last certified state, not the failed trial
+        loop = _LoopResult(state, iters + loop.iterations, last.residual, last.failure, message)
     return state, _certify(loop, reached, gate)
 
 
@@ -647,7 +637,7 @@ def solve_gravitating(
 
     Data that pass the existence gate are first solved at alpha > 0 on the quarter grid of a
     grid of resolution >= 48.  Else, or on failure, the vortex solution (v = c' = 0),
-    certified against the degree bound, anchors a continuation through alpha/4, alpha/2,
+    certified against the alpha = 0 gate, anchors a continuation through alpha/4, alpha/2,
     3 alpha/4 and alpha, each target posed (c = chi - 2*alpha*tau*N) from the secant
     prediction of (f, v, c'), failed steps bisected (``_continue_in_alpha``).
     """
@@ -686,7 +676,7 @@ def solve_eb(
     1/(tau N) directly; else continuation ramps alpha from 0 (the vortex anchor)
     as in ``solve_gravitating``; the volume gauge c' rides along as a Newton
     unknown.  For non-polystable divisors no solution exists and the report
-    is non-converged citing the classification.
+    is non-converged quoting the oracle's verdict (Theorem 3.6 or 3.8).
     """
     if grid.model is not SurfaceModel.SPHERE:
         raise ValueError("the Einstein-Bogomol'nyi equation lives on the sphere")

@@ -253,7 +253,8 @@ def existence_oracle(
     if t <= 0:
         raise ValueError("tau must be positive")
     bradlow = bradlow_check(n, tau)
-    bound = bradlow_bound(tau)
+    shown = float if isinstance(tau, float) else str  # a bound from a float prints as a float
+    bound = shown(bradlow_bound(tau))
 
     if a == 0:
         if bradlow:
@@ -290,7 +291,7 @@ def existence_oracle(
             return ExistenceReport(
                 ExistenceVerdict.NOT_EXISTS,
                 TAG_GENUS0_NECESSITY,
-                "divisor is not polystable",
+                f"divisor is not polystable (witness point index {cls.witness})",
             )
         atn = a * t * n
         if atn == 1:
@@ -320,7 +321,7 @@ def existence_oracle(
             return ExistenceReport(
                 ExistenceVerdict.EXISTS_UNIQUE,
                 TAG_HIGHER_GENUS,
-                f"higher genus with 0 < N < tau/2 and alpha <= {cap}",
+                f"higher genus with 0 < N < tau/2 and alpha <= {shown(cap)}",
             )
         return ExistenceReport(
             ExistenceVerdict.UNKNOWN,

@@ -597,3 +597,44 @@ def test_eb_vortex_and_sweep_reject_schedule(capsys, override):
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["field"] == "schedule"
 
+
+
+_SPHERE = ["--model", "sphere", "--resolution", "8", "--tau", "8"]
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["solve", "--kind", "gravitating", "--alpha=-0.1", *_TORUS], "alpha"),
+    (["sweep", "--alphas", "0,0.02,0.01", *_TORUS], "alpha_values"),
+    (["solve", *_TORUS, "--set", "tau"], "--set"),
+    (["triple", "--triple", "1,2"], "--triple"),
+    (["triple", "--triple", "a,b,c,d"], "--triple"),
+    (["triple"], "triple"),
+    (["solve", "--model", "torus", "--set", 'divisor={"p":[0.25,0.25,1]}'], "divisor"),
+    (["solve", "--model", "torus", "--set", "divisor=[0.25]"], "divisor[0]"),
+    (["solve", "--model", "torus"], "divisor"),
+    (["solve", "--model", "torus", "--set", "divisor=[[0.25,0.25,1],[0.25,0.25,1]]"],
+     "divisor"),
+    (["solve", *_SPHERE, "--set", 'divisor=[["inf",1],["inf",1]]'], "divisor"),
+    # distinct in the chart, but closer than the grid can tell apart
+    (["solve", *_SPHERE, "--set", "divisor=[[0,0,1],[1e-12,0,1]]"], "divisor"),
+    (["solve", *_TORUS, "--set", "tau=true"], "tau"),
+    (["solve", *_TORUS, "--set", "tau=[2.5]"], "tau"),
+    (["solve", *_TORUS, "--set", "surface.resolution=true"], "surface.resolution"),
+    (["solve", *_TORUS, "--set", "surface.resolution=[16]"], "surface.resolution"),
+    (["solve", *_TORUS, "--set", 'surface.model="plane"'], "surface.model"),
+])
+def test_input_checks_name_their_field(capsys, argv, field):
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["field"] == field
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "not-json", "not-an-object"])
+def test_config_file_errors_name_the_flag(capsys, tmp_path, content):
+    path = tmp_path / "run.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = _run(capsys, ["classify", "--config", str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["field"] == "--config"

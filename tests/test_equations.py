@@ -19,8 +19,15 @@ from gravortex.equations import (
     residual_fields,
     scalar_curvature,
 )
-from gravortex.geometry import field, integrate, laplacian_apply
-from gravortex.sections import Divisor, SectionData
+from gravortex.geometry import (
+    POINT_AT_INFINITY,
+    build_grid,
+    constant_field,
+    field,
+    integrate,
+    laplacian_apply,
+)
+from gravortex.sections import Divisor, SectionData, build_section
 from gravortex.solvers import _NewtonSystem
 
 TWO_PI = 2.0 * math.pi
@@ -302,3 +309,59 @@ def test_gravitating_residual_pair(torus24, torus24_section):
     assert np.max(np.abs(r1.values - (laplacian_apply(state.f).values
                                       + 0.5 * (p - 2.5) * w + 1))) < 1e-11
     assert np.max(np.abs(r2.values - (laplacian_apply(state.v).values + w - 1.0))) < 1e-11
+
+
+def test_specs_and_states_reject_foreign_grids_and_bad_couplings(
+        torus24, torus24_section, sphere16, antipodal_section16):
+    other = build_grid("torus", 16)
+    with pytest.raises(ValueError, match="different grid"):
+        ProblemSpec(grid=other, section=torus24_section, tau=2.5, kind=EquationKind.VORTEX)
+    for alpha in (0.0, -0.1):
+        with pytest.raises(ValueError, match="need alpha > 0"):
+            ProblemSpec(grid=sphere16, section=antipodal_section16, tau=8.0,
+                        kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=alpha)
+    with pytest.raises(ValueError, match="need alpha >= 0"):
+        ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
+                    kind=EquationKind.GRAVITATING, alpha=-0.1)
+    spec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
+                       kind=EquationKind.VORTEX)
+    with pytest.raises(ValueError, match="problem grid"):
+        FieldState(constant_field(other, 0.0), constant_field(torus24, 0.0), spec)
+    with pytest.raises(ValueError, match="given grid"):
+        scalar_curvature(torus24, constant_field(other, 0.0))
+
+
+def test_direct_gve_residual_needs_a_metric(torus24, torus24_section):
+    n = torus24.n_nodes
+    vortex = initial_state(ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
+                                       kind=EquationKind.VORTEX))
+    with pytest.raises(ValueError, match="gravitating/EB"):
+        direct_gve_residual(vortex)
+    gspec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
+                        kind=EquationKind.GRAVITATING, alpha=0.01)
+    wild = make_state(gspec, np.zeros(n), _mean_zero(torus24, _smooth(torus24, 8, 5.0)))
+    assert np.min(metric_density(wild).values) <= 0.0
+    with pytest.raises(ValueError, match="not positive"):
+        direct_gve_residual(wild)
+
+
+@pytest.mark.parametrize("model,resolution", [("sphere", 48), ("torus", 32)])
+def test_direct_gve_residual_is_its_formula_bit_for_bit(model, resolution):
+    # one Laplacian call on the (f, u, P) stack gives each row's own call exactly
+    grid = build_grid(model, resolution)
+    points = ((0.0, 0.0), POINT_AT_INFINITY) if model == "sphere" else ((0.1, 0.2), (0.6, 0.7))
+    section = build_section(grid, Divisor(points, (1, 1)))
+    spec = ProblemSpec(grid=grid, section=section, tau=8.0, kind=EquationKind.GRAVITATING,
+                       alpha=0.03, c_prime=0.2)
+    state = make_state(spec, _smooth(grid, 3), _mean_zero(grid, _smooth(grid, 4, 0.01)))
+    s, f, v = spec, state.f, state.v
+    p = np.exp(2.0 * f.values) * section.norm_sq.values
+    two_u = np.log(1.0 - laplacian_apply(v).values)
+    inv = np.exp(-two_u)
+    lap_u = laplacian_apply(field(grid, 0.5 * two_u)).values
+    lap_p = laplacian_apply(field(grid, p)).values
+    r1 = inv * (s.degree + laplacian_apply(f).values) + 0.5 * (p - s.tau)
+    r2 = (inv * (0.5 * grid.base_scalar_curvature + lap_u)
+          + s.alpha * (inv * lap_p + s.tau * (p - s.tau)) - s.c)
+    got = direct_gve_residual(state)
+    assert np.array_equal(got[0].values, r1) and np.array_equal(got[1].values, r2)

@@ -36,9 +36,15 @@ def test_surface_divisor_compatibility():
     with pytest.raises(ValueError):
         build_section(torus, inf_divisor)
     build_section(sphere, inf_divisor)  # fine there
-    # any chart point with an infinite coordinate is THE point at infinity
-    with pytest.raises(ValueError):
+    # any chart point with an infinite coordinate is THE point at infinity, so two of them
+    # are one point twice
+    with pytest.raises(ValueError, match="pairwise distinct"):
         Divisor(points=(POINT_AT_INFINITY, (math.inf, 0.0)), multiplicities=(1, 1))
+    # distinct chart points that the surface cannot tell apart
+    for grid, points in ((sphere, ((0.0, 0.0), (1e-12, 0.0))),
+                         (torus, ((0.25, 0.25), (0.25 + 1e-12, 0.25)))):
+        with pytest.raises(ValueError, match="points 0 and 1 coincide"):
+            build_section(grid, Divisor(points=points, multiplicities=(1, 1)))
 
 
 def test_max_normalization_is_exactly_one(torus24_section, antipodal_section16):

@@ -167,17 +167,17 @@ def test_eb_linear_solves_meet_forcing_tolerance(monkeypatch, sphere16):
                if norm > 5.0 * config.newton_tol)
 
 
-def test_step_floor_names_lgmres_exit_code(monkeypatch, torus24, torus24_section):
+def test_step_floor_names_gmres_exit_code(monkeypatch, torus24, torus24_section):
     # a linear solve that gives up at once returns the zero direction: no step descends
-    monkeypatch.setattr(solvers, "lgmres", lambda apply, b, rtol: (np.zeros_like(b), 8))
+    monkeypatch.setattr(solvers, "lgmres", lambda apply, b, rtol: (np.zeros_like(b), 1))
     _, report = solve_vortex(torus24, torus24_section, 2.5)
     assert not report.converged
     assert report.failure_reason is FailureReason.STEP_FLOOR
-    assert report.message.endswith("(last GMRES exit code 8)")
+    assert report.message.endswith("(last GMRES exit code 1)")
     spec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
                        kind=EquationKind.VORTEX)
     _, info = newton_step(initial_state(spec))
-    assert info["krylov_info"] == 8
+    assert info["krylov_info"] == 1
     assert info["flag"] == "step_floor"
 
 
@@ -639,9 +639,14 @@ def test_gravitating_coupling_must_be_finite(torus24, torus24_section, alpha):
 def test_gravitating_anchor_failure_is_the_vortex_report(torus24, torus24_section):
     state, report = solve_gravitating(torus24, torus24_section, 1.8, 0.05)
     _, vreport = solve_vortex(torus24, torus24_section, 1.8)
-    assert report.to_dict() == vreport.to_dict()
+    # the same anchor loop; each report quotes the oracle's verdict at its own coupling, once
+    assert replace(report, message="") == replace(vreport, message="")
     assert report.failure_reason is FailureReason.STEP_FLOOR
-    assert "degree bound fails" in report.message
+    verdict = stability.existence_oracle(1, torus24_section.divisor, 1.8, 0.05)
+    assert verdict.theorem_tag == "degree identity"
+    assert report.message.startswith(f"degree identity: {verdict.reason}; ")
+    assert report.message.count("degree identity") == 1
+    assert vreport.message.startswith("Theorem 3.2: decoupled case: degree bound fails")
     assert report.alpha_reached == 0.0
     assert state.spec.kind is EquationKind.GRAVITATING
     assert np.all(state.v.values == 0.0)
@@ -673,7 +678,8 @@ def test_eb_halts_on_unstable_divisor(sphere16):
     state, report = solve_eb(sphere16, section, 8.0)
     assert not report.converged
     assert report.failure_reason is FailureReason.NO_SOLUTION
-    assert "polystable" in report.message
+    assert report.message == (
+        "Theorem 3.8: all 2 zeros coincide: no solution for any positive coupling")
 
 
 def test_eb_anchor_failure_cites_the_gate_first(sphere16):
@@ -682,7 +688,7 @@ def test_eb_anchor_failure_cites_the_gate_first(sphere16):
     assert report.failure_reason is FailureReason.MAX_ITERS
     assert report.alpha_reached == 0.0
     assert report.message == (
-        "no solution at this coupling: divisor is not polystable (witness point index 0); "
+        "Theorem 3.8: all 2 zeros coincide: no solution for any positive coupling; "
         f"residual {report.final_residual:.3e} after 1 iterations"
     )
 
@@ -701,6 +707,86 @@ def test_identity_failure_has_its_own_reason(monkeypatch, torus24, torus24_secti
     assert report.failure_reason is FailureReason.IDENTITY_FAILURE
     assert "integral identities" in report.message
     assert report.to_dict()["failure_reason"] == "IdentityFailure"
+
+
+# every certificate condition rejects a real non-solution, with nothing patched
+
+
+def test_a_loose_newton_tol_fails_the_degree_identity(torus24, torus24_section):
+    _, report = solve_vortex(torus24, torus24_section, 2.5, SolverConfig(newton_tol=1e-3))
+    assert report.final_residual <= 1e-3
+    assert report.failure_reason is FailureReason.IDENTITY_FAILURE
+    ident = report.identity
+    assert abs(ident.degree_identity) > solvers.DEGREE_IDENTITY_TOL
+    assert abs(ident.volume_identity) <= solvers.VOLUME_IDENTITY_TOL and ident.min_density > 0.0
+
+
+def test_a_loose_newton_tol_fails_the_volume_identity(sphere16, antipodal_section16):
+    _, report = solve_eb(sphere16, antipodal_section16, 8.0, SolverConfig(newton_tol=1e-5))
+    assert report.final_residual <= 1e-5
+    assert report.failure_reason is FailureReason.IDENTITY_FAILURE
+    ident = report.identity
+    assert abs(ident.volume_identity) > solvers.VOLUME_IDENTITY_TOL
+    assert abs(ident.degree_identity) <= solvers.DEGREE_IDENTITY_TOL and ident.min_density > 0.0
+
+
+def test_a_metric_that_is_not_positive_fails_the_certificate(torus24, torus24_section):
+    # at alpha = 0 on the torus c = 0, so W = 1 whatever v is and a constant f meets the
+    # degree identity: only the metric 1 - Delta v, negative where Delta v > 1, is wrong
+    spec = ProblemSpec(torus24, torus24_section, 2.5, EquationKind.GRAVITATING, 0.0)
+    wq, a = torus24.quad_weights, torus24_section.norm_sq.values
+    f0 = 0.5 * math.log((TWO_PI * 2.5 - 2.0 * TWO_PI) / float(np.dot(wq, a)))
+    v = 0.5 * np.cos(2.0 * math.pi * torus24.node_coords[:, 0])
+    state = make_state(spec, np.full(torus24.n_nodes, f0), v - np.average(v, weights=wq))
+    report = solvers._certify(solvers._LoopResult(state, 0, 0.0, None), 0.0, None)
+    assert report.failure_reason is FailureReason.IDENTITY_FAILURE
+    ident = report.identity
+    assert ident.min_density < 0.0 and math.isnan(ident.gauss_bonnet)
+    assert abs(ident.degree_identity) <= solvers.DEGREE_IDENTITY_TOL
+    assert abs(ident.volume_identity) <= solvers.VOLUME_IDENTITY_TOL
+
+
+def test_gauss_bonnet_holds_off_solutions(sphere16, antipodal_section16):
+    # the spectral Laplacian integrates to zero: Gauss-Bonnet certifies nothing
+    spec = ProblemSpec(sphere16, antipodal_section16, 8.0, EquationKind.EINSTEIN_BOGOMOLNYI,
+                       1.0 / 16.0, c_prime=0.3)
+    state = make_state(spec, np.random.default_rng(0).standard_normal(sphere16.n_nodes))
+    ident = equations.identity_report(state)
+    assert abs(ident.gauss_bonnet) <= 1e-10
+    assert abs(ident.degree_identity) > 1.0
+    assert not solvers._certify(solvers._LoopResult(state, 0, 0.0, None), 0.0, None).converged
+
+
+def _gate_case(tag):
+    """(oracle genus, section, tau, alpha, solve) for data the oracle rules out with ``tag``."""
+    torus, sphere = build_grid("torus", 24), build_grid("sphere", 16)
+    one = build_section(torus, Divisor(((0.25, 0.25),), (1,)))
+    if tag == "Theorem 3.2":
+        return 1, one, 1.8, 0.0, lambda: solve_vortex(torus, one, 1.8)
+    if tag == "degree identity":
+        return 1, one, 2.0, 0.035, lambda: solve_gravitating(torus, one, 2.0, 0.035)
+    if tag == "Theorem 3.6":
+        antipodal = build_section(sphere, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1)))
+        return 0, antipodal, 4.0, 0.03, lambda: solve_gravitating(sphere, antipodal, 4.0, 0.03)
+    if tag == "Theorem 3.6 witness":
+        unstable = build_section(sphere, Divisor(((0.0, 0.0), (1.0, 0.0)), (3, 1)))
+        return 0, unstable, 12.0, 1.0 / 48.0, lambda: solve_eb(
+            sphere, unstable, 12.0, SolverConfig(max_newton_iters=10))
+    superimposed = build_section(sphere, Divisor(((0.0, 0.0),), (2,)))
+    return 0, superimposed, 8.0, 1.0 / 16.0, lambda: solve_eb(sphere, superimposed, 8.0)
+
+
+@pytest.mark.parametrize("tag", ["Theorem 3.2", "degree identity", "Theorem 3.6",
+                                 "Theorem 3.6 witness", "Theorem 3.8"])
+def test_a_report_on_ruled_out_data_quotes_the_oracle_once(tag):
+    genus, section, tau, alpha, solve = _gate_case(tag)
+    verdict = stability.existence_oracle(genus, section.divisor, tau, alpha)
+    assert verdict.verdict is stability.ExistenceVerdict.NOT_EXISTS
+    assert verdict.theorem_tag == tag.replace(" witness", "")
+    _, report = solve()
+    assert not report.converged
+    assert report.message.startswith(f"{verdict.theorem_tag}: {verdict.reason}")
+    assert report.message.count(verdict.theorem_tag) == 1
 
 
 def test_gravitating_sphere_unstable_stalls(monkeypatch, sphere16):
@@ -944,7 +1030,8 @@ def test_a_failed_existence_gate_is_not_sequenced(monkeypatch):
     grid = build_grid("sphere", 48)
     section = build_section(grid, Divisor(((0.0, 0.0),), (2,)))
     _, report = solve_eb(grid, section, 8.0, SolverConfig(max_newton_iters=1))
-    assert "polystable" in report.message and report.coarse_resolution is None
+    assert report.message.count("Theorem 3.8: all 2 zeros coincide") == 1
+    assert report.coarse_resolution is None
 
 
 _GATE_POINTS = {"sphere": ((0.0, 0.0), POINT_AT_INFINITY, (1.0, 0.0), (0.5, 0.3)),

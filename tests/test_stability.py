@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gravortex.sections import Divisor
 from gravortex.stability import (
     ExistenceVerdict,
+    _frac,
     StabilityVerdict,
     alpha_star,
     bradlow_bound,
@@ -325,3 +326,45 @@ def test_oracle_never_contradicts_bradlow_at_genus0(mults, tau_num, alpha_num):
         assert bradlow_check(n, tau)
         if alpha > 0:
             assert classify_multiplicities(mults).verdict is not StabilityVerdict.UNSTABLE
+
+
+def test_exact_inputs_are_checked():
+    with pytest.raises(TypeError, match="boolean"):
+        _frac(True)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            _frac(bad)
+    with pytest.raises(TypeError, match="rational number"):
+        _frac([1])
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        existence_oracle(-1, [1], 8, Fraction(1, 16))
+    for mults in ([], [0], [2, -1]):
+        with pytest.raises(ValueError, match="effective with positive degree"):
+            existence_oracle(0, mults, 8, Fraction(1, 16))
+    for tau in (0, -2):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            existence_oracle(0, [1, 1], tau, Fraction(1, 16))
+    with pytest.raises(ValueError, match="ranks must be nonnegative"):
+        sigma_slope((-1, 2, 0, 0), 1)
+
+
+def test_oracle_reasons_print_float_bounds_as_floats():
+    # a bound computed from a float prints as that float, not as its binary fraction
+    tau = 1.8458622466791834
+    rep = existence_oracle(0, [1], tau, 0.0)
+    assert rep.reason == "decoupled case: degree bound fails (N=1 >= 0.9229311233395917)"
+    rep = existence_oracle(1, [1], tau, 0.035)
+    assert rep.reason == "degree bound fails (N=1 >= 0.9229311233395917)"
+    rep = existence_oracle(2, [1], 4.5, 0.01)
+    assert rep.reason == f"higher genus with 0 < N < tau/2 and alpha <= {2 / (4.5 * 2.5)}"
+    # exact inputs keep their exact rationals, and the decision stays exact
+    rep = existence_oracle(0, [1], "37/20", 0)
+    assert rep.reason == "decoupled case: degree bound fails (N=1 >= 37/40)"
+    assert existence_oracle(2, [1], 4, Fraction(1, 8)).reason.endswith("alpha <= 1/4")
+    assert existence_oracle(0, [1, 1], 4.0, 0.01).verdict is ExistenceVerdict.NOT_EXISTS
+
+
+def test_oracle_names_the_witness_of_an_unstable_divisor():
+    rep = existence_oracle(0, [1, 3], 12, Fraction(1, 100))
+    assert rep.theorem_tag == "Theorem 3.6"
+    assert rep.reason == "divisor is not polystable (witness point index 1)"
