@@ -15,20 +15,23 @@ volume/mean constraints:
   Delta v integrates to zero).
 
 One GMRES cycle (``gmres``) solves the right-preconditioned J P y = -R, gauge
-row scaled by sqrt(n_nodes) so that the 2-norm it minimises is the Armijo
-merit's, to an Eisenstat-Walker forcing tolerance capped at eta_max (inexact
-Newton-Krylov; see ``_forcing``); d = P y, P the spectral (Delta + shift)^{-1}
-per field block, is assembled from the P v_j the Krylov loop keeps.
-Delta P = I - shift P makes J P y one transform call for all field blocks (on
-the sphere exactly for band-limited y; the operator passes the rest of y through
-and P drops it), and the true residual J d + R no transform at all.  Armijo
-backtracking on (1/2)||R||^2 (background L2) damps d.
+row scaled by sqrt(n_nodes) so that, on the torus (uniform quadrature weights),
+the 2-norm it minimises is the Armijo merit's, to an Eisenstat-Walker forcing
+tolerance capped at eta_max (inexact Newton-Krylov; see ``_forcing``); d = P y,
+P the spectral (Delta + shift)^{-1} per field block, is assembled from the P v_j
+the Krylov loop keeps.  Delta P = I - shift P makes J P y one transform call for
+all field blocks (on the sphere exactly for band-limited y; the operator passes
+the rest of y through and P drops it), and the true residual J d + R no transform
+at all.  Armijo backtracking on (1/2)||R||^2 (background L2) damps d.  When the
+full step fails, one product J d with the true Laplacian gives the merit's slope
+<R, J d>; a slope not below -2 sigma (1/2)||R||^2 admits no Armijo step (Dennis &
+Schnabel 1996, 6.3), and the step ends there, without halving t to the floor.
 
 Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
 (nonlinearity exponent beyond the guard, or a residual 2-norm beyond the float
-range), StepFloor (backtracking collapsed), NoSolution (the residual converged
-but the exact existence gate rules a solution out), IdentityFailure (the
-residual converged but the integral identities fail at the converged state).
+range), StepFloor (backtracking collapsed, or no descent), NoSolution (the
+residual converged but the exact existence gate rules a solution out),
+IdentityFailure (the integral identities fail at the residual-converged state).
 A MaxIters or StepFloor message names the GMRES exit code (1) when the last
 linear solve stopped short of its tolerance.
 Reports are certified: ``converged`` additionally requires the degree and volume
@@ -262,12 +265,15 @@ class _NewtonSystem:
         return vec
 
     @np.errstate(over="ignore")  # a blown-up trial's merit is inf, and the trial is rejected
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """The merit's inner product: L2 on the field rows, 2 pi times the gauge rows' product."""
+        wq, k = self.grid.quad_weights, self.field_rows
+        fields = sum(float(np.dot(wq, row)) for row in (a[:k] * b[:k]).reshape(-1, self.n))
+        return fields + TWO_PI * float(np.dot(a[k:], b[k:]))
+
     def merit(self, vec: np.ndarray) -> float:
-        """(1/2) ||vec||^2: L2 on the field rows, 2 pi times the square on the gauge row."""
-        wq = self.grid.quad_weights
-        total = sum(float(np.dot(wq, r * r)) for r in vec[: self.field_rows].reshape(-1, self.n))
-        gauge = vec[self.field_rows :]
-        return 0.5 * (total + TWO_PI * float(np.dot(gauge, gauge)))
+        """(1/2) <vec, vec>; of the residual r, along a direction d, its slope is <r, J d>."""
+        return 0.5 * self.inner(vec, vec)
 
     def apply_update(self, x: np.ndarray, t: float) -> _NewtonSystem:
         """The system at the iterate moved by t times the Newton direction x, v re-centred to
@@ -359,8 +365,9 @@ def newton_step(state: FieldState, _system=None, rtol: float = _ETA_MAX):
 
     Returns (new_state, info) where info records residual_norm (sup norm over
     every row of the bordered residual), new_residual_norm, step_scale (0.0
-    when no step was taken), flag in {None, "overflow", "step_floor"} ("overflow"
-    also when the merit of the residual is not finite),
+    when no step was taken), flag in {None, "overflow", "no_descent", "step_floor"}
+    ("overflow" also when the merit of the residual is not finite; "no_descent" when the
+    full step fails and the merit's slope along d is not below -2 sigma theta0),
     krylov_info (the exit code of the one GMRES cycle: 0 when the true linear
     residual meets rtol, else 1; None when no linear solve ran), and system,
     the Newton system at new_state (the next step reuses it).
@@ -383,6 +390,11 @@ def newton_step(state: FieldState, _system=None, rtol: float = _ETA_MAX):
             if sys.merit(r2) <= (1.0 - 2.0 * _ARMIJO_CONSTANT * t) * theta0:
                 info.update(new_residual_norm=sup2, step_scale=t, system=trial)
                 return trial.state, info
+        # the merit's exact slope along d, from the true Laplacian (krylov_apply's product passes
+        # out-of-band content through): no small t passes Armijo unless it is below -2 sigma theta0
+        if t == 1.0 and sys.inner(r, sys.matvec(d)) >= -2.0 * _ARMIJO_CONSTANT * theta0:
+            info["flag"] = "no_descent"
+            return state, info
         t *= 0.5
         if t < _STEP_FLOOR:
             info["flag"] = "step_floor"
@@ -402,6 +414,7 @@ _FLAG_FAILURES = {
     "overflow": (FailureReason.OVERFLOW, "nonlinearity exponent exceeded the overflow guard"),
     "step_floor": (FailureReason.STEP_FLOOR,
                    "backtracking line search collapsed below the step floor"),
+    "no_descent": (FailureReason.STEP_FLOOR, "Newton direction does not descend the merit"),
 }
 
 

@@ -178,7 +178,61 @@ def test_step_floor_names_gmres_exit_code(monkeypatch, torus24, torus24_section)
                        kind=EquationKind.VORTEX)
     _, info = newton_step(initial_state(spec))
     assert info["krylov_info"] == 1
-    assert info["flag"] == "step_floor"
+    # d = 0 has slope 0: the step ends after its full-step trial, without backtracking
+    assert info["flag"] == "no_descent" and info["step_scale"] == 0.0
+    assert report.message.startswith("Newton direction does not descend the merit")
+
+
+def _vortex_n3(grid):
+    """The sphere vortex N=3 (points (0,0), infinity and (1,0)) at tau = 12."""
+    return build_section(grid, Divisor(((0.0, 0.0), POINT_AT_INFINITY, (1.0, 0.0)), (1, 1, 1)))
+
+
+def test_non_descent_direction_ends_the_step_after_one_trial(monkeypatch, sphere24):
+    # at L=24 the iterate reaches a residual floor (3.3e-10) that no Newton direction descends:
+    # the last step once ran 26 trials, halving t down to the step floor
+    steps, trials = [], []
+    step, update = solvers.newton_step, solvers._NewtonSystem.apply_update
+
+    def counted_update(self, x, t):
+        trials[-1] += 1
+        return update(self, x, t)
+
+    def traced_step(*args, **kwargs):
+        trials.append(0)
+        out = step(*args, **kwargs)
+        steps.append((out[1]["step_scale"], out[1]["flag"]))
+        return out
+
+    monkeypatch.setattr(solvers._NewtonSystem, "apply_update", counted_update)
+    monkeypatch.setattr(solvers, "newton_step", traced_step)
+    _, report = solve_vortex(sphere24, _vortex_n3(sphere24), 12.0)
+    assert report.failure_reason is FailureReason.STEP_FLOOR and report.iterations == 6
+    assert report.message == "Newton direction does not descend the merit"
+    assert report.final_residual < 1e-9
+    # a descending direction still backtracks: the first step halves once, to t = 1/2
+    assert steps[0] == (0.5, None) and trials[0] == 2
+    assert steps[-1] == (0.0, "no_descent") and trials[-1] == 1
+
+
+def test_merit_slope_needs_the_true_laplacian(sphere24):
+    # at the floor state GMRES meets its tolerance, and its own product J P y reads the slope
+    # as -2 theta0; the true Laplacian of d = P y sees the out-of-band residual it leaves
+    state, _ = solve_vortex(sphere24, _vortex_n3(sphere24), 12.0)
+    system = solvers._NewtonSystem(state.spec, state.f.values)
+    r, _ = system.residual_vector()
+    theta0, applied = system.merit(r), []
+
+    def traced(y, x=None):
+        applied.append(y.copy())
+        return system.krylov_apply(y, x)
+
+    d, code = solvers.gmres(traced, system.krylov_scale(-r), solvers._ETA_MAX)
+    assert code == 0
+    slope = system.inner(r, system.matvec(d))
+    krylov_slope = system.inner(r, system.krylov_apply(applied[-1], d)[1])
+    assert krylov_slope == pytest.approx(-2.0 * theta0, rel=1e-3)
+    assert slope >= -2.0 * solvers._ARMIJO_CONSTANT * theta0
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +338,28 @@ def test_krylov_operator_is_identity_out_of_band_on_sphere(kind):
     assert np.max(np.abs(gap - (y - band))) < 1e-12
 
 
+@pytest.mark.parametrize("model,resolution,kind", [
+    ("torus", 16, "vortex"), ("torus", 16, "gravitating"),
+    ("sphere", 8, "vortex"), ("sphere", 8, "gravitating"), ("sphere", 8, "eb")])
+def test_merit_slope_is_its_directional_derivative(model, resolution, kind):
+    # <r, J d> in the merit's inner product against a central difference of the merit
+    # along the Newton direction d, every unknown moved (v is not re-centred)
+    system = _unsolved_system(model, resolution, kind)
+    r, _ = system.residual_vector()
+    d, _ = solvers.gmres(system.krylov_apply, system.krylov_scale(-r), solvers._ETA_MAX)
+    df, dv, dc = system._split(d)
+
+    def merit_at(h):
+        moved = solvers._NewtonSystem(system.spec, system.f + h * df, system.v + h * dv,
+                                      system.c_prime + h * dc)
+        return moved.merit(moved.residual_vector()[0])
+
+    h = 1e-5
+    slope = system.inner(r, system.matvec(d))
+    assert slope < 0.0
+    assert (merit_at(h) - merit_at(-h)) / (2.0 * h) == pytest.approx(slope, rel=1e-8)
+
+
 def _spy_krylov(monkeypatch, seen):
     """Wrap solvers.lgmres so that ``seen`` gets each solve's (system, b, rtol, d, code), the
     arguments of every operator application, in order, and each solve's count of Krylov
@@ -321,7 +397,9 @@ def test_newton_step_applies_jacobian_once_per_krylov_iteration(monkeypatch, mod
     residuals = len(seen["applies"]) - iterations
     assert iterations > 1 and residuals == 1  # one cycle, one true residual
     assert all(y.any() for y, _ in seen["applies"])  # no zero start vector is applied
-    assert counts["matvec"] == iterations + residuals
+    # and one slope product J d when the full step is rejected (sphere-8's first step)
+    assert counts["matvec"] == iterations + residuals + (info["step_scale"] < 1.0)
+    assert (info["step_scale"] < 1.0) == (model == "sphere")
     # d comes from the stored P v_j: no P beyond one per Krylov iteration
     assert counts["precond"] == iterations
 
@@ -440,6 +518,25 @@ def test_a_singular_jacobian_ends_in_step_floor(monkeypatch, torus24, torus24_se
     assert report.message.endswith("(last GMRES exit code 1)")
 
 
+def test_a_descending_direction_still_backtracks_to_the_step_floor(monkeypatch, torus24,
+                                                                    torus24_section):
+    # every trial overflows, but the Newton direction descends: t halves down to the floor
+    update, ts = solvers._NewtonSystem.apply_update, []
+
+    def overflowed(self, x, t):
+        ts.append(t)
+        trial = update(self, x, t)
+        trial.overflow = True
+        return trial
+
+    monkeypatch.setattr(solvers._NewtonSystem, "apply_update", overflowed)
+    spec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
+                       kind=EquationKind.VORTEX)
+    _, info = newton_step(initial_state(spec))
+    assert info["flag"] == "step_floor" and info["krylov_info"] == 0
+    assert ts == [2.0**-k for k in range(26)]
+
+
 def test_gmres_never_reports_an_unmet_tolerance_as_converged(monkeypatch, torus32):
     # below the degree bound (verdicts class vortex_below_bound, N = 1, tau = 1.83): at the
     # fifth Newton step the Arnoldi estimate meets rtol while the true residual is ~5e9
@@ -473,7 +570,7 @@ def test_importing_the_package_leaves_scipy_out():
 
 def test_line_search_evaluates_the_nonlinearity_once_per_trial(monkeypatch, torus24,
                                                                 torus24_section):
-    # below the degree bound the steps backtrack, several trials each, down to the step floor
+    # below the degree bound some steps backtrack, several trials each, until no direction descends
     spec = ProblemSpec(grid=torus24, section=torus24_section, tau=1.85,
                        kind=EquationKind.VORTEX)
     state = initial_state(spec)
@@ -516,7 +613,9 @@ def test_line_search_evaluates_the_nonlinearity_once_per_trial(monkeypatch, toru
         if info["flag"] is not None:
             break
         system = info["system"]
-    assert info["flag"] == "step_floor" and max(per_step) > 1 and len(per_step) > 1
+    # the last direction cannot descend the merit: one trial, no halving to the floor
+    assert info["flag"] == "no_descent" and per_step[-1] == 1
+    assert max(per_step) > 1 and len(per_step) > 1
 
 
 def test_merit_of_a_blown_up_trial_is_inf_without_warnings(torus24, torus24_section):
