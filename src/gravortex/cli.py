@@ -195,7 +195,6 @@ _FORMAT = {
     "sigma": ("sigma", _nullable(_canonical_real)),
     "output.record_path": ("record_path", _nullable(_path_string)),
     "output.fields_csv": ("fields_csv", _nullable(_path_string)),
-    "output.sweep_jsonl": ("sweep_jsonl", _nullable(_path_string)),
     "output.summary_csv": ("summary_csv", _path_string),
 }
 
@@ -226,7 +225,6 @@ class RunConfig:
     solver: SolverConfig = SolverConfig()
     record_path: Optional[str] = None
     fields_csv: Optional[str] = None
-    sweep_jsonl: Optional[str] = None
     summary_csv: str = "sweep_summary.csv"
 
     @property
@@ -503,9 +501,6 @@ def _load_config(args, command: str) -> RunConfig:
             flags["triple"] = [int(p) for p in parts]
         except ValueError:
             raise ConfigError("--triple", "expected four integers") from None
-    if getattr(args, "record", None) is not None:
-        sweep = command == "SweepAlpha"
-        flags["output.sweep_jsonl" if sweep else "output.record_path"] = args.record
     for path, value in flags.items():
         _set_path(data, path, value)
     for pair in args.set or []:
@@ -550,7 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
     surface(p)
     p.add_argument("--alpha")
     p.add_argument("--fields-csv", dest="output.fields_csv", metavar="FIELDS_CSV")
-    p.add_argument("--record", help="also write the record to this path")
+    p.add_argument("--record", dest="output.record_path", metavar="RECORD",
+                   help="also write the record to this path")
 
     p = sub.add_parser("sweep", help="warm-started sweep over couplings")
     common(p)
@@ -558,7 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", dest="alpha_values", metavar="ALPHAS",
                    type=lambda text: [a for a in text.split(",") if a],
                    help="comma-separated couplings starting at 0")
-    p.add_argument("--record", help="JSONL output path")
+    p.add_argument("--record", dest="output.record_path", metavar="RECORD",
+                   help="JSONL output path")
     p.add_argument("--summary-csv", dest="output.summary_csv", metavar="SUMMARY_CSV")
 
     p = sub.add_parser("triple", help="slope arithmetic for holomorphic triples")
@@ -592,9 +589,8 @@ def main(argv: Optional[list] = None) -> int:
         # _record wrote non-finite floats as None, so the records are strict JSON
         text = "".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records)
         print(text, end="")
-        path = config.sweep_jsonl if sweep else config.record_path
-        if path is not None:
-            with open(path, "w") as handle:
+        if config.record_path is not None:
+            with open(config.record_path, "w") as handle:
                 handle.write(text)
         if sweep:
             _write_summary(records, config.summary_csv)

@@ -41,12 +41,14 @@ NotExists, residual-small iterates are collapse artefacts: the report says NoSol
 and quotes the oracle's theorem tag and reason once.  The gate only decides whether a
 solve is sequenced and certifies it; it never cuts a solve short.
 
-Gravitating and EB solves run through one driver, ``_solve_coupled``.  Data that
-pass the gate at alpha > 0, on a grid of resolution >= 48, start with one Newton loop
-at the target alpha on the quarter grid; else, or on failure, it continues in alpha
-(Allgower & Georg, 2003) from the vortex solution at alpha = 0 through the fixed
+Gravitating and EB solves pose their target ``ProblemSpec`` once and run through one
+driver, ``_solve_coupled``; every stage poses a ``dataclasses.replace`` of that target.
+Data that pass the gate at alpha > 0, on a grid of resolution >= 48, start with one
+Newton loop at the target on the quarter grid; else, or on failure, it continues in
+alpha (Allgower & Georg, 2003) from the vortex solution at alpha = 0 through the fixed
 targets alpha/4, alpha/2, 3 alpha/4 and alpha, each posed from the secant through the
-last two certified states, failed steps bisected.
+last two certified states, failed steps bisected.  ``ProblemSpec`` validates the
+coupling, so a bad alpha is rejected before any Newton loop runs.
 """
 
 from __future__ import annotations
@@ -527,18 +529,14 @@ def solve_vortex(
     return loop.state, _certify(loop, 0.0, _existence_gate(section, tau, 0.0))
 
 
-def _continue_in_alpha(
-    anchor: FieldState,
-    kind: EquationKind,
-    alpha: float,
-    config: SolverConfig,
-) -> tuple[FieldState, float, _LoopResult, int]:
-    """March the anchor state to alpha through the targets alpha * k / _ALPHA_STEPS.
+def _continue_in_alpha(anchor: FieldState, problem: ProblemSpec,
+                       config: SolverConfig) -> tuple[FieldState, float, _LoopResult, int]:
+    """March the anchor state to ``problem``'s alpha through the targets alpha * k / _ALPHA_STEPS.
 
-    The anchor is the solution at alpha = 0, solved by the caller; an attempt
-    poses a ``kind`` problem at its coupling from (f, v, c') extrapolated along
-    the secant through the last two certified states (or from the anchor).  A
-    failed attempt is bisected, at most _MAX_STEP_HALVINGS times in all.
+    The anchor is the solution at alpha = 0, solved by the caller; an attempt poses
+    ``problem`` at its coupling, from (f, v, c') extrapolated along the secant through
+    the last two certified states (or from the anchor).  A failed attempt is bisected,
+    at most _MAX_STEP_HALVINGS times in all.
     """
     state = prev = anchor
     reached = 0.0
@@ -546,12 +544,12 @@ def _continue_in_alpha(
     total_iters = 0
     last = _LoopResult(anchor, 0, 0.0, None)
     for k in range(1, _ALPHA_STEPS + 1):
-        target = alpha * k / _ALPHA_STEPS
+        target = problem.alpha * k / _ALPHA_STEPS
         attempt = target
         while reached < target:
             ratio = (attempt - reached) / (reached - prev.spec.alpha) if state is not prev else 0.0
             c = state.spec.c_prime + ratio * (state.spec.c_prime - prev.spec.c_prime)
-            trial = make_state(replace(state.spec, kind=kind, alpha=attempt, c_prime=c),
+            trial = make_state(replace(problem, alpha=attempt, c_prime=c),
                                *(a.values + ratio * (a.values - b.values)
                                  for a, b in ((state.f, prev.f), (state.v, prev.v))))
             loop = _newton_loop(trial, config)
@@ -570,37 +568,33 @@ def _continue_in_alpha(
     return state, reached, last, total_iters
 
 
-def _solve_coupled(
-    grid: SurfaceGrid,
-    section: SectionData,
-    tau: float,
-    kind: EquationKind,
-    alpha: float,
-    config: SolverConfig,
-) -> tuple[FieldState, SolveReport]:
-    """Solve a ``kind`` problem at alpha, sequenced or continued from the vortex anchor.
+def _solve_coupled(target: ProblemSpec, config: SolverConfig) -> tuple[FieldState, SolveReport]:
+    """Solve the ``target`` problem, sequenced or continued from the vortex anchor.
 
-    Data that pass ``_existence_gate`` at alpha > 0 are first solved through
-    ``grid.quarter_grid`` when ``grid``'s resolution is >= 48 (``_solve_sequenced``).  Else, or
-    should that fail, one Newton loop solves the vortex anchor, which is continued to alpha
+    Every stage poses a ``replace`` of ``target``.  Data that pass ``_existence_gate`` at
+    alpha > 0 are first solved through the quarter grid when the target grid's resolution is
+    >= 48 (``_solve_sequenced``).  Else, or should that fail, one Newton loop solves the
+    vortex anchor (``target`` at kind vortex and alpha = 0), which is continued to the target
     (``_continue_in_alpha``) when alpha > 0 and the anchor certifies against the alpha = 0
     gate.  The last certified state, or else the anchor, is certified once against the gate
     at alpha, so a report on data the oracle rules out quotes its verdict once.
     """
+    section, tau, alpha = target.section, target.tau, target.alpha
     gate = _existence_gate(section, tau, alpha)
-    sequenced, spent = (_solve_sequenced(grid, section, tau, kind, alpha, config)
-                        if gate is None and alpha > 0.0 and grid.resolution >= 48 else (None, 0))
+    sequenced, spent = (_solve_sequenced(target, config)
+                        if gate is None and alpha > 0.0 and target.grid.resolution >= 48
+                        else (None, 0))
     if sequenced is not None:
         return sequenced
-    spec = ProblemSpec(grid=grid, section=section, tau=tau, kind=EquationKind.VORTEX)
-    loop = _newton_loop(initial_state(spec), config)
+    loop = _newton_loop(initial_state(replace(target, kind=EquationKind.VORTEX, alpha=0.0)),
+                        config)
     loop.iterations += spent
     state, reached = loop.state, 0.0
-    if kind is EquationKind.GRAVITATING:
-        state = FieldState(state.f, state.v, replace(state.spec, kind=kind))
+    if target.kind is EquationKind.GRAVITATING:
+        state = FieldState(state.f, state.v, replace(state.spec, kind=target.kind))
     anchor_gate = _existence_gate(section, tau, 0.0)
     if alpha > 0.0 and loop.failure is None and _certify(loop, 0.0, anchor_gate).converged:
-        state, reached, last, iters = _continue_in_alpha(state, kind, alpha, config)
+        state, reached, last, iters = _continue_in_alpha(state, target, config)
         message = last.message
         if last.failure is not None:
             message = f"continuation stalled at alpha = {reached} (target {alpha}): {message}"
@@ -609,18 +603,20 @@ def _solve_coupled(
     return state, _certify(loop, reached, gate)
 
 
-def _solve_sequenced(grid, section, tau, kind, alpha, config):
-    """(solve, Newton steps run): one Newton loop at alpha from ``initial_state`` on
-    ``grid.quarter_grid``, its unknown fields prolonged to ``grid`` and finished and certified
-    there by one Newton loop; the solve is None when either stage fails."""
+def _solve_sequenced(target: ProblemSpec, config: SolverConfig):
+    """(solve, Newton steps run): one Newton loop from ``initial_state`` of ``target`` posed on
+    its grid's quarter grid, its unknown fields prolonged to the target grid and finished and
+    certified there by one Newton loop at the coarse c'; the solve is None when either stage
+    fails."""
+    grid, section = target.grid, target.section
     cgrid = grid.quarter_grid
     csection = build_section(cgrid, section.divisor)
     csection = rescale(csection, 0.5 * (section.normalization - csection.normalization))
-    coarse = _newton_loop(initial_state(ProblemSpec(cgrid, csection, tau, kind, alpha)), config)
-    if not _certify(coarse, alpha, None).converged:
+    coarse = _newton_loop(initial_state(replace(target, grid=cgrid, section=csection)), config)
+    if not _certify(coarse, target.alpha, None).converged:
         return None, coarse.iterations
-    spec = replace(coarse.state.spec, grid=grid, section=section)
-    if kind is EquationKind.GRAVITATING:
+    spec = replace(target, c_prime=coarse.state.spec.c_prime)
+    if target.kind is EquationKind.GRAVITATING:
         f, v = prolong(np.stack([coarse.state.f.values, coarse.state.v.values]), cgrid, grid)
         mean = float(np.dot(grid.quad_weights, v)) / TWO_PI  # a gauge move, as in apply_update
         v, spec = v - mean, replace(spec, c_prime=spec.c_prime - spec.c * mean)
@@ -628,15 +624,8 @@ def _solve_sequenced(grid, section, tau, kind, alpha, config):
         f, v = prolong(coarse.state.f.values, cgrid, grid), None
     loop = _newton_loop(make_state(spec, f, v), config)
     loop.iterations += coarse.iterations
-    report = replace(_certify(loop, alpha, None), coarse_resolution=cgrid.resolution)
+    report = replace(_certify(loop, target.alpha, None), coarse_resolution=cgrid.resolution)
     return (loop.state, report) if report.converged else None, loop.iterations
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError("alpha must be finite and >= 0")
-    return alpha
 
 
 def solve_gravitating(
@@ -654,8 +643,7 @@ def solve_gravitating(
     3 alpha/4 and alpha, each target posed (c = chi - 2*alpha*tau*N) from the secant
     prediction of (f, v, c'), failed steps bisected (``_continue_in_alpha``).
     """
-    alpha = _check_alpha(alpha)
-    return _solve_coupled(grid, section, tau, EquationKind.GRAVITATING, alpha, config)
+    return _solve_coupled(ProblemSpec(grid, section, tau, EquationKind.GRAVITATING, alpha), config)
 
 
 def advance_gravitating(
@@ -670,11 +658,10 @@ def advance_gravitating(
     continuation targets, and certifies against the existence gate.  When the Newton
     loop fails, ``alpha_reached`` is the seed's coupling, the last value certified.
     """
-    alpha = _check_alpha(alpha)
     spec = replace(state.spec, kind=EquationKind.GRAVITATING, alpha=alpha)
     loop = _newton_loop(FieldState(state.f, state.v, spec), config)
-    reached = alpha if loop.failure is None else state.spec.alpha
-    return loop.state, _certify(loop, reached, _existence_gate(spec.section, spec.tau, alpha))
+    reached = spec.alpha if loop.failure is None else state.spec.alpha
+    return loop.state, _certify(loop, reached, _existence_gate(spec.section, spec.tau, spec.alpha))
 
 
 def solve_eb(
@@ -697,4 +684,5 @@ def solve_eb(
     if not stability.bradlow_check(n, tau):
         raise ValueError(f"solve_eb requires N < tau/2 (got N = {n}, tau = {tau})")
     alpha_eb = float(stability.eb_coupling(tau, n))
-    return _solve_coupled(grid, section, tau, EquationKind.EINSTEIN_BOGOMOLNYI, alpha_eb, config)
+    return _solve_coupled(ProblemSpec(grid, section, tau, EquationKind.EINSTEIN_BOGOMOLNYI,
+                                      alpha_eb), config)

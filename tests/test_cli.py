@@ -76,7 +76,7 @@ def test_config_rejects_removed_linear_tol():
 
 
 @pytest.mark.parametrize("path", ["solver.armijo_constant", "solver.linear_maxiter",
-                                  "solver.divergence_norm", "warm_start"])
+                                  "solver.divergence_norm", "warm_start", "output.sweep_jsonl"])
 def test_config_rejects_removed_keys(path):
     # records written while these were config fields carry them; no caller set
     # them to a second value, so re-running such a record names the dropped key
@@ -87,7 +87,7 @@ def test_config_rejects_removed_keys(path):
     for part in parents:
         node = node[part]
     assert key not in node
-    node[key] = True if key == "warm_start" else 8
+    node[key] = {"warm_start": True, "sweep_jsonl": "sweep.jsonl"}.get(key, 8)
     with pytest.raises(ConfigError) as err:
         config_from_dict(record)
     assert err.value.path == path
@@ -195,8 +195,6 @@ def _config_flags():
 @pytest.mark.parametrize("subcommand,flag", _config_flags())
 def test_each_flag_equals_its_set_form(subcommand, flag):
     path, argument, json_value = _FLAG_FORMS[flag]
-    if (subcommand, flag) == ("sweep", "--record"):
-        path = "output.sweep_jsonl"
     command = _SUBCOMMANDS[subcommand]
     parser = _build_parser()
     by_flag = _load_config(parser.parse_args([subcommand, flag, argument]), command)
@@ -384,6 +382,8 @@ def test_sweep_subcommand(capsys, tmp_path):
     assert code == 0
     records = [json.loads(line) for line in jsonl.read_text().splitlines()]
     assert [r["config"]["alpha"] for r in records] == [0.0, 0.02, 0.04]
+    # one records destination for solve and sweep alike
+    assert {r["config"]["output"]["record_path"] for r in records} == {str(jsonl)}
     assert all(r["report"]["converged"] for r in records)
     rows = list(csv.reader(summary.open()))
     assert rows[0] == ["alpha", "converged", "final_residual", "min_density", "gauss_bonnet",

@@ -2,10 +2,11 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -724,15 +725,38 @@ def test_gravitating_negative_alpha_rejected(torus24, torus24_section):
         solve_gravitating(torus24, torus24_section, 2.5, -0.1)
 
 
+def _no_newton_loop(monkeypatch):
+    """Fail the test if any Newton loop runs."""
+    monkeypatch.setattr(solvers, "_newton_loop",
+                        lambda *args: pytest.fail("a Newton loop ran on rejected data"))
+
+
+# ProblemSpec's message for each rejected coupling, matched whole
+_BAD_ALPHA_MESSAGES = {"-0.1": "gravitating problems need alpha >= 0",
+                       "nan": "alpha must be finite, got nan",
+                       "inf": "alpha must be finite, got inf"}
+
+
 @pytest.mark.parametrize("alpha", [-0.1, math.nan, math.inf])
-def test_gravitating_coupling_must_be_finite(torus24, torus24_section, alpha):
-    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
-        solve_gravitating(torus24, torus24_section, 2.5, alpha)
+def test_gravitating_coupling_must_be_finite(monkeypatch, torus24, torus24_section, alpha):
     seed = initial_state(ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
                                      kind=EquationKind.VORTEX))
-    # rejected at the boundary, before a Newton step runs on non-finite data
-    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+    # rejected at the boundary, where ProblemSpec is built, before a Newton loop runs
+    _no_newton_loop(monkeypatch)
+    exact = f"^{re.escape(_BAD_ALPHA_MESSAGES[str(alpha)])}$"
+    with pytest.raises(ValueError, match=exact):
+        solve_gravitating(torus24, torus24_section, 2.5, alpha)
+    with pytest.raises(ValueError, match=exact):
         advance_gravitating(seed, alpha)
+
+
+@pytest.mark.parametrize("tau", [0.0, -8.0])
+def test_eb_rejects_a_non_positive_tau_before_any_newton_loop(monkeypatch, sphere16, tau):
+    section = build_section(sphere16, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1)))
+    _no_newton_loop(monkeypatch)
+    # the degree bound N < tau/2 is checked before the EB coupling 1/(tau N) is formed
+    with pytest.raises(ValueError, match=r"^solve_eb requires N < tau/2 "):
+        solve_eb(sphere16, section, tau)
 
 
 def test_gravitating_anchor_failure_is_the_vortex_report(torus24, torus24_section):
@@ -1174,6 +1198,47 @@ def test_sequenced_eb_prolongs_f_alone(monkeypatch):
     assert rows == [(build_grid("sphere", 12).n_nodes,)]  # one row: EB's v is not an unknown
     _, report = _torus_case(64)()
     assert report.converged and rows[1] == (2, build_grid("torus", 16).n_nodes)
+
+
+def _stage_changes(monkeypatch, solve, target):
+    """The ProblemSpec fields each Newton loop of the solve poses differently from ``target``
+    (grid and section by identity); each loop's spec must be ``target`` with those replaced."""
+    changes, loop = [], solvers._newton_loop
+
+    def spy(state, config):
+        spec = state.spec
+        changed = {f.name for f in fields(ProblemSpec) if f.init and not (
+            getattr(spec, f.name) is getattr(target, f.name)
+            or (f.name not in ("grid", "section")
+                and getattr(spec, f.name) == getattr(target, f.name)))}
+        assert spec == replace(target, **{name: getattr(spec, name) for name in changed})
+        changes.append(changed)
+        return loop(state, config)
+
+    monkeypatch.setattr(solvers, "_newton_loop", spy)
+    _, report = solve()
+    assert report.converged
+    return changes
+
+
+def test_every_stage_poses_the_target(monkeypatch):
+    # sequenced gravitating: the coarse stage moves the grid, the fine stage c' alone
+    grid = build_grid("torus", 48)
+    section = build_section(grid, Divisor(((0.1, 0.2), (0.6, 0.71)), (1, 1)))
+    target = ProblemSpec(grid, section, 6.0, EquationKind.GRAVITATING, 0.035)
+    changes = _stage_changes(monkeypatch, lambda: solve_gravitating(grid, section, 6.0, 0.035),
+                             target)
+    assert changes == [{"grid", "section"}, {"c_prime"}]
+    # cold EB: the vortex anchor, then continuation attempts at their alpha and secant c'
+    sphere = build_grid("sphere", 16)
+    section = build_section(sphere, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1)))
+    target = ProblemSpec(sphere, section, 8.0, EquationKind.EINSTEIN_BOGOMOLNYI,
+                         float(stability.eb_coupling(8.0, 2)))
+    changes = _stage_changes(monkeypatch, lambda: solve_eb(sphere, section, 8.0), target)
+    assert changes[0] == {"kind", "alpha"}
+    assert len(changes) >= 1 + solvers._ALPHA_STEPS
+    assert all(changed <= {"alpha", "c_prime"} for changed in changes[1:])
+    assert "alpha" not in changes[-1]  # the last attempt is posed at the target coupling
 
 
 @pytest.mark.parametrize("model,resolution,points,mults,tau,alpha", [
