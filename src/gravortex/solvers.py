@@ -14,18 +14,19 @@ volume/mean constraints:
   (the volume constraint is already the mean of the second equation, since
   Delta v integrates to zero).
 
-One GMRES cycle (``gmres``) solves the right-preconditioned J P y = -R, gauge
-row scaled by sqrt(n_nodes) so that, on the torus (uniform quadrature weights),
-the 2-norm it minimises is the Armijo merit's, to an Eisenstat-Walker forcing
-tolerance capped at eta_max (inexact Newton-Krylov; see ``_forcing``); d = P y,
-P the spectral (Delta + shift)^{-1} per field block, is assembled from the P v_j
-the Krylov loop keeps.  Delta P = I - shift P makes J P y one transform call for
-all field blocks (on the sphere exactly for band-limited y; the operator passes
-the rest of y through and P drops it), and the true residual J d + R no transform
-at all.  Armijo backtracking on (1/2)||R||^2 (background L2) damps d.  When the
-full step fails, one product J d with the true Laplacian gives the merit's slope
-<R, J d>; a slope not below -2 sigma (1/2)||R||^2 admits no Armijo step (Dennis &
-Schnabel 1996, 6.3), and the step ends there, without halving t to the floor.
+One GMRES cycle (``gmres``) solves the right-preconditioned J M y = -R, gauge row scaled
+by sqrt(n_nodes) so that, on the torus (uniform quadrature weights), the 2-norm it
+minimises is the Armijo merit's, to an Eisenstat-Walker forcing tolerance capped at
+eta_max (inexact Newton-Krylov; see ``_forcing``); d = M y is assembled from the M v_j the
+Krylov loop keeps.  M = P B^{-1}, P the spectral (Delta + shift)^{-1} per field block and
+B^{-1} one dot product that eliminates the c' border (Keller's bordering algorithm).
+Delta P = I - shift P makes J M y one transform call for all field blocks (on the sphere
+exactly for band-limited z = B^{-1} y; the operator passes the rest of z through and P
+drops it), and the true residual J d + R no transform at all.  Armijo backtracking on
+(1/2)||R||^2 (background L2) damps d.  When the full step fails, one product J d with the
+true Laplacian gives the merit's slope <R, J d>; a slope not below -2 sigma (1/2)||R||^2
+admits no Armijo step (Dennis & Schnabel 1996, 6.3), and the step ends there, without
+halving t to the floor.
 
 Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
 (nonlinearity exponent beyond the guard, or a residual 2-norm beyond the float
@@ -88,8 +89,8 @@ _ARMIJO_CONSTANT = 1e-4
 _KRYLOV_INNER = 30  # GMRES iterations per linear solve: one cycle, never restarted
 _DIVERGENCE_NORM = 1e6  # iterate sup norm beyond which a loop reports Divergence
 
-# Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 17, 1996).  eta_max = 0.5 and
-# 0.9 were measured worse: EB L=48 [0]+[inf] takes 29 and 38 steps against 24.
+# Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 17, 1996).  On one perfbench round (seed 4242)
+# eta_max = 0.5 and 0.9 take 676 and 681 Newton steps against 644 on `verdicts`, as many elsewhere.
 _EW_GAMMA = 0.9
 _EW_EXPONENT = 2.0
 _ETA_MAX = 0.1
@@ -161,7 +162,7 @@ class _NewtonSystem:
 
     The iterate is raw arrays f, v (None reads as 0) and c' (default: the
     spec's).  Construction evaluates the nonlinearity once and sets
-    ``overflow``; the Jacobian coefficients and shifts are built on first use,
+    ``overflow``; the Jacobian coefficients, shifts and border are built on first use,
     never for a rejected line-search trial; ``state`` is the validated
     ``FieldState``.  Block layout per kind: the f rows; the v rows when v is
     an unknown (gravitating); then the c' column and its gauge row
@@ -205,6 +206,23 @@ class _NewtonSystem:
         mults = [self._jacobian[1] - curv * w] + ([2.0 * s.c * w] if self.has_v else [])
         return tuple(max(1e-6, float(np.dot(wq, np.abs(m))) / TWO_PI) for m in mults)
 
+    @cached_property
+    def _border(self) -> Optional[tuple]:
+        """(col, row, pivot) of B = [[I, col], [row, corner]], D J P with its field block read as I:
+        col is J's c' column, corner the scaled gauge row's c' entry and row that row of J P on the
+        last field block, where its density lies (1 on v, W a on f for EB), P read as 1/shift on
+        constants: exact on mean(v), EB's density enters by its mean.  None without a border or a
+        finite nonzero pivot = corner - row col."""
+        if not self.bordered:
+            return None
+        w, wq, root = self.w, self.grid.quad_weights / TWO_PI, math.sqrt(self.n)
+        dens = 1.0 if self.has_v else float(np.dot(wq, w * self._jacobian[0]))
+        row = root * dens / self._shifts[-1] * wq
+        col = np.concatenate([(self._p - self.spec.tau) * w] + ([2.0 * w] if self.has_v else []))
+        corner = 0.0 if self.has_v else 2.0 * root * float(np.dot(wq, w))
+        pivot = corner - float(np.dot(row, col[-self.n :]))
+        return (col, row, pivot) if pivot and math.isfinite(pivot) else None
+
     def _split(self, x: np.ndarray):
         """(df, dv, dc) of a vector in the block layout; absent blocks read as 0."""
         n = self.n
@@ -242,22 +260,29 @@ class _NewtonSystem:
         return self._stack(rows, dv, dw, 0.0)
 
     def krylov_apply(self, y: np.ndarray, x: Optional[np.ndarray] = None) -> tuple:
-        """(P y, D J P y), D the ``krylov_scale``; the Laplacian of each field block of P y is
-        read off as y - shift P y, so only P transforms, and nothing does when x = P y is given."""
+        """(M y, D J M y), D the ``krylov_scale``; Delta P z, z = B^{-1} y = (y - col x_c, x_c), is
+        read off as z - shift P z, so only P transforms, and nothing does when x = M y is given."""
         if x is None:
             x = self.precond(y)
-        n = self.n
-        lap = [y[k * n : (k + 1) * n] - shift * x[k * n : (k + 1) * n]
+        n, border = self.n, self._border
+        z = y if border is None else y[: self.field_rows] - x[self.field_rows] * border[0]
+        lap = [z[k * n : (k + 1) * n] - shift * x[k * n : (k + 1) * n]
                for k, shift in enumerate(self._shifts)]
         return x, self.krylov_scale(self.matvec(x, lap))
 
     # -- preconditioner -------------------------------------------------------
-    def precond(self, x: np.ndarray) -> np.ndarray:
-        """(Delta + shift)^{-1} on the field blocks, in one call; identity on the gauge entry."""
-        fields = x[: self.field_rows].reshape(2, self.n) if self.has_v else x[: self.n]
+    def precond(self, y: np.ndarray) -> np.ndarray:
+        """M y = P z, z = B^{-1} y by block elimination (z_c = (y_c - row y_f) / pivot, then
+        z_f = y_f - col z_c): (Delta + shift)^{-1} on the field blocks, in one call, and z_c."""
+        z, tail = y[: self.field_rows], y[self.field_rows :]
+        if self._border is not None:
+            col, row, pivot = self._border
+            zc = (float(tail[0]) - float(np.dot(row, z[-self.n :]))) / pivot
+            z, tail = z - zc * col, [zc]
+        fields = z.reshape(2, self.n) if self.has_v else z
         shift = self._shifts if self.has_v else self._shifts[0]
         out = smoothing_invert(fields, self.grid, shift).reshape(-1)
-        return np.concatenate([out, x[self.field_rows :]])
+        return np.concatenate([out, tail])
 
     # -- merit weights --------------------------------------------------------
     def krylov_scale(self, vec: np.ndarray) -> np.ndarray:

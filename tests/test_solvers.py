@@ -135,6 +135,18 @@ def test_gravitating_sphere_at_twice_the_eb_coupling_certifies(sphere24, antipod
     assert report.converged and report.alpha_reached == alpha
 
 
+def test_gravitating_sphere_at_c_zero_is_the_eb_solution():
+    # at alpha_EB, c = chi - 2 alpha tau N is exactly 0.0 for these data, and the gravitating
+    # system reduces to EB: W reads no v, and v only solves Delta v + W - 1 = 0
+    grid = build_grid("sphere", 48)
+    section = build_section(grid, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (2, 2)))
+    eb_state, eb = solve_eb(grid, section, 12.0)
+    state, report = solve_gravitating(grid, section, 12.0, float(stability.eb_coupling(12.0, 4)))
+    assert state.spec.c == 0.0 and eb.converged and report.converged
+    assert np.max(np.abs(state.f.values - eb_state.f.values)) <= 1e-12
+    assert abs(report.c_prime - eb.c_prime) <= 1e-13
+
+
 def test_rescaled_section_costs_no_extra_newton_steps():
     # acceptance criterion 8's gravitating pair: a mean of -0.45 in f once cost 59 steps
     # against 13, from FFT roundoff on the constant mode at newton_tol = 1e-13
@@ -263,7 +275,8 @@ def _unsolved_system(model, resolution, kind):
 
 
 def _krylov_vector(system, seed):
-    """Random on the torus; band-limited on the sphere, where the identity is exact."""
+    """Random on the torus; band-limited on the sphere, where the identity is exact up to the
+    border's out-of-band column (``_border_gap``)."""
     y = np.random.default_rng(seed).standard_normal(system.size)
     if system.grid.model.value == "sphere":
         ones = np.ones_like(system.grid._eigs)
@@ -277,18 +290,37 @@ def _rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def _border_gap(system, x):
+    """-z_c (col - band(col)) on the field rows, z_c the gauge entry of x = M y: z = B^{-1} y
+    carries the out-of-band part of the c' column col, P drops it and the operator passes it
+    through.  Zero on the torus, where every vector is in band, and without a border."""
+    gap = np.zeros(system.size)
+    if system._border is None or system.grid.model.value != "sphere":
+        return gap
+    col, ones = system._border[0], np.ones_like(system.grid._eigs)
+    for k in range(len(system._shifts)):
+        block = slice(k * system.n, (k + 1) * system.n)
+        gap[block] = -x[-1] * (col[block] - _spectral(system.grid, col[block], ones))
+    return gap
+
+
 @pytest.mark.parametrize("model,resolution,kind", [  # EB lives on the sphere only
     ("torus", 16, "vortex"), ("torus", 16, "gravitating"),
     ("sphere", 8, "vortex"), ("sphere", 8, "gravitating"), ("sphere", 8, "eb"),
 ])
 def test_krylov_operator_is_jacobian_after_preconditioner(model, resolution, kind):
+    # exact on the torus and for vortex systems; on the sphere a bordered system's operator
+    # differs from D J M by exactly the out-of-band part of the border's column
     system = _unsolved_system(model, resolution, kind)
+    bordered_sphere = model == "sphere" and kind != "vortex"
     for seed in range(3):
         y = _krylov_vector(system, seed)
         x = system.precond(y)
         want = system.krylov_scale(system.matvec(x))
         got_x, got = system.krylov_apply(y)
-        assert np.array_equal(got_x, x) and _rel(got, want) < 1e-12
+        gap = _border_gap(system, x)
+        assert np.array_equal(got_x, x) and _rel(got, want + gap) < 1e-12
+        assert (_rel(got, want) > 1e-6) == bordered_sphere
         # given P y, the same image without applying P again
         assert np.array_equal(system.krylov_apply(y, x)[1], got)
         # negative: Delta P y read off as y alone, without the -shift P y term
@@ -329,14 +361,16 @@ def test_krylov_norm_is_the_merit(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["vortex", "eb"])
 def test_krylov_operator_is_identity_out_of_band_on_sphere(kind):
-    # P discards the out-of-band part of y; the operator passes it through unchanged
+    # P discards the out-of-band part of y; the operator passes it through unchanged, beside
+    # the out-of-band part of the border's column (``_border_gap``; none for vortex)
     system = _unsolved_system("sphere", 8, kind)
     y = np.random.default_rng(7).standard_normal(system.size)
     band = _krylov_vector(system, 7)
     assert np.max(np.abs(y - band)) > 0.1
-    assert np.max(np.abs(system.precond(y) - system.precond(band))) < 1e-12
-    gap = system.krylov_apply(y)[1] - system.krylov_scale(system.matvec(system.precond(y)))
-    assert np.max(np.abs(gap - (y - band))) < 1e-12
+    x = system.precond(y)
+    assert np.max(np.abs(x - system.precond(band))) < 1e-12
+    gap = system.krylov_apply(y)[1] - system.krylov_scale(system.matvec(x))
+    assert np.max(np.abs(gap - (y - band) - _border_gap(system, x))) < 1e-12
 
 
 @pytest.mark.parametrize("model,resolution,kind", [
@@ -457,7 +491,8 @@ def test_newton_direction_is_precond_of_the_krylov_solution(monkeypatch, cut):
 
 
 def _dense(system):
-    """D J P as a dense matrix, column by column."""
+    """The Krylov operator D J M, M = P B^{-1} the preconditioner, as a dense matrix, column by
+    column; D J P when the system's border is set to None (B = I)."""
     return np.column_stack([system.krylov_apply(e)[1] for e in np.eye(system.size)])
 
 
@@ -483,6 +518,59 @@ def test_gmres_matches_a_dense_solve(model, resolution, kind):
     # the dense answer, to the accuracy the tight tolerance buys
     exact = system.precond(np.linalg.solve(a, b))
     assert _rel(d, exact) < 1e-6
+
+
+@pytest.mark.parametrize("model,resolution,kind,bound,outliers", [
+    ("torus", 12, "gravitating", 0.6, 2), ("sphere", 6, "eb", 1.25, 1)])
+def test_eliminating_the_border_leaves_no_outlier_eigenvalue(model, resolution, kind, bound,
+                                                             outliers):
+    # D J M clusters about 1: max |lambda - 1| is 0.54 on the torus and 1.17 on the sphere,
+    # where out-of-band vectors and an unsolved state widen the cluster
+    system = _unsolved_system(model, resolution, kind)
+    assert np.abs(np.linalg.eigvals(_dense(system)) - 1.0).max() < bound
+    # negative: with B = I the border leaves D J P its outliers, the pair 2.27 and -2.88 for
+    # the gravitating row mean(v), and for EB one near sqrt(n_nodes) 2 mean(W), here 20.2
+    plain = _unsolved_system(model, resolution, kind)
+    plain.__dict__["_border"] = None
+    lam = np.linalg.eigvals(_dense(plain))
+    assert np.count_nonzero(np.abs(lam - 1.0) > bound) == outliers
+    assert np.abs(lam - 1.0).max() > 4.0 * bound
+    if kind == "eb":
+        assert np.abs(lam).max() > math.sqrt(system.n)
+
+
+def test_a_vanishing_pivot_falls_back_to_the_plain_preconditioner(monkeypatch):
+    # the EB pivot is corner - row col, corner = 2 sqrt(n) mean(W) and -row col =
+    # 4 alpha sqrt(n) mean((P - tau) W)^2 / shift: both >= 0 at every state, and the gravitating
+    # pivot is -2 sqrt(n) mean(W) / shift_v, so a pivot vanishes only with W
+    system = _unsolved_system("sphere", 8, "eb")
+    col, row, pivot = system._border
+    mean_w = float(np.dot(system.grid.quad_weights, system.w)) / TWO_PI
+    corner = 2.0 * math.sqrt(system.n) * mean_w
+    assert corner > 0.0 and -float(np.dot(row, col)) > 0.0
+    assert pivot == pytest.approx(corner - float(np.dot(row, col)), rel=1e-14)
+    # at the collapsed metric W = 0, the limit c' -> -inf that the clamped exponential never
+    # reaches, B is singular: the step eliminates nothing and runs on B = I
+    collapsed = _unsolved_system("sphere", 8, "eb")
+    collapsed.w = np.zeros(collapsed.n)
+    assert collapsed._border is None
+    y = _krylov_vector(collapsed, 0)
+    x = collapsed.precond(y)
+    assert x[-1] == y[-1]
+    assert np.array_equal(x[:-1], solvers.smoothing_invert(y[:-1], collapsed.grid, 1e-6))
+    lap = [y[:-1] - 1e-6 * x[:-1]]  # Delta P y read off as y - shift P y, with no col term
+    want = collapsed.krylov_scale(collapsed.matvec(x, lap))
+    assert np.array_equal(collapsed.krylov_apply(y)[1], want)
+    applied, precond = [], solvers._NewtonSystem.precond
+
+    def spy(self, y):
+        out = precond(self, y)
+        applied.append(out[-1] == y[-1])
+        return out
+
+    monkeypatch.setattr(solvers._NewtonSystem, "precond", spy)
+    _, info = newton_step(collapsed.state, _system=collapsed)
+    assert info["krylov_info"] is not None and applied and all(applied)
 
 
 def test_gmres_of_a_zero_right_hand_side_applies_nothing():
@@ -607,7 +695,7 @@ def test_line_search_evaluates_the_nonlinearity_once_per_trial(monkeypatch, toru
         assert counts["kernel"] == len(trials)
         assert counts["states"] == int(accepted)  # only the accepted trial becomes a FieldState
         rejected = trials[:-1] if accepted else trials
-        assert not any({"_jacobian", "_shifts"} & vars(t).keys() for t in rejected)
+        assert not any({"_jacobian", "_shifts", "_border"} & vars(t).keys() for t in rejected)
         per_step.append(len(trials))
         counts.update(kernel=0, states=0)
         trials.clear()
@@ -847,6 +935,16 @@ def test_a_loose_newton_tol_fails_the_degree_identity(torus24, torus24_section):
 def test_a_loose_newton_tol_fails_the_volume_identity(sphere16, antipodal_section16):
     _, report = solve_eb(sphere16, antipodal_section16, 8.0, SolverConfig(newton_tol=1e-5))
     assert report.final_residual <= 1e-5
+    assert report.failure_reason is FailureReason.IDENTITY_FAILURE
+    assert abs(report.identity.volume_identity) > solvers.VOLUME_IDENTITY_TOL
+    # only the volume identity fails at a certified EB solution with c' moved by delta: W and
+    # both identities scale by e^{2 delta}, the volume's by 2 pi and the degree's by
+    # 2 pi (tau - 2N) = 8 pi, so delta = 5e-9 puts them at 6.3e-8 and 2.5e-7
+    state, certified = solve_eb(sphere16, antipodal_section16, 8.0)
+    assert certified.converged
+    moved = replace(state.spec, c_prime=state.spec.c_prime + 5e-9)
+    loop = solvers._LoopResult(make_state(moved, state.f.values), 0, 0.0, None)
+    report = solvers._certify(loop, moved.alpha, None)
     assert report.failure_reason is FailureReason.IDENTITY_FAILURE
     ident = report.identity
     assert abs(ident.volume_identity) > solvers.VOLUME_IDENTITY_TOL
