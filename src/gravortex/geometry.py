@@ -5,7 +5,8 @@
   equispaced longitudes for the spherical-harmonic band limit L; the
   latitude rule is numpy's ``leggauss`` (Golub-Welsch plus one Newton step).
 * ``torus`` -- the flat square torus C/(Z+iZ) rescaled to area 2*pi,
-  sampled on an n x n equispaced grid (real FFT; half-spectrum ``_eigs``).
+  sampled on an n x n equispaced grid (half-spectrum ``_eigs``; ``_spectral`` runs
+  numpy's 1-D FFTs axis by axis, the passes of ``rfft2`` without its wrapper).
 
 The Laplacian is the geometer's (positive semidefinite, minus the
 analyst's): the torus mode exp(2*pi*i(kx+my)) has eigenvalue
@@ -289,15 +290,17 @@ def mean_value(f: ScalarField) -> float:
 
 
 def _spectral(grid: SurfaceGrid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Apply a spectral multiplier (shaped like ``grid._eigs``, or one per row) to node values."""
+    """Apply a spectral multiplier (shaped like ``grid._eigs``, or one per row) to node values;
+    on the torus ``rfft``, ``fft`` on axis -2 and back: ``irfft2(rfft2(v) * mult)`` bit for bit."""
     if grid.model is SurfaceModel.SPHERE:
         if values.ndim > 1:
             mults = np.broadcast_to(mult, values.shape[:1] + grid._eigs.shape)
             return np.stack([_spectral(grid, row, m) for row, m in zip(values, mults)])
         out = grid._sht.synthesize(grid._sht.analyze(values.reshape(grid._shape)) * mult)
     else:
-        v2 = values.reshape(values.shape[:-1] + grid._shape)
-        out = np.fft.irfft2(np.fft.rfft2(v2) * mult, s=grid._shape)
+        coef = np.fft.fft(np.fft.rfft(values.reshape(values.shape[:-1] + grid._shape)), axis=-2)
+        coef *= mult
+        out = np.fft.irfft(np.fft.ifft(coef, axis=-2), n=grid._shape[1])
     return out.reshape(values.shape)
 
 
@@ -344,11 +347,16 @@ def smoothing_invert(f_values: np.ndarray, grid: SurfaceGrid, shift: float | tup
     positive: at zero the operator is singular, and below zero it is not positive definite.
     """
     values = np.asarray(f_values, dtype=float)
-    if not all(math.isfinite(s) and s > 0.0 for s in (shift if values.ndim > 1 else (shift,))):
+    return _spectral(grid, values, _smoothing_multiplier(grid, shift, values.ndim > 1))
+
+
+def _smoothing_multiplier(grid: SurfaceGrid, shift, stacked: bool) -> np.ndarray:
+    """1/(eigs + shift), one row per shift when ``stacked``; ValueError as ``smoothing_invert``."""
+    if not all(math.isfinite(s) and s > 0.0 for s in (shift if stacked else (shift,))):
         raise ValueError(f"smoothing_invert needs finite positive shifts; got {shift!r}")
-    if values.ndim > 1:
+    if stacked:
         shift = np.reshape(shift, (-1,) + (1,) * grid._eigs.ndim)
-    return _spectral(grid, values, 1.0 / (grid._eigs + shift))
+    return 1.0 / (grid._eigs + shift)
 
 
 def prolong(values: np.ndarray, coarse: SurfaceGrid, fine: SurfaceGrid) -> np.ndarray:

@@ -18,15 +18,15 @@ One GMRES cycle (``gmres``) solves the right-preconditioned J M y = -R, gauge ro
 by sqrt(n_nodes) so that, on the torus (uniform quadrature weights), the 2-norm it
 minimises is the Armijo merit's, to an Eisenstat-Walker forcing tolerance capped at
 eta_max (inexact Newton-Krylov; see ``_forcing``); d = M y is assembled from the M v_j the
-Krylov loop keeps.  M = P B^{-1}, P the spectral (Delta + shift)^{-1} per field block and
-B^{-1} one dot product that eliminates the c' border (Keller's bordering algorithm).
-Delta P = I - shift P makes J M y one transform call for all field blocks (on the sphere
-exactly for band-limited z = B^{-1} y; the operator passes the rest of z through and P
-drops it), and the true residual J d + R no transform at all.  Armijo backtracking on
-(1/2)||R||^2 (background L2) damps d.  When the full step fails, one product J d with the
-true Laplacian gives the merit's slope <R, J d>; a slope not below -2 sigma (1/2)||R||^2
-admits no Armijo step (Dennis & Schnabel 1996, 6.3), and the step ends there, without
-halving t to the floor.
+Krylov loop keeps.  M = P B^{-1}: P the spectral (Delta + shift)^{-1}, one multiplier per field
+block built once per Newton step and applied to all blocks in one transform call; B^{-1} one
+dot product that eliminates the c' border (Keller's bordering algorithm).  ``matvec``'s Krylov
+form reads J M y off (y, M y) with no transform, and so does the true residual J d + R:
+Delta P = I - shift P (on the sphere exactly for band-limited z = B^{-1} y; the rest of z passes
+through, P drops it), and B^{-1}'s -col x_c cancels the c' column.  Armijo backtracking on
+(1/2)||R||^2 (background L2) damps d.  When the full step fails, one product J d with the true
+Laplacian gives the merit's slope <R, J d>; a slope not below -2 sigma (1/2)||R||^2 admits no
+Armijo step (Dennis & Schnabel 1996, 6.3), and the step ends there, without halving t to the floor.
 
 Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
 (nonlinearity exponent beyond the guard, or a residual 2-norm beyond the float
@@ -76,8 +76,9 @@ from .equations import (
     make_state,
 )
 from .equations import residual_fields  # noqa: F401  (perfbench/tracer.py patches this binding)
-from .geometry import SurfaceGrid, SurfaceModel, _is_int, laplacian_values, prolong
-from .geometry import smoothing_invert
+from .geometry import (SurfaceGrid, SurfaceModel, _is_int, _smoothing_multiplier, _spectral,
+                       laplacian_values, prolong)
+from .geometry import smoothing_invert  # noqa: F401  (perfbench/tracer.py patches this binding)
 from .sections import SectionData, build_section, rescale
 
 TWO_PI = 2.0 * math.pi
@@ -191,10 +192,11 @@ class _NewtonSystem:
 
     @cached_property
     def _jacobian(self) -> tuple:
-        """Pointwise coefficients (a, P W, (P - tau)/2) of dW = W (a df - 2c dv + 2 dc),
-        dR1 = Delta df + P W df + (1/2)(P - tau) dW and dR2 = Delta dv + dW."""
-        s, p = self.spec, self._p
-        return 4.0 * s.alpha * (s.tau - p), p * self.w, 0.5 * (p - s.tau)
+        """(W a, P W, (P - tau)/2, -2c W) of dW = W (a df - 2c dv + 2 dc), dR1 = Delta df + P W df
+        + (1/2)(P - tau) dW and dR2 = Delta dv + dW, and the gauge row's c' entry (EB: 2 mean W)."""
+        s, p, w = self.spec, self._p, self.w
+        gc = 0.0 if self.has_v else 2.0 * float(np.dot(self.grid.quad_weights / TWO_PI, w))
+        return w * (4.0 * s.alpha * (s.tau - p)), p * w, 0.5 * (p - s.tau), -2.0 * s.c * w, gc
 
     @cached_property
     def _shifts(self) -> tuple:
@@ -207,6 +209,17 @@ class _NewtonSystem:
         return tuple(max(1e-6, float(np.dot(wq, np.abs(m))) / TWO_PI) for m in mults)
 
     @cached_property
+    def _smoother(self) -> np.ndarray:
+        """P's multiplier 1/(eigs + shift) per field block, validated as ``smoothing_invert``'s."""
+        shift = self._shifts if self.has_v else self._shifts[0]
+        return _smoothing_multiplier(self.grid, shift, self.has_v)
+
+    @cached_property
+    def _krylov_diag(self) -> np.ndarray:
+        """P W - shift: the coefficient of x_f in the f rows of the Krylov form (``matvec``)."""
+        return self._jacobian[1] - self._shifts[0]
+
+    @cached_property
     def _border(self) -> Optional[tuple]:
         """(col, row, pivot) of B = [[I, col], [row, corner]], D J P with its field block read as I:
         col is J's c' column, corner the scaled gauge row's c' entry and row that row of J P on the
@@ -216,11 +229,10 @@ class _NewtonSystem:
         if not self.bordered:
             return None
         w, wq, root = self.w, self.grid.quad_weights / TWO_PI, math.sqrt(self.n)
-        dens = 1.0 if self.has_v else float(np.dot(wq, w * self._jacobian[0]))
+        dens = 1.0 if self.has_v else float(np.dot(wq, self._jacobian[0]))
         row = root * dens / self._shifts[-1] * wq
         col = np.concatenate([(self._p - self.spec.tau) * w] + ([2.0 * w] if self.has_v else []))
-        corner = 0.0 if self.has_v else 2.0 * root * float(np.dot(wq, w))
-        pivot = corner - float(np.dot(row, col[-self.n :]))
+        pivot = root * self._jacobian[4] - float(np.dot(row, col[-self.n :]))
         return (col, row, pivot) if pivot and math.isfinite(pivot) else None
 
     def _split(self, x: np.ndarray):
@@ -230,59 +242,64 @@ class _NewtonSystem:
         dc = float(x[-1]) if self.bordered else 0.0
         return x[:n], dv, dc
 
-    def _stack(self, rows: list, v, w, offset: float) -> np.ndarray:
-        """The field rows, then the gauge row on v (v an unknown) or on w."""
-        if self.bordered:
-            gauge = v if self.has_v else w
-            rows = rows + [[(float(np.dot(self.grid.quad_weights, gauge)) - offset) / TWO_PI]]
-        return np.concatenate(rows)
-
     # -- residual -----------------------------------------------------------
     def residual_vector(self) -> tuple[np.ndarray, float]:
-        """Stacked residual and its sup norm over every row."""
+        """Stacked residual, the gauge row on v (v an unknown) or W last, and its sup norm."""
         if self._rv is None:
             rows = _residual_rows(self.spec, self.f, self.v, self._p, self.w)
-            r = self._stack(rows, self.v, self.w, 0.0 if self.has_v else TWO_PI)
+            if self.bordered:
+                gauge, offset = (self.v, 0.0) if self.has_v else (self.w, TWO_PI)
+                rows.append([(float(np.dot(self.grid.quad_weights, gauge)) - offset) / TWO_PI])
+            r = np.concatenate(rows)
             self._rv = (r, float(np.max(np.abs(r))))
         return self._rv
 
     # -- Jacobian action ------------------------------------------------------
-    def matvec(self, x: np.ndarray, lap: Optional[list] = None) -> np.ndarray:
-        """J x; ``lap`` holds the Laplacians of the field blocks of x when the caller has them."""
+    def matvec(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
+        """J x; given y with x = M y, the Krylov form: Delta x_f read off as z_f - shift x_f,
+        z = B^{-1} y (``precond``), whose z_f = y_f - col x_c cancels the c' column's col x_c, so
+        the f rows read y_f + (P W - shift) x_f + (1/2)(P - tau) q and the v rows
+        y_v - shift_v x_v + q, q = W (a x_f - 2c x_v): no transform.  Without ``_border``,
+        z = y and col x_c stays."""
+        n, k = self.n, self.field_rows
         df, dv, dc = self._split(x)
-        if lap is None:
-            lap = laplacian_values(self.grid, x[: self.field_rows].reshape(-1, self.n))
-        a, pw, half_pt = self._jacobian
-        dw = self.w * (a * df - 2.0 * self.spec.c * dv + 2.0 * dc)
-        rows = [lap[0] + pw * df + half_pt * dw]
+        wa, pw, half_pt, wv, gc = self._jacobian
+        q = wa * df
         if self.has_v:
-            rows.append(lap[1] + dw)
-        return self._stack(rows, dv, dw, 0.0)
+            q += wv * dv
+        out = np.empty(self.size)
+        if self.bordered:
+            out[k] = np.dot(self.grid.quad_weights, dv if self.has_v else q) / TWO_PI + gc * dc
+        krylov = y is not None
+        if dc and not (krylov and self._border is not None):
+            q += (2.0 * dc) * self.w
+        out[:k] = y[:k] if krylov else laplacian_values(self.grid, x[:k].reshape(-1, n)).reshape(-1)
+        out[:n] += (self._krylov_diag if krylov else pw) * df
+        out[:n] += half_pt * q
+        if self.has_v:
+            out[n:k] += q - self._shifts[1] * dv if krylov else q
+        return out
 
     def krylov_apply(self, y: np.ndarray, x: Optional[np.ndarray] = None) -> tuple:
-        """(M y, D J M y), D the ``krylov_scale``; Delta P z, z = B^{-1} y = (y - col x_c, x_c), is
-        read off as z - shift P z, so only P transforms, and nothing does when x = M y is given."""
+        """(M y, D J M y), D the ``krylov_scale``: one ``precond``, none when x = M y is given,
+        and one ``matvec`` in Krylov form, which transforms nothing."""
         if x is None:
             x = self.precond(y)
-        n, border = self.n, self._border
-        z = y if border is None else y[: self.field_rows] - x[self.field_rows] * border[0]
-        lap = [z[k * n : (k + 1) * n] - shift * x[k * n : (k + 1) * n]
-               for k, shift in enumerate(self._shifts)]
-        return x, self.krylov_scale(self.matvec(x, lap))
+        return x, self.krylov_scale(self.matvec(x, y))
 
     # -- preconditioner -------------------------------------------------------
     def precond(self, y: np.ndarray) -> np.ndarray:
         """M y = P z, z = B^{-1} y by block elimination (z_c = (y_c - row y_f) / pivot, then
-        z_f = y_f - col z_c): (Delta + shift)^{-1} on the field blocks, in one call, and z_c."""
-        z, tail = y[: self.field_rows], y[self.field_rows :]
+        z_f = y_f - col z_c): the step's ``_smoother`` on the field blocks, in one call, and z_c."""
+        k, x, z = self.field_rows, np.empty(self.size), y[: self.field_rows]
+        x[k:] = y[k:]
         if self._border is not None:
             col, row, pivot = self._border
-            zc = (float(tail[0]) - float(np.dot(row, z[-self.n :]))) / pivot
-            z, tail = z - zc * col, [zc]
+            x[k] = (float(y[k]) - float(np.dot(row, z[-self.n :]))) / pivot
+            z = z - x[k] * col
         fields = z.reshape(2, self.n) if self.has_v else z
-        shift = self._shifts if self.has_v else self._shifts[0]
-        out = smoothing_invert(fields, self.grid, shift).reshape(-1)
-        return np.concatenate([out, tail])
+        x[:k] = _spectral(self.grid, fields, self._smoother).reshape(-1)
+        return x
 
     # -- merit weights --------------------------------------------------------
     def krylov_scale(self, vec: np.ndarray) -> np.ndarray:

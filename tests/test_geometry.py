@@ -194,6 +194,19 @@ def test_torus_real_transform_matches_the_complex_fft(n):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
+def test_torus_transform_is_bit_identical_to_rfft2(n):
+    # the 1-D passes axis by axis are rfft2's own: one row and a (2, n_nodes) stack alike
+    grid = build_grid("torus", n)
+    rng = np.random.default_rng(n)
+    mult = 1.0 / (grid._eigs + 0.7)
+    for shape, m in (((n * n,), mult), ((2, n * n), np.stack([mult, grid._eigs]))):
+        values = rng.standard_normal(shape)
+        v2 = values.reshape(shape[:-1] + (n, n))
+        want = np.fft.irfft2(np.fft.rfft2(v2) * m, s=(n, n)).reshape(shape)
+        assert np.array_equal(_spectral(grid, values, m), want)
+
+
 @pytest.mark.parametrize("model,resolution", [("torus", 24), ("sphere", 16)])
 def test_laplacian_ignores_the_mean(model, resolution):
     grid = build_grid(model, resolution)

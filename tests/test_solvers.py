@@ -323,9 +323,26 @@ def test_krylov_operator_is_jacobian_after_preconditioner(model, resolution, kin
         assert (_rel(got, want) > 1e-6) == bordered_sphere
         # given P y, the same image without applying P again
         assert np.array_equal(system.krylov_apply(y, x)[1], got)
-        # negative: Delta P y read off as y alone, without the -shift P y term
-        wrong = system.matvec(x, list(y[: system.field_rows].reshape(-1, system.n)))
-        assert _rel(system.krylov_scale(wrong), want) > 1e-6
+        # negative: Delta P y read off as y alone, without the -shift P y term on the f rows
+        wrong = _unsolved_system(model, resolution, kind)
+        wrong.__dict__["_krylov_diag"] = wrong._jacobian[1]
+        assert _rel(wrong.krylov_apply(y)[1], want) > 1e-6
+
+
+@pytest.mark.parametrize("model,resolution,kind", [("torus", 16, "gravitating"),
+                                                   ("sphere", 8, "eb")])
+def test_krylov_form_keeps_the_c_prime_column_without_a_border(model, resolution, kind):
+    # with B = I, z = y: nothing cancels the c' column, and the Krylov form keeps col x_c
+    system = _unsolved_system(model, resolution, kind)
+    plain = _unsolved_system(model, resolution, kind)
+    plain.__dict__["_border"] = None
+    for seed in range(3):
+        y = _krylov_vector(plain, seed)
+        x = plain.precond(y)
+        want = plain.krylov_scale(plain.matvec(x))
+        assert _rel(plain.krylov_apply(y)[1], want) < 1e-12
+        # negative: the bordered form, which drops col x_c, applied to the same (y, P y)
+        assert _rel(system.krylov_scale(system.matvec(x, y)), want) > 1e-6
 
 
 def test_krylov_norm_is_the_merit(monkeypatch):
@@ -443,8 +460,8 @@ def test_newton_step_applies_jacobian_once_per_krylov_iteration(monkeypatch, mod
     ("torus", 16, "vortex"), ("torus", 16, "gravitating"),
     ("sphere", 8, "vortex"), ("sphere", 8, "eb"), ("sphere", 8, "gravitating")])
 def test_field_blocks_share_one_transform_call(monkeypatch, model, resolution, kind):
-    # gravitating: the (2, n_nodes) stack of f and v in one call per preconditioner and per
-    # residual; vortex and EB: their one block as a 1-D array, as before
+    # gravitating: the (2, n_nodes) stack of f and v in one transform call per preconditioner
+    # and one Laplacian per residual; vortex and EB: their one block as a 1-D array
     system = _unsolved_system(model, resolution, kind)
     shape = (2, system.n) if kind == "gravitating" else (system.n,)
     seen = {}
@@ -458,13 +475,13 @@ def test_field_blocks_share_one_transform_call(monkeypatch, model, resolution, k
             return fn(*args)
         monkeypatch.setattr(owner, name, wrapped)
 
-    spy(solvers, "smoothing_invert", 0)
+    spy(solvers, "_spectral", 1)
     spy(equations, "laplacian_values", 1)
     spy(solvers._NewtonSystem, "precond")
     spy(solvers, "_residual_rows")
     _, info = newton_step(system.state, _system=system)
     assert info["step_scale"] > 0.0 and seen["precond"] and len(seen["_residual_rows"]) >= 2
-    assert seen["smoothing_invert"] == [shape] * len(seen["precond"])
+    assert seen["_spectral"] == [shape] * len(seen["precond"])
     assert seen["laplacian_values"] == [shape] * len(seen["_residual_rows"])
 
 
@@ -558,8 +575,8 @@ def test_a_vanishing_pivot_falls_back_to_the_plain_preconditioner(monkeypatch):
     x = collapsed.precond(y)
     assert x[-1] == y[-1]
     assert np.array_equal(x[:-1], solvers.smoothing_invert(y[:-1], collapsed.grid, 1e-6))
-    lap = [y[:-1] - 1e-6 * x[:-1]]  # Delta P y read off as y - shift P y, with no col term
-    want = collapsed.krylov_scale(collapsed.matvec(x, lap))
+    # Delta P y read off as y - shift P y; at W = 0 the coefficients and the gauge row vanish
+    want = collapsed.krylov_scale(np.append(y[:-1] - 1e-6 * x[:-1], 0.0))
     assert np.array_equal(collapsed.krylov_apply(y)[1], want)
     applied, precond = [], solvers._NewtonSystem.precond
 
@@ -648,8 +665,13 @@ def test_gmres_never_reports_an_unmet_tolerance_as_converged(monkeypatch, torus3
 
 def test_importing_the_package_leaves_scipy_out():
     # numpy is the only runtime dependency: scipy.special alone costs about 24 MB of resident
-    # memory, and a sphere grid takes its Gauss-Legendre rule from numpy
-    code = ("import sys, gravortex, gravortex.cli; gravortex.build_grid('sphere', 48); "
+    # memory, and a sphere grid takes its Gauss-Legendre rule from numpy; a Newton solve on
+    # each surface runs first, so a transform that imports scipy lazily shows up too
+    code = ("import sys, gravortex as g, gravortex.cli; g.build_grid('sphere', 48)\n"
+            "for model, res, point in (('torus', 16, (0.25, 0.25)), ('sphere', 8, (0.0, 0.0))):\n"
+            "    grid = g.build_grid(model, res)\n"
+            "    section = g.build_section(grid, g.Divisor((point,), (1,)))\n"
+            "    assert g.solve_vortex(grid, section, 8.0)[1].converged\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(gravortex.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -695,7 +717,8 @@ def test_line_search_evaluates_the_nonlinearity_once_per_trial(monkeypatch, toru
         assert counts["kernel"] == len(trials)
         assert counts["states"] == int(accepted)  # only the accepted trial becomes a FieldState
         rejected = trials[:-1] if accepted else trials
-        assert not any({"_jacobian", "_shifts", "_border"} & vars(t).keys() for t in rejected)
+        cached = {"_jacobian", "_shifts", "_border", "_smoother", "_krylov_diag"}
+        assert not any(cached & vars(t).keys() for t in rejected)
         per_step.append(len(trials))
         counts.update(kernel=0, states=0)
         trials.clear()
