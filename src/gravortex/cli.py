@@ -422,12 +422,12 @@ def run(config: RunConfig) -> dict:
 
 
 def sweep_alpha(config: RunConfig) -> list[dict]:
-    """Warm-started sweep over ascending couplings; one record per alpha.
+    """Predictor-corrector sweep over ascending couplings; one record per alpha.
 
     Each record echoes the sweep config with ``alpha`` set to the coupling
     it reports on, so the summary and the JSONL stream identify their rows.
-    Failures are recorded and the sweep carries on, warm-starting from the
-    last converged state.
+    Failures are recorded and the sweep carries on from the last certified state,
+    on the secant through the last two once there are two (``advance_gravitating``).
     """
     alphas = config.alpha_values
     if not alphas:
@@ -440,15 +440,15 @@ def sweep_alpha(config: RunConfig) -> list[dict]:
     tau = config.tau_value
 
     records = []
-    last_good = None
+    prev_good = last_good = None
     for alpha in alphas:
         start = time.perf_counter()
         if alpha == 0.0 or last_good is None:
             state, report = solve_gravitating(grid, section, tau, alpha, config.solver)
         else:
-            state, report = advance_gravitating(last_good, alpha, config.solver)
+            state, report = advance_gravitating(last_good, alpha, config.solver, prev_good)
         if report.converged:
-            last_good = state
+            prev_good, last_good = last_good, state
         echo = dataclasses.replace(config, alpha=alpha)
         records.append(_record(echo, report=report, wall_time=time.perf_counter() - start,
                                grid=grid))

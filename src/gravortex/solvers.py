@@ -16,8 +16,9 @@ volume/mean constraints:
 
 One GMRES cycle (``gmres``) solves the right-preconditioned J M y = -R, gauge row scaled
 by sqrt(n_nodes) so that, on the torus (uniform quadrature weights), the 2-norm it
-minimises is the Armijo merit's, to an Eisenstat-Walker forcing tolerance capped at
-eta_max (inexact Newton-Krylov; see ``_forcing``); d = M y is assembled from the M v_j the
+minimises is the Armijo merit's, to an Eisenstat-Walker forcing tolerance capped at eta_max:
+on a loop's first step eta_max, or min(eta_max, sqrt(2 merit)) when a sweep starts the loop on
+the secant (inexact Newton-Krylov; see ``_forcing``); d = M y is assembled from the M v_j the
 Krylov loop keeps.  M = P B^{-1}: P the spectral (Delta + shift)^{-1}, one multiplier per field
 block built once per Newton step and applied to all blocks in one transform call; B^{-1} one
 dot product that eliminates the c' border (Keller's bordering algorithm).  ``matvec``'s Krylov
@@ -335,19 +336,20 @@ class _NewtonSystem:
 # ---------------------------------------------------------------------------
 
 
-def _forcing(norm: float, prev_norm: Optional[float], newton_tol: float) -> float:
+def _forcing(norm: float, prev_norm: Optional[float], newton_tol: float,
+             start: float = _ETA_MAX) -> float:
     """Relative GMRES tolerance at residual 2-norm ``norm``, taken after ``krylov_scale``.
 
-    Eisenstat-Walker choice 2, eta = gamma (||F_k|| / ||F_{k-1}||)^2 (eta_max on a
-    loop's first step), floored at 0.5 newton_tol / ||F_k|| (Kelley, Solving Nonlinear
-    Equations with Newton's Method, 2003) so GMRES does not solve far past the
-    Newton tolerance, and capped last at eta_max: near the root the floor exceeds
-    eta_max, and a direction that loose need not descend the merit: the loop would
-    stall at its own tolerance.  Choice 2's safeguard max(eta, gamma eta_{k-1}^2),
-    applied when gamma eta_{k-1}^2 > 0.1, is left out: under the cap it is at most
-    gamma eta_max^2 = 0.009.
+    Eisenstat-Walker choice 2, eta = gamma (||F_k|| / ||F_{k-1}||)^2 (on a loop's first step
+    ``start``: eta_max, or for a start on the secant its L2 norm sqrt(2 merit), which converges
+    quadratically, Dembo, Eisenstat & Steihaug 1982), floored at 0.5 newton_tol / ||F_k||
+    (Kelley, Solving Nonlinear Equations with Newton's Method, 2003) so GMRES does not solve
+    far past the Newton tolerance, and capped last at eta_max: near the root the floor exceeds
+    eta_max, and a direction that loose need not descend the merit: the loop would stall at
+    its own tolerance.  Choice 2's safeguard max(eta, gamma eta_{k-1}^2), applied when
+    gamma eta_{k-1}^2 > 0.1, is left out: under the cap it is at most gamma eta_max^2 = 0.009.
     """
-    eta = _ETA_MAX if prev_norm is None else _EW_GAMMA * (norm / prev_norm) ** _EW_EXPONENT
+    eta = start if prev_norm is None else _EW_GAMMA * (norm / prev_norm) ** _EW_EXPONENT
     return min(max(eta, 0.5 * newton_tol / norm), _ETA_MAX)
 
 
@@ -467,10 +469,11 @@ def _krylov_note(code: Optional[int]) -> str:
     return "" if not code else f" (last GMRES exit code {code})"
 
 
-def _newton_loop(state: FieldState, config: SolverConfig) -> _LoopResult:
+def _newton_loop(state: FieldState, config: SolverConfig, predicted: bool = False) -> _LoopResult:
     sys = _NewtonSystem(state.spec, state.f.values, state.v.values)
     if sys.overflow:
         return _LoopResult(state, 0, math.inf, *_FLAG_FAILURES["overflow"])
+    start = math.sqrt(2.0 * sys.merit(sys.residual_vector()[0])) if predicted else _ETA_MAX
     iterations = 0
     prev_norm, krylov_info = None, None
     while True:
@@ -490,7 +493,7 @@ def _newton_loop(state: FieldState, config: SolverConfig) -> _LoopResult:
         if not math.isfinite(norm):
             return _LoopResult(state, iterations, sup, FailureReason.OVERFLOW,
                                f"residual {sup:.3e} has no finite 2-norm")
-        rtol, prev_norm = _forcing(norm, prev_norm, config.newton_tol), norm
+        rtol, prev_norm = _forcing(norm, prev_norm, config.newton_tol, start), norm
         state, info = newton_step(state, _system=sys, rtol=rtol)
         iterations += 1
         krylov_info = info["krylov_info"]
@@ -571,6 +574,17 @@ def solve_vortex(
     return loop.state, _certify(loop, 0.0, _existence_gate(section, tau, 0.0))
 
 
+def _secant(state: FieldState, prev: FieldState, spec: ProblemSpec) -> FieldState:
+    """``spec`` posed from (f, v, c') extrapolated linearly in alpha along the secant through
+    the certified ``prev`` and ``state`` to spec.alpha; from ``state``'s when ``prev`` is it."""
+    ratio = ((spec.alpha - state.spec.alpha) / (state.spec.alpha - prev.spec.alpha)
+             if state is not prev else 0.0)
+    c = state.spec.c_prime + ratio * (state.spec.c_prime - prev.spec.c_prime)
+    return make_state(replace(spec, c_prime=c), *(a.values + ratio * (a.values - b.values)
+                                                  for a, b in ((state.f, prev.f),
+                                                               (state.v, prev.v))))
+
+
 def _continue_in_alpha(anchor: FieldState, problem: ProblemSpec,
                        config: SolverConfig) -> tuple[FieldState, float, _LoopResult, int]:
     """March the anchor state to ``problem``'s alpha through the targets alpha * k / _ALPHA_STEPS.
@@ -589,12 +603,7 @@ def _continue_in_alpha(anchor: FieldState, problem: ProblemSpec,
         target = problem.alpha * k / _ALPHA_STEPS
         attempt = target
         while reached < target:
-            ratio = (attempt - reached) / (reached - prev.spec.alpha) if state is not prev else 0.0
-            c = state.spec.c_prime + ratio * (state.spec.c_prime - prev.spec.c_prime)
-            trial = make_state(replace(problem, alpha=attempt, c_prime=c),
-                               *(a.values + ratio * (a.values - b.values)
-                                 for a, b in ((state.f, prev.f), (state.v, prev.v))))
-            loop = _newton_loop(trial, config)
+            loop = _newton_loop(_secant(state, prev, replace(problem, alpha=attempt)), config)
             total_iters += loop.iterations
             last = loop
             if loop.failure is None:
@@ -692,16 +701,18 @@ def advance_gravitating(
     state: FieldState,
     alpha: float,
     config: SolverConfig = SolverConfig(),
+    previous: Optional[FieldState] = None,
 ) -> tuple[FieldState, SolveReport]:
-    """Re-pose an existing state at a new coupling and re-solve (warm start).
+    """Re-solve a certified state at a new coupling, with no intermediate continuation targets.
 
-    Used by parameter sweeps: the previous converged state seeds the Newton
-    iteration at the next coupling directly, with no intermediate
-    continuation targets, and certifies against the existence gate.  When the Newton
-    loop fails, ``alpha_reached`` is the seed's coupling, the last value certified.
+    Used by parameter sweeps: the Newton loop starts from ``state`` re-posed at alpha (warm
+    start) or, given ``previous``, the state certified before it, on their secant, its first
+    forcing term min(eta_max, sqrt(2 merit)) (``_forcing``); certified against the existence
+    gate.  When the loop fails, ``alpha_reached`` is ``state``'s coupling, the last certified.
     """
     spec = replace(state.spec, kind=EquationKind.GRAVITATING, alpha=alpha)
-    loop = _newton_loop(FieldState(state.f, state.v, spec), config)
+    loop = (_newton_loop(FieldState(state.f, state.v, spec), config) if previous is None
+            else _newton_loop(_secant(state, previous, spec), config, predicted=True))
     reached = spec.alpha if loop.failure is None else state.spec.alpha
     return loop.state, _certify(loop, reached, _existence_gate(spec.section, spec.tau, spec.alpha))
 

@@ -8,9 +8,10 @@ import shlex
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gravortex import solvers
+from gravortex import cli, solvers
 from gravortex.cli import (
     _FORMAT,
     ConfigError,
@@ -20,6 +21,7 @@ from gravortex.cli import (
     config_from_dict,
     main,
     parse_real,
+    sweep_alpha,
 )
 
 
@@ -410,6 +412,71 @@ def test_sweep_summary_diagnoses_a_failed_row(capsys, tmp_path):
     assert [row[7] for row in rows] == ["StepFloor", "StepFloor"]
     assert [float(row[6]) for row in rows] == [0.0, 0.0]
     assert all(int(row[5]) > 0 for row in rows)
+
+
+def _spied_sweep(monkeypatch, data, fail_at=()):
+    """sweep_alpha's records and, per Newton loop, (start state, predicted, result); a loop
+    started at a coupling in ``fail_at`` fails at once."""
+    loops, newton_loop = [], solvers._newton_loop
+
+    def spy(state, config, predicted=False):
+        if state.spec.alpha in fail_at:
+            out = solvers._LoopResult(state, 1, 1.0, solvers.FailureReason.MAX_ITERS, "forced")
+        else:
+            out = newton_loop(state, config, predicted)
+        loops.append((state, predicted, out))
+        return out
+
+    monkeypatch.setattr(solvers, "_newton_loop", spy)
+    return sweep_alpha(config_from_dict({"command": "SweepAlpha", **data})), loops
+
+
+def _assert_on_the_secant(start, prev, last):
+    """``start`` is (f, v, c') extrapolated exactly along the secant through prev and last."""
+    ratio = (start.spec.alpha - last.spec.alpha) / (last.spec.alpha - prev.spec.alpha)
+    for got, a, b in ((start.f, last.f, prev.f), (start.v, last.v, prev.v)):
+        assert np.array_equal(got.values, a.values + ratio * (a.values - b.values))
+    assert start.spec.c_prime == last.spec.c_prime + ratio * (last.spec.c_prime
+                                                              - prev.spec.c_prime)
+
+
+def test_sweep_rows_start_on_the_secant_through_the_last_two_certified_rows(monkeypatch):
+    # the benchmark's sweep shape: n = 64, tau = 6, two points, eight couplings up to 0.035
+    data = {"surface": {"model": "torus", "resolution": 64},
+            "divisor": [[0.1, 0.2, 1], [0.6, 0.71, 1]], "tau": 6.0,
+            "alpha_values": [0.035 * k / 7 for k in range(8)]}
+    records, loops = _spied_sweep(monkeypatch, data)
+    assert all(r["report"]["converged"] for r in records)
+    # one loop per row: the cold alpha = 0 row, a warm start, then six secant starts
+    assert [predicted for _, predicted, _ in loops] == [False, False] + [True] * 6
+    certified = [out.state for _, _, out in loops]
+    for k in range(2, len(loops)):
+        _assert_on_the_secant(loops[k][0], certified[k - 2], certified[k - 1])
+    # a forced first step on a secant start: two Newton steps a row, three from a warm start
+    steps = [r["report"]["iterations"] for r in records]
+    assert steps[2:] == [2] * 6
+    monkeypatch.setattr(cli, "advance_gravitating", lambda state, alpha, config, previous:
+                        solvers.advance_gravitating(state, alpha, config))
+    plain, _ = _spied_sweep(monkeypatch, data)
+    assert all(r["report"]["converged"] for r in plain)
+    assert sum(r["report"]["iterations"] for r in plain) > sum(steps)
+    assert max(abs(a["report"]["c_prime"] - b["report"]["c_prime"])
+               for a, b in zip(records, plain)) <= 1e-9
+
+
+def test_a_failed_sweep_row_is_no_point_of_the_secant(monkeypatch):
+    data = {"surface": {"model": "torus", "resolution": 16}, "divisor": [[0.25, 0.25, 1]],
+            "tau": 2.5, "alpha_values": [0.0, 0.01, 0.02, 0.03, 0.04, 0.05]}
+    records, loops = _spied_sweep(monkeypatch, data, fail_at=(0.03,))
+    reports = [r["report"] for r in records]
+    assert [r["converged"] for r in reports] == [True, True, True, False, True, True]
+    assert reports[3]["alpha_reached"] == 0.02
+    rows = [out.state for _, _, out in loops]
+    # 0.03 and 0.04 start on the secant through 0.01 and 0.02; 0.05 through 0.02 and 0.04
+    _assert_on_the_secant(loops[3][0], rows[1], rows[2])
+    _assert_on_the_secant(loops[4][0], rows[1], rows[2])
+    _assert_on_the_secant(loops[5][0], rows[2], rows[4])
+    assert [predicted for _, predicted, _ in loops] == [False, False] + [True] * 4
 
 
 def _reject_constant(token):

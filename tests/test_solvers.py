@@ -115,6 +115,32 @@ def test_forcing_terms():
     assert solvers._forcing(2e-10, 1e-4, tol) == eta_max
     # a fast step after a slow one keeps the quadratic rate: choice 2's safeguard is gone
     assert solvers._forcing(1e-3, 1.0, tol) == pytest.approx(solvers._EW_GAMMA * 1e-6)
+    # a predicted start: its first step runs to min(eta_max, ||F_0||), ||F_0|| its L2 norm
+    assert solvers._forcing(1.0, None, tol, 1e-3) == 1e-3
+    assert solvers._forcing(1.0, None, tol, 5.0) == eta_max
+    # the floor and then the cap still win where they did
+    assert solvers._forcing(1e-8, None, tol, 1e-9) == 0.5 * tol / 1e-8
+    assert solvers._forcing(2e-10, None, tol, 1e-12) == eta_max
+    # from the second step on, choice 2 again
+    assert solvers._forcing(0.01, 1.0, tol, 1e-6) == pytest.approx(solvers._EW_GAMMA * 1e-4)
+
+
+def test_a_predicted_loop_forces_its_first_step_by_the_start_residual(monkeypatch, torus24,
+                                                                       torus24_section):
+    state, report = solve_gravitating(torus24, torus24_section, 2.5, 0.02)
+    assert report.converged
+    start = make_state(replace(state.spec, alpha=0.03), state.f.values, state.v.values)
+    system = solvers._NewtonSystem(start.spec, start.f.values, start.v.values)
+    l2 = math.sqrt(2.0 * system.merit(system.residual_vector()[0]))
+    assert l2 < solvers._ETA_MAX
+    rtols, step = [], solvers.newton_step
+    monkeypatch.setattr(solvers, "newton_step",
+                        lambda s, _system, rtol: rtols.append(rtol) or step(s, _system, rtol))
+    plain = solvers._newton_loop(start, SolverConfig())
+    first_plain, rtols[:] = rtols[0], []
+    predicted = solvers._newton_loop(start, SolverConfig(), predicted=True)
+    assert plain.failure is None and predicted.failure is None
+    assert first_plain == solvers._ETA_MAX and rtols[0] == l2
 
 
 def test_warm_start_near_the_torus_fold_certifies(torus32):
