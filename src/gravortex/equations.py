@@ -159,7 +159,7 @@ def initial_state(spec: ProblemSpec) -> FieldState:
 
 
 def _clamped_exp(q: np.ndarray) -> np.ndarray:
-    return np.exp(np.clip(q, -_EXP_CLAMP, _EXP_CLAMP))
+    return np.exp(np.maximum(np.minimum(q, _EXP_CLAMP), -_EXP_CLAMP))  # np.clip's bits, unwrapped
 
 
 def _nonlinearity(spec: ProblemSpec, f: np.ndarray, v: np.ndarray, c_prime: float):

@@ -82,15 +82,14 @@ def _legendre_tables(lmax: int, xi: np.ndarray) -> np.ndarray:
 class _SphereTransform:
     """Real spherical-harmonic transform on the Gauss-Legendre x equispaced grid.
 
-    Coefficients are one real (2, L+1, 2, K) array, K = L//2 + 1, indexed by
-    (parity of l - m, order m, real/imaginary part, k) for degree
-    l = m + 2k + parity (``degrees``); slots with l > L are zero.  Longitude:
-    one GEMM with the n_lon x 2(L+1) (cos m phi, -sin m phi) matrix, and its
-    transpose (orders m >= 1 doubled) back.  Latitude: P_lm(-x) =
-    (-1)^{l-m} P_lm(x) on the symmetric nodes, so P_lm is kept on the northern
-    nodes only, in one (m, k, node) tensor per parity that serves both
-    directions; analysis projects north +/- mirrored south (equator node at
-    half weight), synthesis writes north = E + O, south = E - O.
+    Coefficients are one real (2, L+1, 2, K) array, K = L//2 + 1, indexed by (parity of
+    l - m, order m, real/imaginary part, k) for degree l = m + 2k + parity (``degrees``);
+    slots with l > L are zero.  Longitude: one GEMM with the n_lon x 2(L+1) (cos m phi,
+    -sin m phi) matrix, and its transpose (orders m >= 1 doubled) back.  Latitude: P_lm(-x) =
+    (-1)^{l-m} P_lm(x) on the symmetric nodes, so P_lm is kept on the northern nodes only, in
+    one (m, k, node) tensor per parity that serves both directions.  Analysis transforms every
+    latitude, folds the spectrum into north +/- mirrored south (equator node at half weight)
+    and projects each fold into the coefficients; synthesis writes north = E + O, south = E - O.
     """
 
     def __init__(self, lmax: int):
@@ -105,7 +104,7 @@ class _SphereTransform:
         self.phi = TWO_PI * np.arange(self.n_lon) / self.n_lon
         n_north = (self.n_lat + 1) // 2
         # analysis weights of the northern nodes, with the DFT's 1/n_lon
-        self._w_north = self.wgl[:n_north, None] / self.n_lon
+        self._w_north = self.wgl[:n_north] / self.n_lon
         self._w_north[self.n_lat // 2 :] *= 0.5  # the equator node; empty when n_lat is even
         mphi = np.outer(self.phi, np.arange(lmax + 1))
         self._dft = np.stack([np.cos(mphi), -np.sin(mphi)], axis=-1).reshape(self.n_lon, -1)
@@ -120,14 +119,15 @@ class _SphereTransform:
 
     def analyze(self, f2d: np.ndarray) -> np.ndarray:
         """Coefficients, in the layout of the class docstring, of a real field."""
-        n_north = self._w_north.shape[0]
-        north, south = f2d[:n_north], f2d[::-1][:n_north]
-        sym = np.stack([north + south, north - south]) * self._w_north
-        # (m, re/im, parity, node): the DFT of both latitude parities in one GEMM
-        spec = (self._dft.T @ sym.reshape(2 * n_north, -1).T).reshape(-1, 2, 2, n_north)
+        spec = (f2d @ self._dft).T.reshape(self.lmax + 1, 2, -1)  # (m, re/im, node): one GEMM
+        north, south = spec[..., : self._w_north.size], spec[..., : -self._w_north.size - 1 : -1]
+        sym = np.empty((2,) + north.shape)  # north +/- mirrored south, weighted in place
+        np.add(north, south, out=sym[0])
+        np.subtract(north, south, out=sym[1])
+        sym *= self._w_north
         coef = np.zeros((2, self.lmax + 1, 2, self.lmax // 2 + 1))
-        coef[0] = spec[:, :, 0] @ self._p_even.transpose(0, 2, 1)
-        coef[1, ..., : self._p_odd.shape[1]] = spec[:, :, 1] @ self._p_odd.transpose(0, 2, 1)
+        np.matmul(sym[0], self._p_even.transpose(0, 2, 1), out=coef[0])
+        np.matmul(sym[1], self._p_odd.transpose(0, 2, 1), out=coef[1, ..., : self._p_odd.shape[1]])
         return coef
 
     def synthesize(self, coef: np.ndarray) -> np.ndarray:

@@ -265,10 +265,10 @@ class _NewtonSystem:
         n, k = self.n, self.field_rows
         df, dv, dc = self._split(x)
         wa, pw, half_pt, wv, gc = self._jacobian
-        q = wa * df
+        out, q = np.empty(self.size), wa * df
         if self.has_v:
-            q += wv * dv
-        out = np.empty(self.size)
+            tmp = wv * dv  # then the v rows' scratch array
+            q += tmp
         if self.bordered:
             out[k] = np.dot(self.grid.quad_weights, dv if self.has_v else q) / TWO_PI + gc * dc
         krylov = y is not None
@@ -276,9 +276,10 @@ class _NewtonSystem:
             q += (2.0 * dc) * self.w
         out[:k] = y[:k] if krylov else laplacian_values(self.grid, x[:k].reshape(-1, n)).reshape(-1)
         out[:n] += (self._krylov_diag if krylov else pw) * df
-        out[:n] += half_pt * q
         if self.has_v:
-            out[n:k] += q - self._shifts[1] * dv if krylov else q
+            out[n:k] += (np.subtract(q, np.multiply(self._shifts[1], dv, out=tmp), out=tmp)
+                         if krylov else q)
+        out[:n] += np.multiply(half_pt, q, out=q)  # q's last use: scaled in place
         return out
 
     def krylov_apply(self, y: np.ndarray, x: Optional[np.ndarray] = None) -> tuple:
@@ -297,7 +298,7 @@ class _NewtonSystem:
         if self._border is not None:
             col, row, pivot = self._border
             x[k] = (float(y[k]) - float(np.dot(row, z[-self.n :]))) / pivot
-            z = z - x[k] * col
+            z = np.subtract(z, np.multiply(x[k], col, out=x[:k]), out=x[:k])
         fields = z.reshape(2, self.n) if self.has_v else z
         x[:k] = _spectral(self.grid, fields, self._smoother).reshape(-1)
         return x
@@ -357,50 +358,49 @@ def gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     """One GMRES cycle (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) for A y = b.
 
     ``apply(y, x=None)`` returns (P y, A y), A = D J P, and spares P when x = P y is given.
-    Up to _KRYLOV_INNER Arnoldi steps from y = 0 (modified Gram-Schmidt, Givens rotations)
-    keep P v_j beside each basis vector v_j, so d = P y is their combination and costs no
-    further P.  The Arnoldi estimate, or a zero pivot (A singular), only ends the cycle; the
-    true residual b - A y, formed once from (y, d), decides the exit code: (d, 0) when it is
-    within rtol ||b||, else (d, 1).  Nothing is applied when ||b|| is 0 (code 0) or not
-    finite (code 1); d is then 0.
+    Up to _KRYLOV_INNER Arnoldi steps from y = 0 (modified Gram-Schmidt, Givens rotations and
+    back substitution on Python floats) keep P v_j beside each basis vector v_j, so d = P y is
+    their combination and costs no further P.  The Arnoldi estimate, or a zero pivot (A
+    singular), only ends the cycle; the true residual b - A y, formed once from (y, d), decides
+    the exit code: (d, 0) when it is within rtol ||b||, else (d, 1).  Nothing is applied when
+    ||b|| is 0 (code 0) or not finite (code 1); d is then 0.
     """
-    m = _KRYLOV_INNER
-    beta = float(np.linalg.norm(b))
+    beta = math.sqrt(np.dot(b, b))  # np.linalg.norm's arithmetic, without its wrapper
     if beta == 0.0 or not math.isfinite(beta):
         return np.zeros_like(b), 0 if beta == 0.0 else 1
-    tol = rtol * beta
-    basis, dirs, rot = [b / beta], [], []
-    h, g = np.zeros((m + 1, m)), np.zeros(m + 1)
-    g[0] = beta
-    for j in range(m):
+    tol, eps = rtol * beta, float(np.finfo(float).eps)
+    basis, dirs, rot, cols, g = [b / beta], [], [], [], [beta]
+    for j in range(_KRYLOV_INNER):
         z, w = apply(basis[j])
         dirs.append(z)
-        w_norm = float(np.linalg.norm(w))
-        for i, v in enumerate(basis):
-            h[i, j] = np.dot(v, w)
-            w -= h[i, j] * v
-        h[j + 1, j] = np.linalg.norm(w)
-        breakdown = not h[j + 1, j] > np.finfo(float).eps * w_norm
+        col, w_norm = [], math.sqrt(np.dot(w, w))
+        for v in basis:
+            col.append(float(np.dot(v, w)))
+            w -= col[-1] * v
+        col.append(math.sqrt(np.dot(w, w)))
+        breakdown = not col[-1] > eps * w_norm
         if not breakdown:
-            basis.append(w / h[j + 1, j])
+            basis.append(w / col[-1])
         for i, (c, s) in enumerate(rot):
-            h[i, j], h[i + 1, j] = c * h[i, j] + s * h[i + 1, j], c * h[i + 1, j] - s * h[i, j]
-        rho = math.hypot(h[j, j], h[j + 1, j])
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        rho = math.hypot(col[j], col[j + 1])
         if rho == 0.0:  # A is singular on the Krylov space: solve on the columns before j
-            j -= 1
             break
-        c, s = h[j, j] / rho, h[j + 1, j] / rho
-        rot.append((c, s))
-        h[j, j], g[j], g[j + 1] = rho, c * g[j], -s * g[j]
+        rot.append((col[j] / rho, col[j + 1] / rho))
+        cols.append(col[:j] + [rho])
+        g[j:] = [rot[j][0] * g[j], -rot[j][1] * g[j]]
         if abs(g[j + 1]) < tol or breakdown:
             break
-    coef = np.linalg.solve(np.triu(h[: j + 1, : j + 1]), g[: j + 1])
+    coef = g[: len(cols)]  # back substitution on the triangular R, column by column
+    for k in reversed(range(len(cols))):
+        coef[k] /= cols[k][k]
+        coef[:k] = [ci - coef[k] * h for ci, h in zip(coef[:k], cols[k])]
     y, d = np.zeros_like(b), np.zeros_like(b)
     for ci, v, z in zip(coef, basis, dirs):
         y += ci * v
         d += ci * z
-    d, w = apply(y, d)
-    return d, 0 if float(np.linalg.norm(b - w)) <= tol else 1
+    r = apply(y, d)[1] - b  # apply spares P, and returns d as given
+    return d, 0 if math.sqrt(np.dot(r, r)) <= tol else 1
 
 
 lgmres = gmres  # perfbench/tracer.py patches this binding

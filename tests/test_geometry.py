@@ -127,7 +127,8 @@ def test_gauss_legendre_rule_at_n193_matches_a_30_digit_reference():
     assert np.max(np.abs(sht.wgl - w_ref)) <= 1e-14
 
 
-@pytest.mark.parametrize("lmax", [12, 13])
+# even and odd n_lat = lmax + 1, at a small band limit and at L = 47, 48
+@pytest.mark.parametrize("lmax", [12, 13, 47, 48])
 def test_sht_matches_dense_quadrature(lmax):
     sht = _SphereTransform(lmax)
     p = _legendre_tables(lmax, sht.xi)

@@ -563,6 +563,38 @@ def test_gmres_matches_a_dense_solve(model, resolution, kind):
     assert _rel(d, exact) < 1e-6
 
 
+@pytest.mark.parametrize("spread,rtol,steps", [(0.05, 1e-3, 3),
+                                               (1.0, 1e-12, solvers._KRYLOV_INNER)])
+def test_gmres_cycle_is_the_minimal_residual_solution_on_its_krylov_space(spread, rtol, steps):
+    # a dense nonsymmetric A = I + spread * G and right preconditioner P: after j Arnoldi steps
+    # d = P y, y the minimiser of ||b - A y|| over span(b, A b, ..., A^{j-1} b); the reference
+    # spans that space by classical Gram-Schmidt, twice, and solves the least squares densely
+    n = 60
+    rng = np.random.default_rng(29)
+    a = np.eye(n) + spread * rng.standard_normal((n, n)) / math.sqrt(n)
+    p = np.eye(n) + 0.1 * rng.standard_normal((n, n)) / math.sqrt(n)
+    b = rng.standard_normal(n)
+    applied = []
+
+    def apply(y, x=None):
+        applied.append(y.copy())
+        return (p @ y if x is None else x), a @ y
+
+    d, code = solvers.gmres(apply, b, rtol)
+    j = len(applied) - 1  # the last application is the true residual's
+    assert j == steps and code == (0 if j < solvers._KRYLOV_INNER else 1)
+    basis = [b / np.linalg.norm(b)]
+    for _ in range(j - 1):
+        w = a @ basis[-1]
+        for _ in range(2):
+            w -= np.column_stack(basis) @ (np.column_stack(basis).T @ w)
+        basis.append(w / np.linalg.norm(w))
+    q = np.column_stack(basis)
+    y = q @ np.linalg.lstsq(a @ q, b, rcond=None)[0]
+    assert _rel(d, p @ y) < 1e-12
+    assert _rel(applied[-1], y) < 1e-12
+
+
 @pytest.mark.parametrize("model,resolution,kind,bound,outliers", [
     ("torus", 12, "gravitating", 0.6, 2), ("sphere", 6, "eb", 1.25, 1)])
 def test_eliminating_the_border_leaves_no_outlier_eigenvalue(model, resolution, kind, bound,
