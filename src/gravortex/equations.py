@@ -38,7 +38,7 @@ they came from.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -147,10 +147,16 @@ def make_state(spec: ProblemSpec, f_values, v_values=None) -> FieldState:
 
 
 def initial_state(spec: ProblemSpec) -> FieldState:
-    """Default starting guess: constant f with e^{2f} max(a) = tau/2, v = 0."""
-    amax = float(np.max(spec.section.norm_sq.values))
-    f0 = 0.5 * math.log(spec.tau / 2.0) - 0.5 * math.log(amax)
-    return make_state(spec, np.full(spec.grid.n_nodes, f0))
+    """Constant f with mean(P) = tau - 2N, the vortex degree identity, v = 0, and for EB and
+    gravitating kinds c' with mean(W) = 1, the volume row; at or below the degree bound
+    (tau <= 2N), where no constant solves the identity, e^{2f} max(a) = tau/2 at the spec's c'."""
+    a, excess = spec.section.norm_sq, spec.tau - 2.0 * spec.degree
+    f = np.full(spec.grid.n_nodes, 0.5 * math.log(excess / mean_value(a)) if excess > 0.0
+                else 0.5 * math.log(spec.tau / 2.0) - 0.5 * math.log(float(np.max(a.values))))
+    if excess > 0.0 and spec.kind is not EquationKind.VORTEX:
+        w = _clamped_exp(_nonlinearity(spec, f, np.zeros_like(f), 0.0)[1])
+        spec = replace(spec, c_prime=-0.5 * math.log(mean_value(ScalarField(spec.grid, w))))
+    return make_state(spec, f)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,11 @@ def direct_gve_residual(state: FieldState) -> tuple[ScalarField, ScalarField]:
     if two_u is None:
         raise ValueError("conformal density 1 - Delta v is not positive")
     inv = np.exp(-two_u)
-    lap_f, lap_u, lap_p = laplacian_values(s.grid, np.stack([state.f.values, 0.5 * two_u, p]))
+    if s.kind is EquationKind.GRAVITATING:
+        lap_f, lap_u, lap_p = laplacian_values(s.grid, np.stack([state.f.values, 0.5 * two_u, p]))
+    else:  # 2u = 4 alpha tau f - 2 alpha P + 2 c' is affine in f and P
+        lap_f, lap_p = laplacian_values(s.grid, np.stack([state.f.values, p]))
+        lap_u = 2.0 * s.alpha * s.tau * lap_f - s.alpha * lap_p
     r1 = inv * (s.degree + lap_f) + 0.5 * (p - s.tau)
     s_eq = inv * (0.5 * s.grid.base_scalar_curvature + lap_u)
     r2 = s_eq + s.alpha * (inv * lap_p + s.tau * (p - s.tau)) - s.c

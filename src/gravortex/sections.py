@@ -111,35 +111,35 @@ def sphere_log_norm_raw(divisor: Divisor, xy: np.ndarray) -> np.ndarray:
     return out
 
 
-def _theta1(w: np.ndarray) -> np.ndarray:
-    """Jacobi theta_1(w | tau=i), nome q = e^{-pi}; w complex array."""
-    q = math.exp(-math.pi)
-    total = np.zeros_like(w, dtype=complex)
-    for k in range(_THETA_TERMS):
-        coeff = (-1.0) ** k * q ** ((k + 0.5) ** 2)
-        total = total + coeff * np.sin((2 * k + 1) * w)
-    return 2.0 * total
-
-
 def torus_green_kernel(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Doubly periodic kernel G0 with (1/2) Laplacian(2 G0) = 1 away from 0.
 
-    G0(z) = log|theta1(pi z | i)| - pi y^2 evaluated at the wrapped offsets.
+    G0(z) = log|theta1(pi z | i)| - pi y^2 at the wrapped offsets; theta1(w | i) = 2 sum_k
+    (-1)^k q^{(k+1/2)^2} sin(n w), n = 2k+1, q = e^{-pi}, and at w = a + ib the sine is
+    sin(n a) cosh(n b) + i cos(n a) sinh(n b): dx and dy broadcast (an x axis against a y axis
+    costs one transcendental per axis point and term).
     """
     dx = np.mod(np.asarray(dx, dtype=float) + 0.5, 1.0) - 0.5
     dy = np.mod(np.asarray(dy, dtype=float) + 0.5, 1.0) - 0.5
-    w = math.pi * (dx + 1j * dy)
-    t = _theta1(w)
+    a, b, q = math.pi * dx, math.pi * dy, math.exp(-math.pi)
+    re = im = 0.0
+    for k in range(_THETA_TERMS):
+        n, coeff = 2 * k + 1, 2.0 * (-1.0) ** k * q ** ((k + 0.5) ** 2)
+        re = re + (coeff * np.sin(n * a)) * np.cosh(n * b)
+        im = im + (coeff * np.cos(n * a)) * np.sinh(n * b)
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(t)) - math.pi * dy * dy
+        return np.log(np.hypot(re, im)) - math.pi * dy * dy
+
+
+def _torus_log_norm(divisor: Divisor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Un-normalised log a at broadcastable torus coordinates x, y; C = 0 convention."""
+    return sum(2.0 * m * torus_green_kernel(x - p[0], y - p[1])
+               for p, m in zip(divisor.points, divisor.multiplicities))
 
 
 def torus_log_norm_raw(divisor: Divisor, xy: np.ndarray) -> np.ndarray:
     """Un-normalised log a at torus points (n,2); C = 0 convention."""
-    out = np.zeros(xy.shape[0])
-    for p, m in zip(divisor.points, divisor.multiplicities):
-        out = out + 2.0 * m * torus_green_kernel(xy[:, 0] - p[0], xy[:, 1] - p[1])
-    return out
+    return _torus_log_norm(divisor, xy[:, 0], xy[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +171,10 @@ def build_section(grid: SurfaceGrid, divisor: Divisor) -> SectionData:
     divisor = _validate_divisor_on(grid, divisor)
     if grid.model is SurfaceModel.SPHERE:
         raw = sphere_log_norm_raw(divisor, grid.node_coords)
-    else:
-        raw = torus_log_norm_raw(divisor, grid.node_coords)
+    else:  # node (x_i, y_j) is row i n + j: the kernel broadcasts the x axis against the y axis
+        n = grid.resolution
+        x, y = grid.node_coords[::n, 0], grid.node_coords[:n, 1]
+        raw = _torus_log_norm(divisor, x[:, None], y).reshape(-1)
     c = -float(np.max(raw))
     return SectionData(
         divisor=divisor,

@@ -4,8 +4,8 @@ One bordered Newton system, ``_NewtonSystem``, drives all three equation
 kinds: it stacks ``equations._residual_rows`` with the gauge row, and its
 ``matvec`` is the only Jacobian in the package.  It holds the iterate as raw
 arrays, so a line-search trial evaluates the nonlinearity once and builds no
-``FieldState`` (accepted steps do).  The unknown vector is f (vortex),
-(f, c') (EB), or (f, v, c') (gravitating); the additive volume-gauge constant
+``FieldState`` (a Newton loop builds one, when it returns).  The unknown vector is f
+(vortex), (f, c') (EB), or (f, v, c') (gravitating); the additive volume-gauge constant
 c' of the conformal factor is an explicit Newton unknown, paired with the
 volume/mean constraints:
 
@@ -165,7 +165,7 @@ class _NewtonSystem:
     The iterate is raw arrays f, v (None reads as 0) and c' (default: the
     spec's).  Construction evaluates the nonlinearity once and sets
     ``overflow``; the Jacobian coefficients, shifts and border are built on first use,
-    never for a rejected line-search trial; ``state`` is the validated
+    never for a rejected line-search trial, and so is ``state``, the validated
     ``FieldState``.  Block layout per kind: the f rows; the v rows when v is
     an unknown (gravitating); then the c' column and its gauge row
     (gravitating and EB), which reads mean(v) when v is an unknown and
@@ -362,8 +362,9 @@ def gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     back substitution on Python floats) keep P v_j beside each basis vector v_j, so d = P y is
     their combination and costs no further P.  The Arnoldi estimate, or a zero pivot (A
     singular), only ends the cycle; the true residual b - A y, formed once from (y, d), decides
-    the exit code: (d, 0) when it is within rtol ||b||, else (d, 1).  Nothing is applied when
-    ||b|| is 0 (code 0) or not finite (code 1); d is then 0.
+    the exit code: (d, 0) when it is within rtol ||b||, else (d, 1); (0, 1) when b . A y <= 0, as
+    roundoff (a near-singular R) leaves it: the minimiser over a space holding y = 0 has b . A y =
+    ||A y||^2 > 0.  Nothing is applied when ||b|| is 0 (code 0) or not finite (code 1); d is 0.
     """
     beta = math.sqrt(np.dot(b, b))  # np.linalg.norm's arithmetic, without its wrapper
     if beta == 0.0 or not math.isfinite(beta):
@@ -400,13 +401,15 @@ def gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
         y += ci * v
         d += ci * z
     r = apply(y, d)[1] - b  # apply spares P, and returns d as given
+    if np.dot(b, r) + beta * beta <= 0.0:  # b . A y = b . r + ||b||^2
+        return np.zeros_like(b), 1
     return d, 0 if math.sqrt(np.dot(r, r)) <= tol else 1
 
 
 lgmres = gmres  # perfbench/tracer.py patches this binding
 
 
-def newton_step(state: FieldState, _system=None, rtol: float = _ETA_MAX):
+def newton_step(state: Optional[FieldState], _system=None, rtol: float = _ETA_MAX):
     """One damped Newton step d = P y, GMRES solving D J P y = -D r (D: ``krylov_scale``) to rtol.
 
     Returns (new_state, info) where info records residual_norm (sup norm over
@@ -415,8 +418,8 @@ def newton_step(state: FieldState, _system=None, rtol: float = _ETA_MAX):
     ("overflow" also when the merit of the residual is not finite; "no_descent" when the
     full step fails and the merit's slope along d is not below -2 sigma theta0),
     krylov_info (the exit code of the one GMRES cycle: 0 when the true linear
-    residual meets rtol, else 1; None when no linear solve ran), and system,
-    the Newton system at new_state (the next step reuses it).
+    residual meets rtol, else 1; None when no linear solve ran), and system, the Newton system at
+    the new iterate (the next step reuses it).  Given ``_system``, an accepted step's state is None.
     """
     sys = _system if _system is not None else _NewtonSystem(state.spec, state.f.values,
                                                             state.v.values)
@@ -435,7 +438,7 @@ def newton_step(state: FieldState, _system=None, rtol: float = _ETA_MAX):
             r2, sup2 = trial.residual_vector()
             if sys.merit(r2) <= (1.0 - 2.0 * _ARMIJO_CONSTANT * t) * theta0:
                 info.update(new_residual_norm=sup2, step_scale=t, system=trial)
-                return trial.state, info
+                return (trial.state if _system is None else None), info
         # the merit's exact slope along d, from the true Laplacian (krylov_apply's product passes
         # out-of-band content through): no small t passes Armijo unless it is below -2 sigma theta0
         if t == 1.0 and sys.inner(r, sys.matvec(d)) >= -2.0 * _ARMIJO_CONSTANT * theta0:
@@ -480,26 +483,26 @@ def _newton_loop(state: FieldState, config: SolverConfig, predicted: bool = Fals
         r, sup = sys.residual_vector()
         norms = max(float(np.max(np.abs(sys.f))), float(np.max(np.abs(sys.v))))
         if sup <= config.newton_tol:
-            return _LoopResult(state, iterations, sup, None)
+            return _LoopResult(sys.state, iterations, sup, None)
         if norms > _DIVERGENCE_NORM:
-            return _LoopResult(state, iterations, sup, FailureReason.DIVERGENCE,
+            return _LoopResult(sys.state, iterations, sup, FailureReason.DIVERGENCE,
                                f"iterate sup-norm {norms:.3e} exceeded the divergence guard")
         if iterations >= config.max_newton_iters:
-            return _LoopResult(state, iterations, sup, FailureReason.MAX_ITERS,
+            return _LoopResult(sys.state, iterations, sup, FailureReason.MAX_ITERS,
                                f"residual {sup:.3e} after {iterations} iterations"
                                + _krylov_note(krylov_info))
         with np.errstate(over="ignore"):  # P W near 1e260 passes the exponent guard
             norm = float(np.linalg.norm(sys.krylov_scale(r.copy())))
         if not math.isfinite(norm):
-            return _LoopResult(state, iterations, sup, FailureReason.OVERFLOW,
+            return _LoopResult(sys.state, iterations, sup, FailureReason.OVERFLOW,
                                f"residual {sup:.3e} has no finite 2-norm")
         rtol, prev_norm = _forcing(norm, prev_norm, config.newton_tol, start), norm
-        state, info = newton_step(state, _system=sys, rtol=rtol)
+        _, info = newton_step(None, _system=sys, rtol=rtol)
         iterations += 1
         krylov_info = info["krylov_info"]
         if info["flag"] is not None:
             failure, message = _FLAG_FAILURES[info["flag"]]
-            return _LoopResult(state, iterations, info["residual_norm"], failure,
+            return _LoopResult(sys.state, iterations, info["residual_norm"], failure,
                                message + _krylov_note(krylov_info))
         sys = info["system"]
 

@@ -27,7 +27,7 @@ from gravortex.geometry import (
     integrate,
     laplacian_apply,
 )
-from gravortex.sections import Divisor, SectionData, build_section
+from gravortex.sections import Divisor, SectionData, build_section, rescale
 from gravortex.solvers import _NewtonSystem
 
 TWO_PI = 2.0 * math.pi
@@ -121,11 +121,59 @@ def test_field_state_validation(torus24, torus24_section):
 
 
 def test_initial_state_density_scale(torus24, torus24_section):
+    # above the degree bound the constant start has mean(P) = tau - 2N
     spec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
                        kind=EquationKind.VORTEX)
     state = initial_state(spec)
     p = np.exp(2.0 * state.f.values) * torus24_section.norm_sq.values
-    assert float(np.max(p)) == pytest.approx(2.5 / 2.0, rel=1e-12)
+    assert integrate(field(torus24, p)) / TWO_PI == pytest.approx(2.5 - 2.0, rel=1e-12)
+    # at or below it no constant solves the degree identity: e^{2f} max(a) = tau/2
+    for tau in (2.0, 1.85):
+        state = initial_state(replace(spec, tau=tau))
+        p = np.exp(2.0 * state.f.values) * torus24_section.norm_sq.values
+        assert float(np.max(p)) == pytest.approx(tau / 2.0, rel=1e-12)
+
+
+def _start_specs(torus24, torus24_section, sphere16, antipodal_section16):
+    """A vortex, a gravitating and (on the sphere) an EB problem on each surface."""
+    specs = []
+    for grid, section, tau, alpha in ((torus24, torus24_section, 2.5, 0.03),
+                                      (sphere16, antipodal_section16, 8.0, 1.0 / 16.0)):
+        specs.append(ProblemSpec(grid, section, tau, EquationKind.VORTEX))
+        specs.append(ProblemSpec(grid, section, tau, EquationKind.GRAVITATING, alpha, 0.7))
+    specs.append(ProblemSpec(sphere16, antipodal_section16, 8.0, EquationKind.EINSTEIN_BOGOMOLNYI,
+                             1.0 / 16.0, 0.7))
+    return specs
+
+
+def test_initial_state_meets_both_scalar_constraints(torus24, torus24_section, sphere16,
+                                                     antipodal_section16):
+    # the degree identity of the vortex equation, mean(P) = tau - 2N, and for the bordered
+    # kinds the volume constraint, mean(W) = 1, whatever c' the spec was posed at
+    for spec in _start_specs(torus24, torus24_section, sphere16, antipodal_section16):
+        state = initial_state(spec)
+        assert not state.v.values.any() and np.ptp(state.f.values) == 0.0
+        p = np.exp(2.0 * state.f.values) * spec.section.norm_sq.values
+        assert abs(integrate(field(spec.grid, p)) / TWO_PI - (spec.tau - 2 * spec.degree)) < 1e-12
+        rep = identity_report(state)
+        assert abs(rep.volume_identity) < 1e-12
+        if spec.kind is EquationKind.VORTEX:
+            assert state.spec is spec and abs(rep.degree_identity) < 1e-12
+        else:
+            assert state.spec == replace(spec, c_prime=state.spec.c_prime)
+            assert state.spec.c_prime != spec.c_prime
+
+
+def test_initial_state_is_covariant_under_rescale(torus24, torus24_section, sphere16,
+                                                  antipodal_section16):
+    # a -> e^{2s} a sends the start's f to f - s and its c' to c' + 2 alpha tau s
+    shift = 0.37
+    for spec in _start_specs(torus24, torus24_section, sphere16, antipodal_section16):
+        state = initial_state(spec)
+        scaled = initial_state(replace(spec, section=rescale(spec.section, shift)))
+        assert np.max(np.abs(scaled.f.values - (state.f.values - shift))) < 1e-12
+        want = state.spec.c_prime + 2.0 * spec.alpha * spec.tau * shift
+        assert abs(scaled.spec.c_prime - want) < 1e-12
 
 
 def test_vortex_residual_formula(torus24, torus24_section):
@@ -365,3 +413,27 @@ def test_direct_gve_residual_is_its_formula_bit_for_bit(model, resolution):
           + s.alpha * (inv * lap_p + s.tau * (p - s.tau)) - s.c)
     got = direct_gve_residual(state)
     assert np.array_equal(got[0].values, r1) and np.array_equal(got[1].values, r2)
+
+
+@pytest.mark.parametrize("points", [((0.0, 0.0), POINT_AT_INFINITY), ((0.0, 0.0), (1.0, 0.5))],
+                         ids=["antipodal", "non-antipodal"])
+def test_eb_direct_gve_residual_reads_delta_u_off_f_and_p(sphere24, points):
+    # EB's 2u = 4 alpha tau f - 2 alpha P + 2c' is affine in (f, P): two Laplacians give the
+    # curvature row that the three-row form, with Delta u transformed itself, gives, up to
+    # the Laplacian's roundoff, eps 2L(L+1) |u| (3e-12 at L = 48)
+    grid = sphere24
+    section = build_section(grid, Divisor(points, (1, 1)))
+    spec = ProblemSpec(grid=grid, section=section, tau=8.0,
+                       kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=1.0 / 16.0, c_prime=0.2)
+    state = make_state(spec, _smooth(grid, 3))
+    s, f = spec, state.f.values
+    p = np.exp(2.0 * f) * section.norm_sq.values
+    two_u = 4.0 * s.alpha * s.tau * f - 2.0 * s.alpha * p + 2.0 * s.c_prime
+    inv = np.exp(-two_u)
+    lap_f, lap_u, lap_p = (laplacian_apply(field(grid, x)).values for x in (f, 0.5 * two_u, p))
+    r1 = inv * (s.degree + lap_f) + 0.5 * (p - s.tau)
+    r2 = (inv * (0.5 * grid.base_scalar_curvature + lap_u)
+          + s.alpha * (inv * lap_p + s.tau * (p - s.tau)))
+    got = direct_gve_residual(state)
+    assert np.max(np.abs(got[0].values - r1)) < 1e-12
+    assert np.max(np.abs(got[1].values - r2)) < 1e-12
