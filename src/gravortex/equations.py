@@ -19,15 +19,18 @@ c = 0 for vortex and EB problems, so re-posing a spec at another kind or
 coupling (``dataclasses.replace``) is consistent by construction.
 
 The additive constant c' is the volume gauge of the conformal factor: it is
-determined by Vol(e^{2u} omega_0) = 2*pi and is stored on the problem spec
-(0 for a freshly posed problem; the solvers treat it as an unknown).  The
+determined by Vol(e^{2u} omega_0) = 2*pi, and is stored on the problem spec
+(0 for a freshly posed problem).  W depends on c' only through the factor
+e^{2c'}, so the volume condition gives it in closed form, c' = -(1/2) log mean(e^{q0})
+with q0 the exponent at c' = 0, and W = e^{q0} / mean(e^{q0}): the mean-field form.
+The solvers use that form, and set the c' it implies on the state they return.  The
 gravitating equations at c = 0, v = 0 reduce exactly to the EB equation, and
 at alpha = 0, v = 0, c' = 0 to the vortex equation, so one pointwise kernel,
 ``_nonlinearity`` (P, the exponent q of W = e^q, the overflow flag), and one
 raw-array residual, ``_residual_rows``, serve all three kinds (W = 1 for
-vortex).  ``residual_fields`` wraps them for a ``FieldState``;
+vortex).  ``residual_fields`` wraps them for a ``FieldState`` at its spec's c';
 ``solvers._NewtonSystem`` runs them once per line-search trial on the raw
-iterate and holds the Jacobian, bordered by the c' column and the gauge row.
+iterate, with the mean-field W, and holds the Jacobian.
 
 ``direct_gve_residual`` evaluates the *unreduced* coupled system (the metric
 equation for the conformal density together with the curvature equation) so
@@ -38,7 +41,7 @@ they came from.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -147,15 +150,12 @@ def make_state(spec: ProblemSpec, f_values, v_values=None) -> FieldState:
 
 
 def initial_state(spec: ProblemSpec) -> FieldState:
-    """Constant f with mean(P) = tau - 2N, the vortex degree identity, v = 0, and for EB and
-    gravitating kinds c' with mean(W) = 1, the volume row; at or below the degree bound
-    (tau <= 2N), where no constant solves the identity, e^{2f} max(a) = tau/2 at the spec's c'."""
+    """Constant f with mean(P) = tau - 2N, the vortex degree identity, and v = 0, on ``spec``
+    as given; at or below the degree bound (tau <= 2N), where no constant solves the identity,
+    e^{2f} max(a) = tau/2.  The solvers' mean-field W meets the volume condition at any f."""
     a, excess = spec.section.norm_sq, spec.tau - 2.0 * spec.degree
     f = np.full(spec.grid.n_nodes, 0.5 * math.log(excess / mean_value(a)) if excess > 0.0
                 else 0.5 * math.log(spec.tau / 2.0) - 0.5 * math.log(float(np.max(a.values))))
-    if excess > 0.0 and spec.kind is not EquationKind.VORTEX:
-        w = _clamped_exp(_nonlinearity(spec, f, np.zeros_like(f), 0.0)[1])
-        spec = replace(spec, c_prime=-0.5 * math.log(mean_value(ScalarField(spec.grid, w))))
     return make_state(spec, f)
 
 
@@ -170,13 +170,13 @@ def _clamped_exp(q: np.ndarray) -> np.ndarray:
 
 def _nonlinearity(spec: ProblemSpec, f: np.ndarray, v: np.ndarray, c_prime: float):
     """P = e^{2f} a, the exponent q = 4 alpha tau f - 2 alpha P - 2 c v + 2 c' of the
-    conformal weight W (1 for vortex, e^{2u} for EB), and whether 2f or q passes
-    the guard: exponentials clamp there and stay finite, and solvers stop instead."""
+    conformal weight W (1 for vortex, e^{2u} for EB), and whether 2f passes the guard:
+    e^{2f} clamps there and stays finite, and solvers stop instead.  The solvers' W scales
+    e^q by its largest value, so q needs no guard."""
     two_f = 2.0 * f
     p = _clamped_exp(two_f) * spec.section.norm_sq.values
     q = 4.0 * spec.alpha * spec.tau * f - 2.0 * spec.alpha * p - 2.0 * spec.c * v + 2.0 * c_prime
-    overflow = bool(np.max(np.abs(two_f)) > _EXP_CLAMP or np.max(np.abs(q)) > _EXP_CLAMP)
-    return p, q, overflow
+    return p, q, bool(np.max(np.abs(two_f)) > _EXP_CLAMP)
 
 
 def _residual_rows(spec: ProblemSpec, f: np.ndarray, v: np.ndarray, p: np.ndarray,

@@ -1,37 +1,34 @@
 """Damped Newton solvers with spectral preconditioning and coupling continuation.
 
-One bordered Newton system, ``_NewtonSystem``, drives all three equation
-kinds: it stacks ``equations._residual_rows`` with the gauge row, and its
-``matvec`` is the only Jacobian in the package.  It holds the iterate as raw
-arrays, so a line-search trial evaluates the nonlinearity once and builds no
-``FieldState`` (a Newton loop builds one, when it returns).  The unknown vector is f
-(vortex), (f, c') (EB), or (f, v, c') (gravitating); the additive volume-gauge constant
-c' of the conformal factor is an explicit Newton unknown, paired with the
-volume/mean constraints:
+One Newton system, ``_NewtonSystem``, drives all three equation kinds: it stacks
+``equations._residual_rows``, and its ``matvec`` is the only Jacobian in the package.  It
+holds the iterate as raw arrays, so a line-search trial evaluates the nonlinearity once and
+builds no ``FieldState`` (a Newton loop builds one, when it returns).  The unknowns are f,
+plus v for the gravitating kind.  The volume gauge c' of the conformal factor is not one:
+it enters only through W = e^{q0 + 2c'}, so the volume constraint mean(W) = 1 fixes it in
+closed form, c' = -(1/2) log mean(e^{q0}), and W = e^{q0} / mean(e^{q0}) is the mean-field
+weight of Liouville-type equations (Caglioti, Lions, Marchioro & Pulvirenti 1992; Tarantello
+2008).  The volume constraint holds at every iterate, the mean of the gravitating second row
+vanishes by construction, and v's constant is an exact kernel direction that each update
+re-centres away; c' is derived from the final iterate and set on the state a loop returns.
 
-* EB rows:          equation residual, then (Vol(e^{2u} omega_0) - 2 pi)/(2 pi);
-* gravitating rows: the two equation residuals, then mean(v)
-  (the volume constraint is already the mean of the second equation, since
-  Delta v integrates to zero).
-
-One GMRES cycle (``gmres``) solves the right-preconditioned J M y = -R, gauge row scaled
-by sqrt(n_nodes) so that, on the torus (uniform quadrature weights), the 2-norm it
-minimises is the Armijo merit's, to an Eisenstat-Walker forcing tolerance capped at eta_max:
-on a loop's first step eta_max, or min(eta_max, sqrt(2 merit)) when a sweep starts the loop on
-the secant (inexact Newton-Krylov; see ``_forcing``); d = M y is assembled from the M v_j the
-Krylov loop keeps.  M = P B^{-1}: P the spectral (Delta + shift)^{-1}, one multiplier per field
-block built once per Newton step and applied to all blocks in one transform call; B^{-1} one
-dot product that eliminates the c' border (Keller's bordering algorithm).  ``matvec``'s Krylov
-form reads J M y off (y, M y) with no transform, and so does the true residual J d + R:
-Delta P = I - shift P (on the sphere exactly for band-limited z = B^{-1} y; the rest of z passes
-through, P drops it), and B^{-1}'s -col x_c cancels the c' column.  Armijo backtracking on
-(1/2)||R||^2 (background L2) damps d.  When the full step fails, one product J d with the true
-Laplacian gives the merit's slope <R, J d>; a slope not below -2 sigma (1/2)||R||^2 admits no
-Armijo step (Dennis & Schnabel 1996, 6.3), and the step ends there, without halving t to the floor.
+One GMRES cycle (``gmres``) solves the right-preconditioned J M y = -R, to an
+Eisenstat-Walker forcing tolerance capped at eta_max: on a loop's first step eta_max, or
+min(eta_max, sqrt(2 merit)) when a sweep starts the loop on the secant (inexact Newton-Krylov;
+see ``_forcing``); on the torus (uniform quadrature weights) the 2-norm it minimises is the
+Armijo merit's.  d = M y is assembled from the M v_j the Krylov loop keeps.  M = P, the
+spectral (Delta + shift)^{-1}, one multiplier per field block built once per Newton step and
+applied to all blocks in one transform call.  The mean-field weight's variation
+dW = W (dq0 - <W dq0>), <.> the area mean, costs J one dot product per product.  ``matvec``'s
+Krylov form reads J M y off (y, M y) with no transform, and so does the true residual J d + R:
+Delta P = I - shift P (on the sphere exactly for band-limited y; the rest of y passes through,
+P drops it).  Armijo backtracking on (1/2)||R||^2 (background L2) damps d.  When the full step
+fails, one product J d with the true Laplacian gives the merit's slope <R, J d>; a slope not
+below -2 sigma (1/2)||R||^2 admits no Armijo step (Dennis & Schnabel 1996, 6.3), and the step
+ends there, without halving t to the floor.
 
 Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
-(nonlinearity exponent beyond the guard, or a residual 2-norm beyond the float
-range), StepFloor (backtracking collapsed, or no descent), NoSolution (the
+(P's exponent 2f beyond the guard, or a residual 2-norm beyond the float range), StepFloor (backtracking collapsed, or no descent), NoSolution (the
 residual converged but the exact existence gate rules a solution out),
 IdentityFailure (the integral identities fail at the residual-converged state).
 A MaxIters or StepFloor message names the GMRES exit code (1) when the last
@@ -160,30 +157,33 @@ class SolveReport:
 
 
 class _NewtonSystem:
-    """Bordered residual, Jacobian action, preconditioner and Krylov operator at one iterate.
+    """Residual, Jacobian action, preconditioner and Krylov operator at one iterate.
 
-    The iterate is raw arrays f, v (None reads as 0) and c' (default: the
-    spec's).  Construction evaluates the nonlinearity once and sets
-    ``overflow``; the Jacobian coefficients, shifts and border are built on first use,
-    never for a rejected line-search trial, and so is ``state``, the validated
-    ``FieldState``.  Block layout per kind: the f rows; the v rows when v is
-    an unknown (gravitating); then the c' column and its gauge row
-    (gravitating and EB), which reads mean(v) when v is an unknown and
-    (Vol - 2 pi)/(2 pi) otherwise.  Absent blocks read as zero.
+    The iterate is raw arrays f and v (None reads as 0).  Construction evaluates the
+    nonlinearity once and sets ``overflow``, and for EB and gravitating kinds the c' that the
+    volume constraint implies, c' = -(1/2) log mean(e^{q0}) with q0 the exponent at c' = 0, and
+    the mean-field weight W = e^{q0 + 2c'} = e^{q0} / mean(e^{q0}): mean(W) = 1 at every iterate,
+    and W is the public residual's at c', bit for bit.  The Jacobian coefficients and shifts
+    are built on first use, never for a rejected line-search trial, and so is ``state``, the
+    validated ``FieldState`` at the derived c'.  Block layout per kind: the f rows, then the
+    v rows when v is an unknown (gravitating).
     """
 
-    def __init__(self, spec: ProblemSpec, f: np.ndarray, v: Optional[np.ndarray] = None,
-                 c_prime: Optional[float] = None):
+    def __init__(self, spec: ProblemSpec, f: np.ndarray, v: Optional[np.ndarray] = None):
         self.spec, self.grid = spec, spec.grid
         self.n = spec.grid.n_nodes
         self.f = f
         self.v = np.zeros(self.n) if v is None else v
-        self.c_prime = spec.c_prime if c_prime is None else c_prime
         self.has_v = spec.kind is EquationKind.GRAVITATING
-        self.bordered = spec.kind is not EquationKind.VORTEX
-        self.field_rows = (2 if self.has_v else 1) * self.n
-        self.size = self.field_rows + int(self.bordered)
-        self._p, q, self.overflow = _nonlinearity(spec, self.f, self.v, self.c_prime)
+        self.mean_field = spec.kind is not EquationKind.VORTEX
+        self.size = (2 if self.has_v else 1) * self.n
+        self._p, q, self.overflow = _nonlinearity(spec, self.f, self.v, 0.0)
+        self.c_prime = 0.0
+        if self.mean_field:  # e^{q0} scaled by its largest value stays finite
+            top = float(np.max(q))
+            mean = float(np.dot(self.grid.quad_weights, np.exp(q - top))) / TWO_PI
+            self.c_prime = -0.5 * (top + math.log(mean))
+            q += 2.0 * self.c_prime
         self.w = _clamped_exp(q)
         self._rv = None
 
@@ -193,11 +193,11 @@ class _NewtonSystem:
 
     @cached_property
     def _jacobian(self) -> tuple:
-        """(W a, P W, (P - tau)/2, -2c W) of dW = W (a df - 2c dv + 2 dc), dR1 = Delta df + P W df
-        + (1/2)(P - tau) dW and dR2 = Delta dv + dW, and the gauge row's c' entry (EB: 2 mean W)."""
+        """(W a, P W, (P - tau)/2, -2c W) of W dq0 = W (a df - 2c dv), the mean-field
+        dW = W dq0 - W <W dq0> (<.> the area mean), dR1 = Delta df + P W df + (1/2)(P - tau) dW
+        and dR2 = Delta dv + dW."""
         s, p, w = self.spec, self._p, self.w
-        gc = 0.0 if self.has_v else 2.0 * float(np.dot(self.grid.quad_weights / TWO_PI, w))
-        return w * (4.0 * s.alpha * (s.tau - p)), p * w, 0.5 * (p - s.tau), -2.0 * s.c * w, gc
+        return w * (4.0 * s.alpha * (s.tau - p)), p * w, 0.5 * (p - s.tau), -2.0 * s.c * w
 
     @cached_property
     def _shifts(self) -> tuple:
@@ -220,102 +220,57 @@ class _NewtonSystem:
         """P W - shift: the coefficient of x_f in the f rows of the Krylov form (``matvec``)."""
         return self._jacobian[1] - self._shifts[0]
 
-    @cached_property
-    def _border(self) -> Optional[tuple]:
-        """(col, row, pivot) of B = [[I, col], [row, corner]], D J P with its field block read as I:
-        col is J's c' column, corner the scaled gauge row's c' entry and row that row of J P on the
-        last field block, where its density lies (1 on v, W a on f for EB), P read as 1/shift on
-        constants: exact on mean(v), EB's density enters by its mean.  None without a border or a
-        finite nonzero pivot = corner - row col."""
-        if not self.bordered:
-            return None
-        w, wq, root = self.w, self.grid.quad_weights / TWO_PI, math.sqrt(self.n)
-        dens = 1.0 if self.has_v else float(np.dot(wq, self._jacobian[0]))
-        row = root * dens / self._shifts[-1] * wq
-        col = np.concatenate([(self._p - self.spec.tau) * w] + ([2.0 * w] if self.has_v else []))
-        pivot = root * self._jacobian[4] - float(np.dot(row, col[-self.n :]))
-        return (col, row, pivot) if pivot and math.isfinite(pivot) else None
-
-    def _split(self, x: np.ndarray):
-        """(df, dv, dc) of a vector in the block layout; absent blocks read as 0."""
-        n = self.n
-        dv = x[n : 2 * n] if self.has_v else 0.0
-        dc = float(x[-1]) if self.bordered else 0.0
-        return x[:n], dv, dc
-
     # -- residual -----------------------------------------------------------
     def residual_vector(self) -> tuple[np.ndarray, float]:
-        """Stacked residual, the gauge row on v (v an unknown) or W last, and its sup norm."""
+        """Stacked residual rows and their sup norm."""
         if self._rv is None:
-            rows = _residual_rows(self.spec, self.f, self.v, self._p, self.w)
-            if self.bordered:
-                gauge, offset = (self.v, 0.0) if self.has_v else (self.w, TWO_PI)
-                rows.append([(float(np.dot(self.grid.quad_weights, gauge)) - offset) / TWO_PI])
-            r = np.concatenate(rows)
+            r = np.concatenate(_residual_rows(self.spec, self.f, self.v, self._p, self.w))
             self._rv = (r, float(np.max(np.abs(r))))
         return self._rv
 
     # -- Jacobian action ------------------------------------------------------
     def matvec(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
-        """J x; given y with x = M y, the Krylov form: Delta x_f read off as z_f - shift x_f,
-        z = B^{-1} y (``precond``), whose z_f = y_f - col x_c cancels the c' column's col x_c, so
+        """J x; given y with x = M y = P y, the Krylov form: Delta x read off as y - shift x, so
         the f rows read y_f + (P W - shift) x_f + (1/2)(P - tau) q and the v rows
-        y_v - shift_v x_v + q, q = W (a x_f - 2c x_v): no transform.  Without ``_border``,
-        z = y and col x_c stays."""
-        n, k = self.n, self.field_rows
-        df, dv, dc = self._split(x)
-        wa, pw, half_pt, wv, gc = self._jacobian
+        y_v - shift_v x_v + q, q = dW the mean-field weight's variation: no transform."""
+        n = self.n
+        df = x[:n]
+        wa, pw, half_pt, wv = self._jacobian
         out, q = np.empty(self.size), wa * df
         if self.has_v:
+            dv = x[n:]
             tmp = wv * dv  # then the v rows' scratch array
             q += tmp
-        if self.bordered:
-            out[k] = np.dot(self.grid.quad_weights, dv if self.has_v else q) / TWO_PI + gc * dc
+        if self.mean_field:  # the rank-one term -W <W dq0>: one dot product
+            q -= (float(np.dot(self.grid.quad_weights, q)) / TWO_PI) * self.w
         krylov = y is not None
-        if dc and not (krylov and self._border is not None):
-            q += (2.0 * dc) * self.w
-        out[:k] = y[:k] if krylov else laplacian_values(self.grid, x[:k].reshape(-1, n)).reshape(-1)
+        out[:] = y if krylov else laplacian_values(self.grid, x.reshape(-1, n)).reshape(-1)
         out[:n] += (self._krylov_diag if krylov else pw) * df
         if self.has_v:
-            out[n:k] += (np.subtract(q, np.multiply(self._shifts[1], dv, out=tmp), out=tmp)
-                         if krylov else q)
+            out[n:] += (np.subtract(q, np.multiply(self._shifts[1], dv, out=tmp), out=tmp)
+                        if krylov else q)
         out[:n] += np.multiply(half_pt, q, out=q)  # q's last use: scaled in place
         return out
 
     def krylov_apply(self, y: np.ndarray, x: Optional[np.ndarray] = None) -> tuple:
-        """(M y, D J M y), D the ``krylov_scale``: one ``precond``, none when x = M y is given,
-        and one ``matvec`` in Krylov form, which transforms nothing."""
+        """(M y, J M y): one ``precond``, none when x = M y is given, and one ``matvec`` in
+        Krylov form, which transforms nothing."""
         if x is None:
             x = self.precond(y)
-        return x, self.krylov_scale(self.matvec(x, y))
+        return x, self.matvec(x, y)
 
     # -- preconditioner -------------------------------------------------------
     def precond(self, y: np.ndarray) -> np.ndarray:
-        """M y = P z, z = B^{-1} y by block elimination (z_c = (y_c - row y_f) / pivot, then
-        z_f = y_f - col z_c): the step's ``_smoother`` on the field blocks, in one call, and z_c."""
-        k, x, z = self.field_rows, np.empty(self.size), y[: self.field_rows]
-        x[k:] = y[k:]
-        if self._border is not None:
-            col, row, pivot = self._border
-            x[k] = (float(y[k]) - float(np.dot(row, z[-self.n :]))) / pivot
-            z = np.subtract(z, np.multiply(x[k], col, out=x[:k]), out=x[:k])
-        fields = z.reshape(2, self.n) if self.has_v else z
-        x[:k] = _spectral(self.grid, fields, self._smoother).reshape(-1)
-        return x
+        """M y = P y: the step's ``_smoother`` on every field block, in one transform call."""
+        fields = y.reshape(2, self.n) if self.has_v else y
+        return _spectral(self.grid, fields, self._smoother).reshape(-1)
 
-    # -- merit weights --------------------------------------------------------
-    def krylov_scale(self, vec: np.ndarray) -> np.ndarray:
-        """vec with its gauge row times sqrt(n_nodes), in place: GMRES's 2-norm of it is the
-        merit's norm (on the torus (2 pi/n_nodes) ||D vec||^2 = 2 merit(vec))."""
-        vec[self.field_rows :] *= math.sqrt(self.n)
-        return vec
-
+    # -- merit ----------------------------------------------------------------
     @np.errstate(over="ignore")  # a blown-up trial's merit is inf, and the trial is rejected
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        """The merit's inner product: L2 on the field rows, 2 pi times the gauge rows' product."""
-        wq, k = self.grid.quad_weights, self.field_rows
-        fields = sum(float(np.dot(wq, row)) for row in (a[:k] * b[:k]).reshape(-1, self.n))
-        return fields + TWO_PI * float(np.dot(a[k:], b[k:]))
+        """The merit's inner product: L2 on each field block."""
+        wq = self.grid.quad_weights
+        return sum(float(np.dot(wq, row)) for row in (a * b).reshape(-1, self.n))
 
     def merit(self, vec: np.ndarray) -> float:
         """(1/2) <vec, vec>; of the residual r, along a direction d, its slope is <r, J d>."""
@@ -323,13 +278,12 @@ class _NewtonSystem:
 
     def apply_update(self, x: np.ndarray, t: float) -> _NewtonSystem:
         """The system at the iterate moved by t times the Newton direction x, v re-centred to
-        mean zero and c' moved by -c times the mean: W reads v only through -2c v + 2c', so this
-        gauge move leaves every field row as it was."""
-        df, dv, dc = self._split(x)
-        v = self.v + t * dv
-        mean = float(np.dot(self.grid.quad_weights, v)) / TWO_PI
-        return _NewtonSystem(self.spec, self.f + t * df, v - mean,
-                             self.c_prime + t * dc - self.spec.c * mean)
+        mean zero: W = e^{q0} / mean(e^{q0}) does not see v's constant, so no row moves."""
+        f = self.f + t * x[: self.n]
+        if not self.has_v:
+            return _NewtonSystem(self.spec, f)
+        v = self.v + t * x[self.n :]
+        return _NewtonSystem(self.spec, f, v - float(np.dot(self.grid.quad_weights, v)) / TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +293,7 @@ class _NewtonSystem:
 
 def _forcing(norm: float, prev_norm: Optional[float], newton_tol: float,
              start: float = _ETA_MAX) -> float:
-    """Relative GMRES tolerance at residual 2-norm ``norm``, taken after ``krylov_scale``.
+    """Relative GMRES tolerance at residual 2-norm ``norm``.
 
     Eisenstat-Walker choice 2, eta = gamma (||F_k|| / ||F_{k-1}||)^2 (on a loop's first step
     ``start``: eta_max, or for a start on the secant its L2 norm sqrt(2 merit), which converges
@@ -357,7 +311,7 @@ def _forcing(norm: float, prev_norm: Optional[float], newton_tol: float,
 def gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     """One GMRES cycle (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) for A y = b.
 
-    ``apply(y, x=None)`` returns (P y, A y), A = D J P, and spares P when x = P y is given.
+    ``apply(y, x=None)`` returns (P y, A y), A = J P, and spares P when x = P y is given.
     Up to _KRYLOV_INNER Arnoldi steps from y = 0 (modified Gram-Schmidt, Givens rotations and
     back substitution on Python floats) keep P v_j beside each basis vector v_j, so d = P y is
     their combination and costs no further P.  The Arnoldi estimate, or a zero pivot (A
@@ -410,10 +364,10 @@ lgmres = gmres  # perfbench/tracer.py patches this binding
 
 
 def newton_step(state: Optional[FieldState], _system=None, rtol: float = _ETA_MAX):
-    """One damped Newton step d = P y, GMRES solving D J P y = -D r (D: ``krylov_scale``) to rtol.
+    """One damped Newton step d = P y, GMRES solving J P y = -r to rtol.
 
     Returns (new_state, info) where info records residual_norm (sup norm over
-    every row of the bordered residual), new_residual_norm, step_scale (0.0
+    every residual row), new_residual_norm, step_scale (0.0
     when no step was taken), flag in {None, "overflow", "no_descent", "step_floor"}
     ("overflow" also when the merit of the residual is not finite; "no_descent" when the
     full step fails and the merit's slope along d is not below -2 sigma theta0),
@@ -430,7 +384,7 @@ def newton_step(state: Optional[FieldState], _system=None, rtol: float = _ETA_MA
     if sys.overflow or not math.isfinite(theta0):  # inf <= inf would accept any trial
         info["flag"] = "overflow"
         return state, info
-    d, info["krylov_info"] = lgmres(sys.krylov_apply, sys.krylov_scale(-r), rtol)
+    d, info["krylov_info"] = lgmres(sys.krylov_apply, -r, rtol)
     t = 1.0
     while True:
         trial = sys.apply_update(d, t)
@@ -492,7 +446,7 @@ def _newton_loop(state: FieldState, config: SolverConfig, predicted: bool = Fals
                                f"residual {sup:.3e} after {iterations} iterations"
                                + _krylov_note(krylov_info))
         with np.errstate(over="ignore"):  # P W near 1e260 passes the exponent guard
-            norm = float(np.linalg.norm(sys.krylov_scale(r.copy())))
+            norm = float(np.linalg.norm(r))
         if not math.isfinite(norm):
             return _LoopResult(sys.state, iterations, sup, FailureReason.OVERFLOW,
                                f"residual {sup:.3e} has no finite 2-norm")
@@ -578,14 +532,12 @@ def solve_vortex(
 
 
 def _secant(state: FieldState, prev: FieldState, spec: ProblemSpec) -> FieldState:
-    """``spec`` posed from (f, v, c') extrapolated linearly in alpha along the secant through
-    the certified ``prev`` and ``state`` to spec.alpha; from ``state``'s when ``prev`` is it."""
+    """``spec`` posed from (f, v) extrapolated linearly in alpha along the secant through the
+    certified ``prev`` and ``state`` to spec.alpha; from ``state``'s when ``prev`` is it."""
     ratio = ((spec.alpha - state.spec.alpha) / (state.spec.alpha - prev.spec.alpha)
              if state is not prev else 0.0)
-    c = state.spec.c_prime + ratio * (state.spec.c_prime - prev.spec.c_prime)
-    return make_state(replace(spec, c_prime=c), *(a.values + ratio * (a.values - b.values)
-                                                  for a, b in ((state.f, prev.f),
-                                                               (state.v, prev.v))))
+    return make_state(spec, *(a.values + ratio * (a.values - b.values)
+                              for a, b in ((state.f, prev.f), (state.v, prev.v))))
 
 
 def _continue_in_alpha(anchor: FieldState, problem: ProblemSpec,
@@ -593,7 +545,7 @@ def _continue_in_alpha(anchor: FieldState, problem: ProblemSpec,
     """March the anchor state to ``problem``'s alpha through the targets alpha * k / _ALPHA_STEPS.
 
     The anchor is the solution at alpha = 0, solved by the caller; an attempt poses
-    ``problem`` at its coupling, from (f, v, c') extrapolated along the secant through
+    ``problem`` at its coupling, from (f, v) extrapolated along the secant through
     the last two certified states (or from the anchor).  A failed attempt is bisected,
     at most _MAX_STEP_HALVINGS times in all.
     """
@@ -660,8 +612,7 @@ def _solve_coupled(target: ProblemSpec, config: SolverConfig) -> tuple[FieldStat
 def _solve_sequenced(target: ProblemSpec, config: SolverConfig):
     """(solve, Newton steps run): one Newton loop from ``initial_state`` of ``target`` posed on
     its grid's quarter grid, its unknown fields prolonged to the target grid and finished and
-    certified there by one Newton loop at the coarse c'; the solve is None when either stage
-    fails."""
+    certified there by one Newton loop; the solve is None when either stage fails."""
     grid, section = target.grid, target.section
     cgrid = grid.quarter_grid
     csection = build_section(cgrid, section.divisor)
@@ -669,14 +620,11 @@ def _solve_sequenced(target: ProblemSpec, config: SolverConfig):
     coarse = _newton_loop(initial_state(replace(target, grid=cgrid, section=csection)), config)
     if not _certify(coarse, target.alpha, None).converged:
         return None, coarse.iterations
-    spec = replace(target, c_prime=coarse.state.spec.c_prime)
     if target.kind is EquationKind.GRAVITATING:
         f, v = prolong(np.stack([coarse.state.f.values, coarse.state.v.values]), cgrid, grid)
-        mean = float(np.dot(grid.quad_weights, v)) / TWO_PI  # a gauge move, as in apply_update
-        v, spec = v - mean, replace(spec, c_prime=spec.c_prime - spec.c * mean)
     else:
         f, v = prolong(coarse.state.f.values, cgrid, grid), None
-    loop = _newton_loop(make_state(spec, f, v), config)
+    loop = _newton_loop(make_state(target, f, v), config)
     loop.iterations += coarse.iterations
     report = replace(_certify(loop, target.alpha, None), coarse_resolution=cgrid.resolution)
     return (loop.state, report) if report.converged else None, loop.iterations
@@ -692,10 +640,11 @@ def solve_gravitating(
     """Solve the gravitating system, sequenced or by continuation in the coupling.
 
     Data that pass the existence gate are first solved at alpha > 0 on the quarter grid of a
-    grid of resolution >= 48.  Else, or on failure, the vortex solution (v = c' = 0),
-    certified against the alpha = 0 gate, anchors a continuation through alpha/4, alpha/2,
-    3 alpha/4 and alpha, each target posed (c = chi - 2*alpha*tau*N) from the secant
-    prediction of (f, v, c'), failed steps bisected (``_continue_in_alpha``).
+    grid of resolution >= 48.  Else, or on failure, the vortex solution (v = 0), certified
+    against the alpha = 0 gate, anchors a continuation through alpha/4, alpha/2, 3 alpha/4
+    and alpha, each target posed (c = chi - 2*alpha*tau*N) from the secant prediction of
+    (f, v), failed steps bisected (``_continue_in_alpha``).  The report's c' is the volume
+    gauge derived from the final iterate.
     """
     return _solve_coupled(ProblemSpec(grid, section, tau, EquationKind.GRAVITATING, alpha), config)
 
@@ -730,9 +679,10 @@ def solve_eb(
 
     Genus 0 only; requires N < tau/2.  A sequenced solve's coarse grid starts at
     1/(tau N) directly; else continuation ramps alpha from 0 (the vortex anchor)
-    as in ``solve_gravitating``; the volume gauge c' rides along as a Newton
-    unknown.  For non-polystable divisors no solution exists and the report
-    is non-converged quoting the oracle's verdict (Theorem 3.6 or 3.8).
+    as in ``solve_gravitating``.  f is the only unknown: e^{2u} is the mean-field weight
+    e^{q0} / mean(e^{q0}), and the report's volume gauge c' = -(1/2) log mean(e^{q0}) is
+    derived from the final iterate.  For non-polystable divisors no solution exists and the
+    report is non-converged quoting the oracle's verdict (Theorem 3.6 or 3.8).
     """
     if grid.model is not SurfaceModel.SPHERE:
         raise ValueError("the Einstein-Bogomol'nyi equation lives on the sphere")

@@ -7,7 +7,6 @@ loosen them to make a failing build green.
 
 import math
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -252,71 +251,79 @@ def _mean_zero(grid, values):
 
 
 def _fd_spec(kind):
-    if kind == "eb":
+    if kind in ("eb", "gravitating-sphere"):
         grid = build_grid("sphere", 16)
         section = build_section(
             grid, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1))
         )
+        if kind == "eb":
+            return ProblemSpec(grid=grid, section=section, tau=8.0,
+                               kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=1.0 / 16.0)
         return ProblemSpec(grid=grid, section=section, tau=8.0,
-                           kind=EquationKind.EINSTEIN_BOGOMOLNYI,
-                           alpha=1.0 / 16.0, c_prime=-0.4)
+                           kind=EquationKind.GRAVITATING, alpha=0.03)
     grid = build_grid("torus", 24)
     section = build_section(grid, Divisor(((0.25, 0.25),), (1,)))
     if kind == "gravitating":
         return ProblemSpec(grid=grid, section=section, tau=2.5,
-                           kind=EquationKind.GRAVITATING, alpha=0.05, c_prime=0.1)
+                           kind=EquationKind.GRAVITATING, alpha=0.05)
     return ProblemSpec(grid=grid, section=section, tau=2.5, kind=EquationKind.VORTEX)
 
 
 def _fd_errors(kind, jacobian=lambda system, x: system.matvec(x), trials=20):
-    """Relative gaps between central differences of the solver's bordered
-    residual in (f, v, c') and its Jacobian action, one per random direction."""
+    """Relative gaps between central differences of the solver's residual in
+    (f, v) and its Jacobian action, one per random direction."""
     eps = 1e-4
     spec = _fd_spec(kind)
     grid = spec.grid
+    gravitating = spec.kind is EquationKind.GRAVITATING
     rng = np.random.default_rng(11)
     f0 = _random_band_limited(grid, rng)
-    v0 = _mean_zero(grid, _random_band_limited(grid, rng, 0.01)) \
-        if kind == "gravitating" else None
+    v0 = _mean_zero(grid, _random_band_limited(grid, rng, 0.01)) if gravitating else None
     system = _NewtonSystem(spec, f0, v0)
 
     errors = []
     for _ in range(trials):
         df = _random_band_limited(grid, rng)
-        dv = _mean_zero(grid, _random_band_limited(grid, rng, 0.01)) \
-            if kind == "gravitating" else None
-        dc = rng.uniform(-0.5, 0.5) if kind != "vortex" else 0.0
+        dv = _mean_zero(grid, _random_band_limited(grid, rng, 0.01)) if gravitating else None
 
         def residuals(scale):
-            f_t = f0 + scale * df
             v_t = None if dv is None else (v0 + scale * dv)
-            spec_t = replace(spec, c_prime=spec.c_prime + scale * dc)
-            return _NewtonSystem(spec_t, f_t, v_t).residual_vector()[0]
+            return _NewtonSystem(spec, f0 + scale * df, v_t).residual_vector()[0]
 
         fd = (residuals(eps) - residuals(-eps)) / (2.0 * eps)
-        blocks = [df] if dv is None else [df, dv]
-        if kind != "vortex":
-            blocks.append([dc])
-        x = np.concatenate(blocks)
+        x = df if dv is None else np.concatenate([df, dv])
         assert x.shape == (system.size,)
         lin = jacobian(system, x)
         errors.append(np.max(np.abs(fd - lin)) / (np.max(np.abs(lin)) + 1.0))
     return errors
 
 
+_FD_KINDS = ["vortex", "gravitating", "gravitating-sphere", "eb"]
+
+
 @pytest.mark.acceptance(criterion=7, label="linearizations, manufactured solutions, eigenvalues")
-@pytest.mark.parametrize("kind", ["vortex", "gravitating", "eb"])
+@pytest.mark.parametrize("kind", _FD_KINDS)
 def test_linearization_fd_twenty_trials(kind):
     assert max(_fd_errors(kind)) < 1e-5
 
 
-@pytest.mark.parametrize("kind", ["gravitating", "eb"])
+@pytest.mark.parametrize("kind", _FD_KINDS[1:])
 def test_linearization_fd_rejects_dropped_c_prime_column(kind):
-    def without_c_prime(system, x):
-        return system.matvec(np.concatenate([x[:-1], [0.0]]))
+    # W = e^{q0 + 2c'}, c' = -(1/2) log mean(e^{q0}), varies by W dq0 - W <W dq0>: the rank-one
+    # term -W <W dq0> is the c' column times the c' variation; without it the product is the
+    # Jacobian at a fixed c'
+    def without_rank_one(system, x):
+        n, (wa, _, half_pt, wv) = system.n, system._jacobian
+        w_dq = wa * x[:n] + (wv * x[n:] if system.has_v else 0.0)
+        term = np.average(w_dq, weights=system.grid.quad_weights) * system.w
+        out = system.matvec(x)
+        out[:n] += half_pt * term
+        if system.has_v:
+            out[n:] += term
+        return out
 
     # every trial fails the acceptance bound of 1e-5
-    assert min(_fd_errors(kind, without_c_prime)) > 1e-5
+    assert min(_fd_errors(kind, without_rank_one)) > 1e-5
 
 
 @pytest.mark.acceptance(criterion=7, label="linearizations, manufactured solutions, eigenvalues")

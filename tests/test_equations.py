@@ -148,32 +148,38 @@ def _start_specs(torus24, torus24_section, sphere16, antipodal_section16):
 
 def test_initial_state_meets_both_scalar_constraints(torus24, torus24_section, sphere16,
                                                      antipodal_section16):
-    # the degree identity of the vortex equation, mean(P) = tau - 2N, and for the bordered
-    # kinds the volume constraint, mean(W) = 1, whatever c' the spec was posed at
+    # the degree identity of the vortex equation, mean(P) = tau - 2N, on the spec as posed;
+    # for EB and gravitating kinds the solver's mean-field W meets the volume constraint,
+    # mean(W) = 1, and so does the public residual at the c' it derives, whatever c' the
+    # spec was posed at
     for spec in _start_specs(torus24, torus24_section, sphere16, antipodal_section16):
         state = initial_state(spec)
+        assert state.spec is spec
         assert not state.v.values.any() and np.ptp(state.f.values) == 0.0
         p = np.exp(2.0 * state.f.values) * spec.section.norm_sq.values
         assert abs(integrate(field(spec.grid, p)) / TWO_PI - (spec.tau - 2 * spec.degree)) < 1e-12
-        rep = identity_report(state)
+        system = _NewtonSystem(spec, state.f.values, state.v.values)
+        assert abs(integrate(field(spec.grid, system.w)) / TWO_PI - 1.0) < 1e-15
+        rep = identity_report(system.state)
         assert abs(rep.volume_identity) < 1e-12
         if spec.kind is EquationKind.VORTEX:
-            assert state.spec is spec and abs(rep.degree_identity) < 1e-12
+            assert system.state.spec == spec and abs(rep.degree_identity) < 1e-12
         else:
-            assert state.spec == replace(spec, c_prime=state.spec.c_prime)
-            assert state.spec.c_prime != spec.c_prime
+            assert system.state.spec == replace(spec, c_prime=system.c_prime)
+            assert system.c_prime != spec.c_prime
 
 
 def test_initial_state_is_covariant_under_rescale(torus24, torus24_section, sphere16,
                                                   antipodal_section16):
-    # a -> e^{2s} a sends the start's f to f - s and its c' to c' + 2 alpha tau s
+    # a -> e^{2s} a sends the start's f to f - s and its derived c' to c' + 2 alpha tau s
     shift = 0.37
     for spec in _start_specs(torus24, torus24_section, sphere16, antipodal_section16):
         state = initial_state(spec)
         scaled = initial_state(replace(spec, section=rescale(spec.section, shift)))
         assert np.max(np.abs(scaled.f.values - (state.f.values - shift))) < 1e-12
-        want = state.spec.c_prime + 2.0 * spec.alpha * spec.tau * shift
-        assert abs(scaled.spec.c_prime - want) < 1e-12
+        c_prime, scaled_c_prime = (_NewtonSystem(s.spec, s.f.values, s.v.values).c_prime
+                                   for s in (state, scaled))
+        assert abs(scaled_c_prime - (c_prime + 2.0 * spec.alpha * spec.tau * shift)) < 1e-12
 
 
 def test_vortex_residual_formula(torus24, torus24_section):
@@ -206,47 +212,43 @@ def test_direct_residual_reduces_to_vortex_at_alpha_zero(torus24, torus24_sectio
         assert np.max(np.abs(r2.values)) < 1e-10
 
 
-@pytest.mark.parametrize("kind", ["vortex", "gravitating", "eb"])
+@pytest.mark.parametrize("kind", ["vortex", "gravitating", "gravitating-sphere", "eb"])
 def test_linearization_matches_finite_differences(kind, torus24, torus24_section,
                                                   sphere16, antipodal_section16):
-    # the solver's bordered Jacobian in (f, v, c') against central differences
-    # of its residual vector, along smooth deterministic directions
+    # the solver's Jacobian in (f, v), the mean-field W's rank-one term included, against
+    # central differences of its residual vector, along smooth deterministic directions
     eps = 1e-4
     if kind == "eb":
         grid, section = sphere16, antipodal_section16
-        tau, alpha = 8.0, 1.0 / 16.0
-        spec = ProblemSpec(grid=grid, section=section, tau=tau,
-                           kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=alpha,
-                           c_prime=-0.4)
+        spec = ProblemSpec(grid=grid, section=section, tau=8.0,
+                           kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=1.0 / 16.0)
+    elif kind == "gravitating-sphere":
+        grid, section = sphere16, antipodal_section16
+        spec = ProblemSpec(grid=grid, section=section, tau=8.0,
+                           kind=EquationKind.GRAVITATING, alpha=0.03)
     elif kind == "gravitating":
         grid, section = torus24, torus24_section
-        tau, alpha = 2.5, 0.05
-        spec = ProblemSpec(grid=grid, section=section, tau=tau,
-                           kind=EquationKind.GRAVITATING, alpha=alpha, c_prime=0.1)
+        spec = ProblemSpec(grid=grid, section=section, tau=2.5,
+                           kind=EquationKind.GRAVITATING, alpha=0.05)
     else:
         grid, section = torus24, torus24_section
         spec = ProblemSpec(grid=grid, section=section, tau=2.5, kind=EquationKind.VORTEX)
+    gravitating = spec.kind is EquationKind.GRAVITATING
 
     f0 = _smooth(grid, 4)
-    v0 = _mean_zero(grid, _smooth(grid, 5, 0.01)) if kind == "gravitating" else None
+    v0 = _mean_zero(grid, _smooth(grid, 5, 0.01)) if gravitating else None
     system = _NewtonSystem(spec, f0, v0)
 
     for trial in range(3):
         df = _smooth(grid, 10 + trial)
-        dv = _mean_zero(grid, _smooth(grid, 20 + trial, 0.01)) if kind == "gravitating" else None
-        dc = 0.0 if kind == "vortex" else 0.3 - 0.2 * trial
+        dv = _mean_zero(grid, _smooth(grid, 20 + trial, 0.01)) if gravitating else None
 
         def residuals(scale):
-            f_t = f0 + scale * df
             v_t = None if dv is None else (v0 + scale * dv)
-            spec_t = replace(spec, c_prime=spec.c_prime + scale * dc)
-            return _NewtonSystem(spec_t, f_t, v_t).residual_vector()[0]
+            return _NewtonSystem(spec, f0 + scale * df, v_t).residual_vector()[0]
 
         fd = (residuals(eps) - residuals(-eps)) / (2.0 * eps)
-        blocks = [df] if dv is None else [df, dv]
-        if kind != "vortex":
-            blocks.append([dc])
-        lin = system.matvec(np.concatenate(blocks))
+        lin = system.matvec(df if dv is None else np.concatenate([df, dv]))
         scale = np.max(np.abs(lin)) + 1.0
         assert np.max(np.abs(fd - lin)) / scale < 1e-5
 
