@@ -28,7 +28,8 @@ below -2 sigma (1/2)||R||^2 admits no Armijo step (Dennis & Schnabel 1996, 6.3),
 ends there, without halving t to the floor.
 
 Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
-(P's exponent 2f beyond the guard, or a residual 2-norm beyond the float range), StepFloor (backtracking collapsed, or no descent), NoSolution (the
+(P's exponent 2f beyond the guard, or a residual 2-norm beyond the float range),
+StepFloor (backtracking collapsed, or no descent), NoSolution (the
 residual converged but the exact existence gate rules a solution out),
 IdentityFailure (the integral identities fail at the residual-converged state).
 A MaxIters or StepFloor message names the GMRES exit code (1) when the last
@@ -40,14 +41,15 @@ NotExists, residual-small iterates are collapse artefacts: the report says NoSol
 and quotes the oracle's theorem tag and reason once.  The gate only decides whether a
 solve is sequenced and certifies it; it never cuts a solve short.
 
-Gravitating and EB solves pose their target ``ProblemSpec`` once and run through one
-driver, ``_solve_coupled``; every stage poses a ``dataclasses.replace`` of that target.
-Data that pass the gate at alpha > 0, on a grid of resolution >= 48, start with one
-Newton loop at the target on the quarter grid; else, or on failure, it continues in
-alpha (Allgower & Georg, 2003) from the vortex solution at alpha = 0 through the fixed
-targets alpha/4, alpha/2, 3 alpha/4 and alpha, each posed from the secant through the
-last two certified states, failed steps bisected.  ``ProblemSpec`` validates the
-coupling, so a bad alpha is rejected before any Newton loop runs.
+Every chain of Newton loops is a list of ``ProblemSpec`` stages run by one runner,
+``_run_stages``, with one predictor (``_predict``) and one failure rule: a stage is accepted on
+its residual, a failed one bisected in alpha within a budget.  A gravitating or EB solve poses
+each stage as a ``dataclasses.replace`` of its target (``_solve_coupled``): on data that pass
+the gate at alpha > 0 and a grid of resolution >= 48, the target on the quarter grid and then
+on its own (Deuflhard, 2004); else, or on failure, the vortex anchor at alpha = 0, then alpha/4,
+alpha/2, 3 alpha/4 and alpha (Allgower & Georg, 2003).  A sweep row is one stage.  Only the final
+state is certified.  ``ProblemSpec`` validates the coupling, so a bad alpha is rejected before
+any Newton loop runs.
 """
 
 from __future__ import annotations
@@ -98,6 +100,8 @@ _ETA_MAX = 0.1
 # number of failed attempts bisected, over the whole continuation, before it stalls
 _ALPHA_STEPS = 4
 _MAX_STEP_HALVINGS = 10
+# grid sequencing: a solve at alpha > 0 on a grid this fine or finer starts on its quarter grid
+_SEQUENCED_RESOLUTION = 48
 
 
 class FailureReason(str, Enum):
@@ -531,103 +535,99 @@ def solve_vortex(
     return loop.state, _certify(loop, 0.0, _existence_gate(section, tau, 0.0))
 
 
-def _secant(state: FieldState, prev: FieldState, spec: ProblemSpec) -> FieldState:
-    """``spec`` posed from (f, v) extrapolated linearly in alpha along the secant through the
-    certified ``prev`` and ``state`` to spec.alpha; from ``state``'s when ``prev`` is it."""
-    ratio = ((spec.alpha - state.spec.alpha) / (state.spec.alpha - prev.spec.alpha)
-             if state is not prev else 0.0)
-    return make_state(spec, *(a.values + ratio * (a.values - b.values)
-                              for a, b in ((state.f, prev.f), (state.v, prev.v))))
+def _predict(stage: ProblemSpec, certified: list) -> FieldState:
+    """The start of ``stage``: ``initial_state`` when nothing is certified yet; else the last
+    certified state's unknown fields prolonged to the stage's grid when the grid changes; else
+    (f, v) extrapolated linearly in alpha to stage.alpha along the secant through the last two
+    certified states, or the last one's (f, v) when it is the only one."""
+    if not certified:
+        return initial_state(stage)
+    last = certified[-1]
+    if last.spec.grid is not stage.grid:
+        if stage.kind is EquationKind.GRAVITATING:
+            f, v = prolong(np.stack([last.f.values, last.v.values]), last.spec.grid, stage.grid)
+            return make_state(stage, f, v)
+        return make_state(stage, prolong(last.f.values, last.spec.grid, stage.grid))
+    prev = certified[-2] if len(certified) > 1 else last
+    ratio = ((stage.alpha - last.spec.alpha) / (last.spec.alpha - prev.spec.alpha)
+             if prev is not last else 0.0)
+    return make_state(stage, *(a.values + ratio * (a.values - b.values)
+                               for a, b in ((last.f, prev.f), (last.v, prev.v))))
 
 
-def _continue_in_alpha(anchor: FieldState, problem: ProblemSpec,
-                       config: SolverConfig) -> tuple[FieldState, float, _LoopResult, int]:
-    """March the anchor state to ``problem``'s alpha through the targets alpha * k / _ALPHA_STEPS.
+def _run_stages(stages: list, config: SolverConfig, certified: tuple = (), steps: int = 0,
+                budget: int = 0, predicted: bool = False) -> tuple[float, _LoopResult]:
+    """(alpha reached, loop): one Newton loop per stage in turn, each started by ``_predict``
+    from the states certified so far, ``certified`` first, and accepted on its residual.
 
-    The anchor is the solution at alpha = 0, solved by the caller; an attempt poses
-    ``problem`` at its coupling, from (f, v) extrapolated along the secant through
-    the last two certified states (or from the anchor).  A failed attempt is bisected,
-    at most _MAX_STEP_HALVINGS times in all.
-    """
-    state = prev = anchor
-    reached = 0.0
-    budget = _MAX_STEP_HALVINGS
-    total_iters = 0
-    last = _LoopResult(anchor, 0, 0.0, None)
-    for k in range(1, _ALPHA_STEPS + 1):
-        target = problem.alpha * k / _ALPHA_STEPS
-        attempt = target
-        while reached < target:
-            loop = _newton_loop(_secant(state, prev, replace(problem, alpha=attempt)), config)
-            total_iters += loop.iterations
-            last = loop
-            if loop.failure is None:
-                prev, state = state, loop.state
-                reached = attempt
-                attempt = target
-            else:
-                budget -= 1
-                mid = 0.5 * (reached + attempt)
-                if budget < 0 or mid - reached <= 1e-12 * (1.0 + target):
-                    return state, reached, loop, total_iters
-                attempt = mid
-    return state, reached, last, total_iters
+    A failed attempt is retried at the midpoint of the coupling reached and its own, at most
+    ``budget`` times in all; then the run stops.  ``predicted`` starts each loop's forcing on the
+    start's residual (``_forcing``).  The loop returned holds the last certified state (else the
+    failed iterate), the last loop's residual, failure and message, and ``steps`` plus every
+    Newton step run."""
+    certified, stages = list(certified), list(stages)
+    reached = certified[-1].spec.alpha if certified else 0.0
+    attempt = stages[0]
+    while stages:
+        start = _predict(attempt, certified)
+        loop = (_newton_loop(start, config, predicted=True) if predicted
+                else _newton_loop(start, config))
+        steps += loop.iterations
+        if loop.failure is None:
+            certified.append(loop.state)
+            reached = attempt.alpha
+            if attempt is stages[0]:
+                stages.pop(0)
+            attempt = stages[0] if stages else None
+            continue
+        budget -= 1
+        mid = 0.5 * (reached + attempt.alpha)
+        if budget < 0 or mid - reached <= 1e-12 * (1.0 + stages[0].alpha):
+            break
+        attempt = replace(stages[0], alpha=mid)
+    state = certified[-1] if certified else loop.state
+    return reached, _LoopResult(state, steps, loop.residual, loop.failure, loop.message)
+
+
+def _continue_in_alpha(anchor: FieldState, target: ProblemSpec, config: SolverConfig,
+                       steps: int) -> tuple[float, _LoopResult]:
+    """``_run_stages`` from the certified ``anchor`` at alpha = 0 through ``target`` at the fixed
+    couplings alpha * k / _ALPHA_STEPS, failed attempts bisected _MAX_STEP_HALVINGS times in all."""
+    stages = [replace(target, alpha=target.alpha * k / _ALPHA_STEPS)
+              for k in range(1, _ALPHA_STEPS + 1)]
+    return _run_stages(stages, config, (anchor,), steps, _MAX_STEP_HALVINGS)
 
 
 def _solve_coupled(target: ProblemSpec, config: SolverConfig) -> tuple[FieldState, SolveReport]:
-    """Solve the ``target`` problem, sequenced or continued from the vortex anchor.
-
-    Every stage poses a ``replace`` of ``target``.  Data that pass ``_existence_gate`` at
-    alpha > 0 are first solved through the quarter grid when the target grid's resolution is
-    >= 48 (``_solve_sequenced``).  Else, or should that fail, one Newton loop solves the
-    vortex anchor (``target`` at kind vortex and alpha = 0), which is continued to the target
-    (``_continue_in_alpha``) when alpha > 0 and the anchor certifies against the alpha = 0
-    gate.  The last certified state, or else the anchor, is certified once against the gate
-    at alpha, so a report on data the oracle rules out quotes its verdict once.
-    """
+    """Solve ``target`` through stage lists: sequenced on data that pass ``_existence_gate`` at
+    alpha > 0 on a grid of resolution >= _SEQUENCED_RESOLUTION; else, or should that fail, the
+    vortex anchor, continued (``_continue_in_alpha``) when alpha > 0 and the data pass the
+    alpha = 0 gate.  The last run's state is certified once against the gate at alpha, so a
+    report on data the oracle rules out quotes its verdict once."""
     section, tau, alpha = target.section, target.tau, target.alpha
     gate = _existence_gate(section, tau, alpha)
-    sequenced, spent = (_solve_sequenced(target, config)
-                        if gate is None and alpha > 0.0 and target.grid.resolution >= 48
-                        else (None, 0))
-    if sequenced is not None:
-        return sequenced
-    loop = _newton_loop(initial_state(replace(target, kind=EquationKind.VORTEX, alpha=0.0)),
-                        config)
-    loop.iterations += spent
-    state, reached = loop.state, 0.0
+    steps = 0
+    if gate is None and alpha > 0.0 and target.grid.resolution >= _SEQUENCED_RESOLUTION:
+        cgrid = target.grid.quarter_grid
+        csection = build_section(cgrid, section.divisor)
+        csection = rescale(csection, 0.5 * (section.normalization - csection.normalization))
+        reached, loop = _run_stages([replace(target, grid=cgrid, section=csection), target], config)
+        if loop.failure is None:
+            report = _certify(loop, reached, gate)
+            return loop.state, replace(report, coarse_resolution=cgrid.resolution)
+        steps = loop.iterations
+    reached, loop = _run_stages([replace(target, kind=EquationKind.VORTEX, alpha=0.0)], config,
+                                steps=steps)
+    state = loop.state  # with no ramp, certified as posed: a vortex state needs no Laplacian of v
     if target.kind is EquationKind.GRAVITATING:
         state = FieldState(state.f, state.v, replace(state.spec, kind=target.kind))
-    anchor_gate = _existence_gate(section, tau, 0.0)
-    if alpha > 0.0 and loop.failure is None and _certify(loop, 0.0, anchor_gate).converged:
-        state, reached, last, iters = _continue_in_alpha(state, target, config)
-        message = last.message
-        if last.failure is not None:
-            message = f"continuation stalled at alpha = {reached} (target {alpha}): {message}"
-        # report the last certified state, not the failed trial
-        loop = _LoopResult(state, iters + loop.iterations, last.residual, last.failure, message)
+    if alpha > 0.0 and loop.failure is None and _existence_gate(section, tau, 0.0) is None:
+        reached, loop = _continue_in_alpha(state, target, config, loop.iterations)
+        state = loop.state
+        if loop.failure is not None:
+            loop.message = (f"continuation stalled at alpha = {reached} (target {alpha}): "
+                            + loop.message)
     return state, _certify(loop, reached, gate)
-
-
-def _solve_sequenced(target: ProblemSpec, config: SolverConfig):
-    """(solve, Newton steps run): one Newton loop from ``initial_state`` of ``target`` posed on
-    its grid's quarter grid, its unknown fields prolonged to the target grid and finished and
-    certified there by one Newton loop; the solve is None when either stage fails."""
-    grid, section = target.grid, target.section
-    cgrid = grid.quarter_grid
-    csection = build_section(cgrid, section.divisor)
-    csection = rescale(csection, 0.5 * (section.normalization - csection.normalization))
-    coarse = _newton_loop(initial_state(replace(target, grid=cgrid, section=csection)), config)
-    if not _certify(coarse, target.alpha, None).converged:
-        return None, coarse.iterations
-    if target.kind is EquationKind.GRAVITATING:
-        f, v = prolong(np.stack([coarse.state.f.values, coarse.state.v.values]), cgrid, grid)
-    else:
-        f, v = prolong(coarse.state.f.values, cgrid, grid), None
-    loop = _newton_loop(make_state(target, f, v), config)
-    loop.iterations += coarse.iterations
-    report = replace(_certify(loop, target.alpha, None), coarse_resolution=cgrid.resolution)
-    return (loop.state, report) if report.converged else None, loop.iterations
 
 
 def solve_gravitating(
@@ -637,14 +637,12 @@ def solve_gravitating(
     alpha: float,
     config: SolverConfig = SolverConfig(),
 ) -> tuple[FieldState, SolveReport]:
-    """Solve the gravitating system, sequenced or by continuation in the coupling.
+    """Solve the gravitating system through stage lists (``_solve_coupled``).
 
-    Data that pass the existence gate are first solved at alpha > 0 on the quarter grid of a
-    grid of resolution >= 48.  Else, or on failure, the vortex solution (v = 0), certified
-    against the alpha = 0 gate, anchors a continuation through alpha/4, alpha/2, 3 alpha/4
-    and alpha, each target posed (c = chi - 2*alpha*tau*N) from the secant prediction of
-    (f, v), failed steps bisected (``_continue_in_alpha``).  The report's c' is the volume
-    gauge derived from the final iterate.
+    Data that pass the existence gate at alpha > 0, on a grid of resolution >= 48, run alpha on
+    the quarter grid, then on the grid.  Else, or on failure, the vortex solution (v = 0) anchors
+    the stages alpha/4, alpha/2, 3 alpha/4 and alpha (c = chi - 2*alpha*tau*N), failed stages
+    bisected.  The last certified state is reported; the report's c' is derived from it.
     """
     return _solve_coupled(ProblemSpec(grid, section, tau, EquationKind.GRAVITATING, alpha), config)
 
@@ -655,17 +653,17 @@ def advance_gravitating(
     config: SolverConfig = SolverConfig(),
     previous: Optional[FieldState] = None,
 ) -> tuple[FieldState, SolveReport]:
-    """Re-solve a certified state at a new coupling, with no intermediate continuation targets.
+    """Re-solve a certified state at a new coupling: one stage, no intermediate targets.
 
-    Used by parameter sweeps: the Newton loop starts from ``state`` re-posed at alpha (warm
-    start) or, given ``previous``, the state certified before it, on their secant, its first
-    forcing term min(eta_max, sqrt(2 merit)) (``_forcing``); certified against the existence
-    gate.  When the loop fails, ``alpha_reached`` is ``state``'s coupling, the last certified.
+    Used by parameter sweeps: the stage starts from ``state`` (warm start) or, given ``previous``,
+    the state certified before it, on their secant, its first forcing term min(eta_max,
+    sqrt(2 merit)) (``_forcing``); certified against the existence gate.  When the loop fails,
+    the state returned and reported (c', identities, ``alpha_reached``) is ``state``, the last
+    certified; the residual and message are the failed loop's.
     """
     spec = replace(state.spec, kind=EquationKind.GRAVITATING, alpha=alpha)
-    loop = (_newton_loop(FieldState(state.f, state.v, spec), config) if previous is None
-            else _newton_loop(_secant(state, previous, spec), config, predicted=True))
-    reached = spec.alpha if loop.failure is None else state.spec.alpha
+    reached, loop = _run_stages([spec], config, (state,) if previous is None else (previous, state),
+                                predicted=previous is not None)
     return loop.state, _certify(loop, reached, _existence_gate(spec.section, spec.tau, spec.alpha))
 
 
@@ -677,9 +675,9 @@ def solve_eb(
 ) -> tuple[FieldState, SolveReport]:
     """Solve the Einstein-Bogomol'nyi equation at the exact coupling 1/(tau N).
 
-    Genus 0 only; requires N < tau/2.  A sequenced solve's coarse grid starts at
-    1/(tau N) directly; else continuation ramps alpha from 0 (the vortex anchor)
-    as in ``solve_gravitating``.  f is the only unknown: e^{2u} is the mean-field weight
+    Genus 0 only; requires N < tau/2.  The stages are ``solve_gravitating``'s: a sequenced
+    solve's coarse stage is posed at 1/(tau N) directly; else the stages ramp alpha from the
+    vortex anchor at 0.  f is the only unknown: e^{2u} is the mean-field weight
     e^{q0} / mean(e^{q0}), and the report's volume gauge c' = -(1/2) log mean(e^{q0}) is
     derived from the final iterate.  For non-polystable divisors no solution exists and the
     report is non-converged quoting the oracle's verdict (Theorem 3.6 or 3.8).

@@ -852,6 +852,22 @@ def test_advance_gravitating_warm_start(torus24, torus24_section):
     assert np.max(np.abs(state2.f.values - cold.f.values)) < 1e-7
 
 
+@pytest.mark.parametrize("secant", [False, True], ids=["warm", "secant"])
+def test_a_failed_advance_reports_the_state_its_alpha_reached_names(torus24, torus24_section,
+                                                                    secant):
+    anchor, _ = solve_gravitating(torus24, torus24_section, 2.5, 0.0)
+    state, report = advance_gravitating(anchor, 0.02)
+    assert report.converged
+    out, failed = advance_gravitating(state, 0.03, SolverConfig(max_newton_iters=1),
+                                      anchor if secant else None)
+    assert failed.failure_reason is FailureReason.MAX_ITERS and failed.iterations == 1
+    assert failed.final_residual > SolverConfig().newton_tol
+    assert failed.message == f"residual {failed.final_residual:.3e} after 1 iterations"
+    # alpha_reached, c' and the identities all describe the last certified state
+    assert failed.alpha_reached == 0.02 and out is state
+    assert failed.c_prime == report.c_prime and failed.identity == report.identity
+
+
 def test_gravitating_negative_alpha_rejected(torus24, torus24_section):
     with pytest.raises(ValueError):
         solve_gravitating(torus24, torus24_section, 2.5, -0.1)
@@ -1118,11 +1134,28 @@ def _torus_case(resolution, alpha=0.035):
     return lambda **kw: solve_gravitating(grid, section, 6.0, alpha, **kw)
 
 
+def _loop_grids(monkeypatch):
+    """The grid of every Newton loop run from here on."""
+    grids, newton_loop = [], solvers._newton_loop
+    monkeypatch.setattr(solvers, "_newton_loop",
+                        lambda state, config: grids.append(state.spec.grid)
+                        or newton_loop(state, config))
+    return grids
+
+
+def _assert_not_sequenced(grids, state):
+    """No Newton loop was posed on the quarter grid: every one ran on the state's grid."""
+    assert grids and all(grid is state.spec.grid for grid in grids)
+
+
 def _cold(monkeypatch, solve):
-    """The solve without grid sequencing."""
+    """The solve with grid sequencing disabled."""
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_solve_sequenced", lambda *args: (None, 0))
-        return solve()
+        patch.setattr(solvers, "_SEQUENCED_RESOLUTION", math.inf)
+        grids = _loop_grids(patch)
+        state, report = solve()
+    _assert_not_sequenced(grids, state)
+    return state, report
 
 
 def _count_newton_steps(monkeypatch):
@@ -1140,7 +1173,9 @@ def _count_newton_steps(monkeypatch):
 def test_sequenced_solve_matches_the_cold_solve(monkeypatch, solve, coarse, max_steps):
     cold, cold_report = _cold(monkeypatch, solve)
     steps = _count_newton_steps(monkeypatch)
+    grids = _loop_grids(monkeypatch)
     state, report = solve()
+    assert grids == [state.spec.grid.quarter_grid, state.spec.grid]
     assert report.converged and cold_report.converged
     assert report.coarse_resolution == coarse and cold_report.coarse_resolution is None
     assert report.iterations == len(steps) <= max_steps  # Newton steps on both grids
@@ -1289,16 +1324,18 @@ def test_a_failed_stage_gives_exactly_the_cold_report(monkeypatch, failing_grid)
 @pytest.mark.parametrize("solve", [_eb_case(24, 1, 8.0), _torus_case(32)],
                          ids=["eb-l24", "torus-n32"])
 def test_small_grids_are_not_sequenced(monkeypatch, solve):
-    monkeypatch.setattr(solvers, "_solve_sequenced", None)  # a call would raise
-    _, report = solve()
+    grids = _loop_grids(monkeypatch)
+    state, report = solve()
+    _assert_not_sequenced(grids, state)
     assert report.converged and report.coarse_resolution is None
 
 
 def test_a_failed_existence_gate_is_not_sequenced(monkeypatch):
-    monkeypatch.setattr(solvers, "_solve_sequenced", None)
+    grids = _loop_grids(monkeypatch)
     grid = build_grid("sphere", 48)
     section = build_section(grid, Divisor(((0.0, 0.0),), (2,)))
-    _, report = solve_eb(grid, section, 8.0, SolverConfig(max_newton_iters=1))
+    state, report = solve_eb(grid, section, 8.0, SolverConfig(max_newton_iters=1))
+    _assert_not_sequenced(grids, state)
     assert report.message.count("Theorem 3.8: all 2 zeros coincide") == 1
     assert report.coarse_resolution is None
 
@@ -1326,11 +1363,12 @@ def test_existence_gate_fires_exactly_where_the_oracle_says_not_exists(model, ge
 
 
 def test_unstable_sphere_data_at_positive_coupling_are_not_sequenced(monkeypatch):
-    monkeypatch.setattr(solvers, "_solve_sequenced", None)  # a call would raise
+    grids = _loop_grids(monkeypatch)
     grid = build_grid("sphere", 48)
     section = build_section(grid, Divisor(((0.0, 0.0), (1.0, 0.0)), (3, 1)))
     monkeypatch.setattr(solvers, "_MAX_STEP_HALVINGS", 0)  # keeps the doomed continuation short
-    _, report = solve_gravitating(grid, section, 12.0, 0.01, SolverConfig(max_newton_iters=10))
+    state, report = solve_gravitating(grid, section, 12.0, 0.01, SolverConfig(max_newton_iters=10))
+    _assert_not_sequenced(grids, state)
     assert not report.converged and report.coarse_resolution is None
     assert report.message.count("not polystable (witness point index 0)") == 1
 
@@ -1402,7 +1440,9 @@ def test_data_that_fail_the_degree_bound_are_not_sequenced(monkeypatch, model, r
         return solve_gravitating(grid, section, tau, alpha)
 
     cold, cold_report = _cold(monkeypatch, solve)
+    grids = _loop_grids(monkeypatch)
     state, report = solve()
+    _assert_not_sequenced(grids, state)
     assert not report.converged and report.failure_reason is FailureReason.NO_SOLUTION
     assert report.coarse_resolution is None and report.message.count("degree bound") == 1
     assert report.to_dict() == cold_report.to_dict()
