@@ -426,8 +426,9 @@ def sweep_alpha(config: RunConfig) -> list[dict]:
 
     Each record echoes the sweep config with ``alpha`` set to the coupling
     it reports on, so the summary and the JSONL stream identify their rows.
-    Failures are recorded and the sweep carries on from the last certified state,
-    on the secant through the last two once there are two (``advance_gravitating``).
+    Failures are recorded and the sweep carries on from the last certified state, on the
+    secant through the last two once there are two and on the quadratic through the last three
+    once there are three (``advance_gravitating``).
     """
     alphas = config.alpha_values
     if not alphas:
@@ -440,15 +441,16 @@ def sweep_alpha(config: RunConfig) -> list[dict]:
     tau = config.tau_value
 
     records = []
-    prev_good = last_good = None
+    certified = ()  # the last three certified rows
     for alpha in alphas:
         start = time.perf_counter()
-        if alpha == 0.0 or last_good is None:
+        if alpha == 0.0 or not certified:
             state, report = solve_gravitating(grid, section, tau, alpha, config.solver)
         else:
-            state, report = advance_gravitating(last_good, alpha, config.solver, prev_good)
+            state, report = advance_gravitating(certified[-1], alpha, config.solver,
+                                                certified[:-1])
         if report.converged:
-            prev_good, last_good = last_good, state
+            certified = (*certified[-2:], state)
         echo = dataclasses.replace(config, alpha=alpha)
         records.append(_record(echo, report=report, wall_time=time.perf_counter() - start,
                                grid=grid))

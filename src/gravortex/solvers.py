@@ -13,12 +13,12 @@ vanishes by construction, and v's constant is an exact kernel direction that eac
 re-centres away; c' is derived from the final iterate and set on the state a loop returns.
 
 One GMRES cycle (``gmres``) solves the right-preconditioned J M y = -R, to an
-Eisenstat-Walker forcing tolerance capped at eta_max: on a loop's first step eta_max, or
-min(eta_max, sqrt(2 merit)) when a sweep starts the loop on the secant (inexact Newton-Krylov;
-see ``_forcing``); on the torus (uniform quadrature weights) the 2-norm it minimises is the
-Armijo merit's.  d = M y is assembled from the M v_j the Krylov loop keeps.  M = P, the
-spectral (Delta + shift)^{-1}, one multiplier per field block built once per Newton step and
-applied to all blocks in one transform call.  The mean-field weight's variation
+Eisenstat-Walker forcing tolerance capped at eta_max: on a loop's first step eta_max, or the
+floor 0.5 newton_tol / ||R|| when a sweep starts the loop on its polynomial prediction
+(inexact Newton-Krylov; see ``_forcing``); on the torus (uniform quadrature weights) the 2-norm
+it minimises is the Armijo merit's.  d = M y is assembled from the M v_j the Krylov loop keeps.
+M = P, the spectral (Delta + shift)^{-1}, one multiplier per field block built once per Newton
+step and applied to all blocks in one transform call.  The mean-field weight's variation
 dW = W (dq0 - <W dq0>), <.> the area mean, costs J one dot product per product.  ``matvec``'s
 Krylov form reads J M y off (y, M y) with no transform, and so does the true residual J d + R:
 Delta P = I - shift P (on the sphere exactly for band-limited y; the rest of y passes through,
@@ -300,8 +300,9 @@ def _forcing(norm: float, prev_norm: Optional[float], newton_tol: float,
     """Relative GMRES tolerance at residual 2-norm ``norm``.
 
     Eisenstat-Walker choice 2, eta = gamma (||F_k|| / ||F_{k-1}||)^2 (on a loop's first step
-    ``start``: eta_max, or for a start on the secant its L2 norm sqrt(2 merit), which converges
-    quadratically, Dembo, Eisenstat & Steihaug 1982), floored at 0.5 newton_tol / ||F_k||
+    ``start``: eta_max, or 0 for a start on a sweep's prediction, whose one step then solves to
+    the floor: the prediction leaves Newton's quadratic convergence one step from the
+    tolerance, Dembo, Eisenstat & Steihaug 1982), floored at 0.5 newton_tol / ||F_k||
     (Kelley, Solving Nonlinear Equations with Newton's Method, 2003) so GMRES does not solve
     far past the Newton tolerance, and capped last at eta_max: near the root the floor exceeds
     eta_max, and a direction that loose need not descend the merit: the loop would stall at
@@ -434,7 +435,7 @@ def _newton_loop(state: FieldState, config: SolverConfig, predicted: bool = Fals
     sys = _NewtonSystem(state.spec, state.f.values, state.v.values)
     if sys.overflow:
         return _LoopResult(state, 0, math.inf, *_FLAG_FAILURES["overflow"])
-    start = math.sqrt(2.0 * sys.merit(sys.residual_vector()[0])) if predicted else _ETA_MAX
+    start = 0.0 if predicted else _ETA_MAX
     iterations = 0
     prev_norm, krylov_info = None, None
     while True:
@@ -538,8 +539,10 @@ def solve_vortex(
 def _predict(stage: ProblemSpec, certified: list) -> FieldState:
     """The start of ``stage``: ``initial_state`` when nothing is certified yet; else the last
     certified state's unknown fields prolonged to the stage's grid when the grid changes; else
-    (f, v) extrapolated linearly in alpha to stage.alpha along the secant through the last two
-    certified states, or the last one's (f, v) when it is the only one."""
+    (f, v) extrapolated to stage.alpha by the Lagrange polynomial in alpha through the last
+    certified states, up to three, and v re-centred to mean zero: one state is a warm start, two
+    the secant, three a quadratic (Allgower & Georg, 2003, ch. 2).  Only a stage that changes
+    grid follows a state on another grid, so these all lie on the stage's grid."""
     if not certified:
         return initial_state(stage)
     last = certified[-1]
@@ -548,11 +551,13 @@ def _predict(stage: ProblemSpec, certified: list) -> FieldState:
             f, v = prolong(np.stack([last.f.values, last.v.values]), last.spec.grid, stage.grid)
             return make_state(stage, f, v)
         return make_state(stage, prolong(last.f.values, last.spec.grid, stage.grid))
-    prev = certified[-2] if len(certified) > 1 else last
-    ratio = ((stage.alpha - last.spec.alpha) / (last.spec.alpha - prev.spec.alpha)
-             if prev is not last else 0.0)
-    return make_state(stage, *(a.values + ratio * (a.values - b.values)
-                               for a, b in ((last.f, prev.f), (last.v, prev.v))))
+    points = certified[-3:]
+    alphas = [s.spec.alpha for s in points]
+    weights = [math.prod((stage.alpha - b) / (a - b) for j, b in enumerate(alphas) if j != i)
+               for i, a in enumerate(alphas)]
+    f = sum(w * s.f.values for w, s in zip(weights, points))
+    v = sum(w * s.v.values for w, s in zip(weights, points))
+    return make_state(stage, f, v - float(np.dot(stage.grid.quad_weights, v)) / TWO_PI)
 
 
 def _run_stages(stages: list, config: SolverConfig, certified: tuple = (), steps: int = 0,
@@ -561,10 +566,10 @@ def _run_stages(stages: list, config: SolverConfig, certified: tuple = (), steps
     from the states certified so far, ``certified`` first, and accepted on its residual.
 
     A failed attempt is retried at the midpoint of the coupling reached and its own, at most
-    ``budget`` times in all; then the run stops.  ``predicted`` starts each loop's forcing on the
-    start's residual (``_forcing``).  The loop returned holds the last certified state (else the
-    failed iterate), the last loop's residual, failure and message, and ``steps`` plus every
-    Newton step run."""
+    ``budget`` times in all; then the run stops.  ``predicted`` runs each loop's first GMRES
+    solve to the forcing floor (``_forcing``).  The loop returned holds the last certified state
+    (else the failed iterate), the last loop's residual, failure and message, and ``steps`` plus
+    every Newton step run."""
     certified, stages = list(certified), list(stages)
     reached = certified[-1].spec.alpha if certified else 0.0
     attempt = stages[0]
@@ -651,19 +656,19 @@ def advance_gravitating(
     state: FieldState,
     alpha: float,
     config: SolverConfig = SolverConfig(),
-    previous: Optional[FieldState] = None,
+    history: tuple = (),
 ) -> tuple[FieldState, SolveReport]:
     """Re-solve a certified state at a new coupling: one stage, no intermediate targets.
 
-    Used by parameter sweeps: the stage starts from ``state`` (warm start) or, given ``previous``,
-    the state certified before it, on their secant, its first forcing term min(eta_max,
-    sqrt(2 merit)) (``_forcing``); certified against the existence gate.  When the loop fails,
+    Used by parameter sweeps: the stage starts from ``state`` (warm start) or, given ``history``,
+    the states certified before it in order, on the Lagrange polynomial in alpha through
+    ``state`` and the last two of them (``_predict``), its first GMRES solve run to the forcing
+    floor (``_forcing``); certified against the existence gate.  When the loop fails,
     the state returned and reported (c', identities, ``alpha_reached``) is ``state``, the last
     certified; the residual and message are the failed loop's.
     """
     spec = replace(state.spec, kind=EquationKind.GRAVITATING, alpha=alpha)
-    reached, loop = _run_stages([spec], config, (state,) if previous is None else (previous, state),
-                                predicted=previous is not None)
+    reached, loop = _run_stages([spec], config, (*history, state), predicted=bool(history))
     return loop.state, _certify(loop, reached, _existence_gate(spec.section, spec.tau, spec.alpha))
 
 

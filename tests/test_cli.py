@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import re
 import shlex
 from dataclasses import fields, replace
@@ -431,11 +432,18 @@ def _spied_sweep(monkeypatch, data, fail_at=()):
     return sweep_alpha(config_from_dict({"command": "SweepAlpha", **data})), loops
 
 
-def _assert_on_the_secant(start, prev, last):
-    """``start`` is (f, v) extrapolated exactly along the secant through prev and last."""
-    ratio = (start.spec.alpha - last.spec.alpha) / (last.spec.alpha - prev.spec.alpha)
-    for got, a, b in ((start.f, last.f, prev.f), (start.v, last.v, prev.v)):
-        assert np.array_equal(got.values, a.values + ratio * (a.values - b.values))
+def _assert_on_the_polynomial(start, rows):
+    """``start`` is (f, v) extrapolated exactly by the Lagrange polynomial in alpha through
+    ``rows`` (two: the secant, three: the quadratic), v re-centred to mean zero."""
+    alphas = [row.spec.alpha for row in rows]
+    weights = [math.prod((start.spec.alpha - b) / (a - b) for j, b in enumerate(alphas) if j != i)
+               for i, a in enumerate(alphas)]
+    f = sum(w * row.f.values for w, row in zip(weights, rows))
+    v = sum(w * row.v.values for w, row in zip(weights, rows))
+    assert np.array_equal(start.f.values, f)
+    grid = start.spec.grid
+    assert np.array_equal(start.v.values,
+                          v - float(np.dot(grid.quad_weights, v)) / (2.0 * math.pi))
 
 
 def test_sweep_rows_start_on_the_secant_through_the_last_two_certified_rows(monkeypatch):
@@ -445,15 +453,19 @@ def test_sweep_rows_start_on_the_secant_through_the_last_two_certified_rows(monk
             "alpha_values": [0.035 * k / 7 for k in range(8)]}
     records, loops = _spied_sweep(monkeypatch, data)
     assert all(r["report"]["converged"] for r in records)
-    # one loop per row: the cold alpha = 0 row, a warm start, then six secant starts
+    # one loop per row: the cold alpha = 0 row, a warm start, then six predicted starts
     assert [predicted for _, predicted, _ in loops] == [False, False] + [True] * 6
     certified = [out.state for _, _, out in loops]
-    for k in range(2, len(loops)):
-        _assert_on_the_secant(loops[k][0], certified[k - 2], certified[k - 1])
-    # a forced first step on a secant start: two Newton steps a row, three from a warm start
+    # row 3 on the secant through rows 1 and 2, every later row on the quadratic through the
+    # last three
+    _assert_on_the_polynomial(loops[2][0], certified[:2])
+    for k in range(3, len(loops)):
+        _assert_on_the_polynomial(loops[k][0], certified[k - 3:k])
+    # a first step solved to the forcing floor: two Newton steps from the secant, one from the
+    # quadratic, three from a warm start
     steps = [r["report"]["iterations"] for r in records]
-    assert steps[2:] == [2] * 6
-    monkeypatch.setattr(cli, "advance_gravitating", lambda state, alpha, config, previous:
+    assert steps[2:] == [2] + [1] * 5
+    monkeypatch.setattr(cli, "advance_gravitating", lambda state, alpha, config, history:
                         solvers.advance_gravitating(state, alpha, config))
     plain, _ = _spied_sweep(monkeypatch, data)
     assert all(r["report"]["converged"] for r in plain)
@@ -470,11 +482,24 @@ def test_a_failed_sweep_row_is_no_point_of_the_secant(monkeypatch):
     assert [r["converged"] for r in reports] == [True, True, True, False, True, True]
     assert reports[3]["alpha_reached"] == 0.02
     rows = [out.state for _, _, out in loops]
-    # 0.03 and 0.04 start on the secant through 0.01 and 0.02; 0.05 through 0.02 and 0.04
-    _assert_on_the_secant(loops[3][0], rows[1], rows[2])
-    _assert_on_the_secant(loops[4][0], rows[1], rows[2])
-    _assert_on_the_secant(loops[5][0], rows[2], rows[4])
+    # 0.03 and 0.04 start on the quadratic through 0, 0.01 and 0.02; 0.05 through 0.01, 0.02
+    # and 0.04
+    _assert_on_the_polynomial(loops[3][0], rows[:3])
+    _assert_on_the_polynomial(loops[4][0], rows[:3])
+    _assert_on_the_polynomial(loops[5][0], [rows[1], rows[2], rows[4]])
     assert [predicted for _, predicted, _ in loops] == [False, False] + [True] * 4
+
+
+def test_a_sweep_toward_the_torus_concentration_onset_takes_no_more_steps_than_the_secant():
+    # the one-point torus branch toward its concentration onset, alpha = 0 .. 0.14: secant
+    # starts, their first step forced by the start's residual, took 50 Newton steps here;
+    # quadratic starts take 37
+    data = {"command": "SweepAlpha", "surface": {"model": "torus", "resolution": 32},
+            "divisor": [[0.25, 0.25, 1]], "tau": 6.0,
+            "alpha_values": [0.01 * k for k in range(15)]}
+    reports = [r["report"] for r in sweep_alpha(config_from_dict(data))]
+    assert all(r["converged"] for r in reports)
+    assert sum(r["iterations"] for r in reports) <= 50
 
 
 def _reject_constant(token):

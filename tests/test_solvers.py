@@ -115,14 +115,14 @@ def test_forcing_terms():
     assert solvers._forcing(2e-10, 1e-4, tol) == eta_max
     # a fast step after a slow one keeps the quadratic rate: choice 2's safeguard is gone
     assert solvers._forcing(1e-3, 1.0, tol) == pytest.approx(solvers._EW_GAMMA * 1e-6)
-    # a predicted start: its first step runs to min(eta_max, ||F_0||), ||F_0|| its L2 norm
-    assert solvers._forcing(1.0, None, tol, 1e-3) == 1e-3
-    assert solvers._forcing(1.0, None, tol, 5.0) == eta_max
-    # the floor and then the cap still win where they did
-    assert solvers._forcing(1e-8, None, tol, 1e-9) == 0.5 * tol / 1e-8
-    assert solvers._forcing(2e-10, None, tol, 1e-12) == eta_max
+    # a predicted start (start 0): its first step runs to the floor 0.5 tol / ||F_0||
+    assert solvers._forcing(1.0, None, tol, 0.0) == 0.5 * tol
+    assert solvers._forcing(5.0, None, tol, 0.0) == 0.5 * tol / 5.0
+    assert solvers._forcing(1e-8, None, tol, 0.0) == 0.5 * tol / 1e-8
+    # the cap still wins where it did
+    assert solvers._forcing(2e-10, None, tol, 0.0) == eta_max
     # from the second step on, choice 2 again
-    assert solvers._forcing(0.01, 1.0, tol, 1e-6) == pytest.approx(solvers._EW_GAMMA * 1e-4)
+    assert solvers._forcing(0.01, 1.0, tol, 0.0) == pytest.approx(solvers._EW_GAMMA * 1e-4)
 
 
 def test_a_predicted_loop_forces_its_first_step_by_the_start_residual(monkeypatch, torus24,
@@ -131,8 +131,8 @@ def test_a_predicted_loop_forces_its_first_step_by_the_start_residual(monkeypatc
     assert report.converged
     start = make_state(replace(state.spec, alpha=0.03), state.f.values, state.v.values)
     system = solvers._NewtonSystem(start.spec, start.f.values, start.v.values)
-    l2 = math.sqrt(2.0 * system.merit(system.residual_vector()[0]))
-    assert l2 < solvers._ETA_MAX
+    floor = 0.5 * SolverConfig().newton_tol / float(np.linalg.norm(system.residual_vector()[0]))
+    assert floor < solvers._ETA_MAX
     rtols, step = [], solvers.newton_step
     monkeypatch.setattr(solvers, "newton_step",
                         lambda s, _system, rtol: rtols.append(rtol) or step(s, _system, rtol))
@@ -140,7 +140,7 @@ def test_a_predicted_loop_forces_its_first_step_by_the_start_residual(monkeypatc
     first_plain, rtols[:] = rtols[0], []
     predicted = solvers._newton_loop(start, SolverConfig(), predicted=True)
     assert plain.failure is None and predicted.failure is None
-    assert first_plain == solvers._ETA_MAX and rtols[0] == l2
+    assert first_plain == solvers._ETA_MAX and rtols[0] == floor
 
 
 def test_warm_start_near_the_torus_fold_certifies(torus32):
@@ -821,15 +821,19 @@ def test_continuation_starts_each_stage_from_the_secant_prediction(monkeypatch, 
     anchor, first = loops[0][1].state, loops[1][0]  # loops[0] solves the vortex anchor
     assert np.array_equal(first.f.values, anchor.f.values)
     certified = [anchor] + [out.state for _, out in loops[1:]]
-    for k in range(2, len(certified)):
-        prev, last, trial = certified[k - 2], certified[k - 1], loops[k][0]
-        ratio = ((trial.spec.alpha - last.spec.alpha)
-                 / (last.spec.alpha - prev.spec.alpha))
-        assert ratio == pytest.approx(1.0)  # equal steps of alpha / 4
-        for got, a, b in ((trial.f, last.f, prev.f), (trial.v, last.v, prev.v)):
-            assert np.allclose(got.values, a.values + ratio * (a.values - b.values),
-                               rtol=0.0, atol=1e-13)
-        assert np.max(np.abs(trial.f.values - last.f.values)) > 1e-6  # a real extrapolation
+    # equal steps of alpha / 4: the secant's weights (-1, 2) on the second stage, the
+    # quadratic's (1, -3, 3) on the third and fourth
+    for k, exact in ((2, (-1.0, 2.0)), (3, (1.0, -3.0, 3.0)), (4, (1.0, -3.0, 3.0))):
+        points, trial = certified[max(0, k - 3):k], loops[k][0]
+        alphas = [p.spec.alpha for p in points]
+        weights = [math.prod((trial.spec.alpha - b) / (a - b)
+                             for j, b in enumerate(alphas) if j != i)
+                   for i, a in enumerate(alphas)]
+        assert weights == pytest.approx(exact)
+        for got, field in ((trial.f, "f"), (trial.v, "v")):
+            want = sum(w * getattr(p, field).values for w, p in zip(weights, points))
+            assert np.allclose(got.values, want, rtol=0.0, atol=1e-13)
+        assert np.max(np.abs(trial.f.values - certified[k - 1].f.values)) > 1e-6  # extrapolated
 
 
 def test_gravitating_alpha_zero_is_vortex(torus24, torus24_section):
@@ -852,14 +856,64 @@ def test_advance_gravitating_warm_start(torus24, torus24_section):
     assert np.max(np.abs(state2.f.values - cold.f.values)) < 1e-7
 
 
+def test_predict_is_exact_on_quadratic_branches(torus24, torus24_section):
+    rng = np.random.default_rng(0)
+    spec = ProblemSpec(torus24, torus24_section, 2.5, EquationKind.GRAVITATING, 0.0)
+    f0, f1, f2, v0, v1, v2 = rng.standard_normal((6, torus24.n_nodes))
+    v0, v1, v2 = (v - np.dot(torus24.quad_weights, v) / TWO_PI for v in (v0, v1, v2))
+
+    def branch(alpha):
+        return make_state(replace(spec, alpha=alpha), f0 + alpha * f1 + alpha**2 * f2,
+                          v0 + alpha * v1 + alpha**2 * v2)
+
+    stage = replace(spec, alpha=0.05)
+    rows = [branch(a) for a in (0.01, 0.02, 0.04)]  # unequal steps
+    start, exact = solvers._predict(stage, rows), branch(0.05)
+    assert start.spec is stage
+    assert np.allclose(start.f.values, exact.f.values, rtol=0.0, atol=1e-13)
+    assert np.allclose(start.v.values, exact.v.values, rtol=0.0, atol=1e-13)
+    # only the last three count
+    assert np.array_equal(solvers._predict(stage, [branch(0.0)] + rows).f.values, start.f.values)
+    # one state: the warm start; two: the secant through them
+    warm = solvers._predict(stage, rows[-1:])
+    assert np.array_equal(warm.f.values, rows[-1].f.values)
+    assert np.allclose(warm.v.values, rows[-1].v.values, rtol=0.0, atol=1e-13)
+    secant = solvers._predict(stage, rows[1:])
+    ratio = (0.05 - 0.04) / (0.04 - 0.02)
+    for got, a, b in ((secant.f, rows[2].f, rows[1].f), (secant.v, rows[2].v, rows[1].v)):
+        assert np.allclose(got.values, a.values + ratio * (a.values - b.values),
+                           rtol=0.0, atol=1e-13)
+
+
+def test_advance_on_the_benchmark_sweep_certifies_with_one_step_from_the_fourth_row():
+    grid = build_grid("torus", 64)
+    section = build_section(grid, Divisor(((0.1, 0.2), (0.6, 0.71)), (1, 1)))
+    alphas = [0.035 * k / 7 for k in range(8)]
+    state, report = solve_gravitating(grid, section, 6.0, 0.0)
+    assert report.converged
+    rows, warm = [state], state
+    for alpha in alphas[1:]:
+        state, report = advance_gravitating(rows[-1], alpha, history=tuple(rows[-3:-1]))
+        warm, warm_report = advance_gravitating(warm, alpha)
+        assert report.converged and warm_report.converged
+        assert abs(report.c_prime - warm_report.c_prime) <= 1e-9
+        if len(rows) >= 3:  # the quadratic through the last three
+            assert report.iterations == 1
+        rows.append(state)
+
+
 @pytest.mark.parametrize("secant", [False, True], ids=["warm", "secant"])
-def test_a_failed_advance_reports_the_state_its_alpha_reached_names(torus24, torus24_section,
-                                                                    secant):
+def test_a_failed_advance_reports_the_state_its_alpha_reached_names(monkeypatch, torus24,
+                                                                    torus24_section, secant):
     anchor, _ = solve_gravitating(torus24, torus24_section, 2.5, 0.0)
     state, report = advance_gravitating(anchor, 0.02)
     assert report.converged
+    if secant:  # one step from the secant certifies: fail the loop as the budget would not
+        monkeypatch.setattr(solvers, "_newton_loop", lambda start, config, predicted: (
+            solvers._LoopResult(start, 1, 1.0, FailureReason.MAX_ITERS,
+                                "residual 1.000e+00 after 1 iterations")))
     out, failed = advance_gravitating(state, 0.03, SolverConfig(max_newton_iters=1),
-                                      anchor if secant else None)
+                                      (anchor,) if secant else ())
     assert failed.failure_reason is FailureReason.MAX_ITERS and failed.iterations == 1
     assert failed.final_residual > SolverConfig().newton_tol
     assert failed.message == f"residual {failed.final_residual:.3e} after 1 iterations"
