@@ -8,16 +8,18 @@ normalisation).  Equivalently, with the positive Laplacian,
 
     (1/2) Laplacian(log a) = N    away from the divisor.
 
-Closed forms are used on both surfaces:
+Closed forms are used on both surfaces, with C = -mean(log a_raw) over the surface (a_raw at
+C = 0), so log a has mean zero and C is the same on every grid:
 
 * sphere: a(z) = e^C |P(z)|^2 / (1+|z|^2)^N in the stereographic chart,
   with P monic vanishing at the finite divisor points; points at infinity
-  lower deg P.
+  lower deg P.  C = sum_finite n_j (1 - log(1 + |p_j|^2)) + n_inf, as log|x - p|
+  has mean log 2 - 1/2 over the unit sphere.
 * torus: a(z) = exp(C + sum_j 2 n_j G0(z - p_j)) where
   G0(z) = log|theta1(pi z | i)| - pi y^2 is the doubly periodic Green-type
-  kernel of the square lattice (theta1 with nome q = e^{-pi}).
-
-The normalisation constant C is fixed so that max_nodes(a) = 1.
+  kernel of the square lattice (theta1 with nome q = e^{-pi}).  C = -2N log eta(i),
+  eta(i) = Gamma(1/4) / (2 pi^{3/4}), by Jensen's formula on theta1's product
+  (Whittaker & Watson, ch. 21).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .geometry import (
 )
 
 _THETA_TERMS = 4  # |Im w| <= pi/2 in use: term k is below e^{-pi (k^2 - 1/4)} of the first
+_LOG_ETA_I = math.lgamma(0.25) - math.log(2.0) - 0.75 * math.log(math.pi)  # mean of G0
 
 
 def is_infinity(p) -> bool:
@@ -79,10 +82,9 @@ class SectionData:
     divisor : Divisor
     grid : SurfaceGrid
     norm_sq : ScalarField
-        a = |phi|_0^2 at the nodes; grid maximum is exp(normalization - C_raw) = 1
-        for freshly built sections.
+        a = |phi|_0^2 at the nodes.
     normalization : float
-        The additive constant C applied to log(a).
+        The additive constant C of log(a), a function of the divisor alone in ``build_section``.
     """
 
     divisor: Divisor
@@ -163,19 +165,17 @@ def _validate_divisor_on(grid: SurfaceGrid, divisor: Divisor) -> Divisor:
 
 
 def build_section(grid: SurfaceGrid, divisor: Divisor) -> SectionData:
-    """Construct the section data of a divisor on a grid.
-
-    The returned ``norm_sq`` has grid maximum exactly 1; ``normalization``
-    records the additive log constant used to achieve that.
-    """
+    """Construct the section data of a divisor on a grid, at the module docstring's C."""
     divisor = _validate_divisor_on(grid, divisor)
     if grid.model is SurfaceModel.SPHERE:
         raw = sphere_log_norm_raw(divisor, grid.node_coords)
+        c = sum(m if is_infinity(p) else m * (1.0 - math.log1p(p[0] * p[0] + p[1] * p[1]))
+                for p, m in zip(divisor.points, divisor.multiplicities))
     else:  # node (x_i, y_j) is row i n + j: the kernel broadcasts the x axis against the y axis
         n = grid.resolution
         x, y = grid.node_coords[::n, 0], grid.node_coords[:n, 1]
         raw = _torus_log_norm(divisor, x[:, None], y).reshape(-1)
-    c = -float(np.max(raw))
+        c = -2.0 * divisor.total_degree * _LOG_ETA_I
     return SectionData(
         divisor=divisor,
         grid=grid,

@@ -79,7 +79,7 @@ from .equations import residual_fields  # noqa: F401  (perfbench/tracer.py patch
 from .geometry import (SurfaceGrid, SurfaceModel, _is_int, _smoothing_multiplier, _spectral,
                        laplacian_values, prolong)
 from .geometry import smoothing_invert  # noqa: F401  (perfbench/tracer.py patches this binding)
-from .sections import SectionData, build_section, rescale
+from .sections import SectionData, build_section
 
 TWO_PI = 2.0 * math.pi
 
@@ -615,7 +615,6 @@ def _solve_coupled(target: ProblemSpec, config: SolverConfig) -> tuple[FieldStat
     if gate is None and alpha > 0.0 and target.grid.resolution >= _SEQUENCED_RESOLUTION:
         cgrid = target.grid.quarter_grid
         csection = build_section(cgrid, section.divisor)
-        csection = rescale(csection, 0.5 * (section.normalization - csection.normalization))
         reached, loop = _run_stages([replace(target, grid=cgrid, section=csection), target], config)
         if loop.failure is None:
             report = _certify(loop, reached, gate)

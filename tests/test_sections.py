@@ -46,18 +46,42 @@ def test_surface_divisor_compatibility():
             build_section(grid, Divisor(points=points, multiplicities=(1, 1)))
 
 
-def test_max_normalization_is_exactly_one(torus24_section, antipodal_section16):
-    for section in (torus24_section, antipodal_section16):
-        assert float(np.max(section.norm_sq.values)) == 1.0
-        assert np.all(section.norm_sq.values >= 0.0)
+def _log_eta_i():
+    """log eta(i) by its product, -pi/12 + sum_n log(1 - e^{-2 pi n}): the mean of G0."""
+    return -math.pi / 12.0 + sum(math.log1p(-math.exp(-2.0 * math.pi * k)) for k in range(1, 12))
+
+
+def test_normalization_is_the_closed_form_mean_on_every_grid():
+    # C = -mean(log a_raw): sum_finite m_j (1 - log(1 + |p_j|^2)) + m_inf on the sphere,
+    # -2N log eta(i) on the torus; bit for bit the same C on every grid, and the quadrature
+    # mean of log a falls toward 0 as the grid refines (its log singularity limits the rate)
+    cases = (("sphere", ((0.0, 0.0), (1.0, 0.5)), 2.0 - math.log(2.25), (48, 192), 3e-5),
+             ("torus", ((0.1, 0.2),), -2.0 * _log_eta_i(), (32, 128, 1024), 5e-7))
+    for model, points, c, grids, finest in cases:
+        divisor, normalizations, means = Divisor(points, (1,) * len(points)), set(), []
+        for resolution in grids:
+            grid = build_grid(model, resolution)
+            section = build_section(grid, divisor)
+            normalizations.add(section.normalization)
+            means.append(abs(float(np.average(np.log(section.norm_sq.values),
+                                              weights=grid.quad_weights))))
+        assert len(normalizations) == 1 and normalizations.pop() == pytest.approx(c, rel=1e-15)
+        assert means == sorted(means, reverse=True)
+        assert means[-1] < finest
+    # a point at infinity counts m_inf, a multiplicity scales its point's term
+    three = Divisor(((0.5, 0.0), POINT_AT_INFINITY, (-0.5, 0.0)), (2, 1, 1))
+    want = 3.0 * (1.0 - math.log(1.25)) + 1.0
+    assert build_section(build_grid("sphere", 16), three).normalization == pytest.approx(want)
 
 
 def test_antipodal_section_is_one_minus_xi_squared(antipodal_section16):
-    # |z|^2 / (1+|z|^2)^2 = (1-xi^2)/4, normalised to peak 1 at the equator
+    # |z|^2 / (1+|z|^2)^2 = (1-xi^2)/4, at C = 1 + 1 for the points at 0 and infinity
     grid = antipodal_section16.grid
     xi = grid._xi_flat
-    expected = 1.0 - xi * xi
+    expected = math.e ** 2 * (1.0 - xi * xi) / 4.0
+    assert antipodal_section16.normalization == 2.0
     assert np.max(np.abs(antipodal_section16.norm_sq.values - expected)) < 1e-13
+    assert np.all(antipodal_section16.norm_sq.values >= 0.0)
 
 
 def test_sphere_section_vanishing_orders(sphere16):
@@ -167,5 +191,5 @@ def test_torus_multi_point_section():
     divisor = Divisor(points=((0.2, 0.3), (0.7, 0.6)), multiplicities=(1, 2))
     section = build_section(grid, divisor)
     assert section.divisor.total_degree == 3
-    assert float(np.max(section.norm_sq.values)) == 1.0
+    assert section.normalization == pytest.approx(-6.0 * _log_eta_i(), rel=1e-15)
 

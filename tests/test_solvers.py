@@ -294,7 +294,10 @@ def _unsolved_system(model, resolution, kind):
     spec = ProblemSpec(grid=grid, section=section, tau=8.0, kind=kind,
                        alpha=0.0 if kind is EquationKind.VORTEX else 0.05)
     x, y = grid.node_coords[:, 0], grid.node_coords[:, 1]
+    # less 1/2 log max(a): P = e^{2f} a of a section scaled to node maximum 1, where sphere-8's
+    # first full step is rejected and torus-16's accepted
     f = 0.2 * np.cos(2.0 * x) + 0.1 * np.sin(3.0 * y) + 0.4
+    f = f - 0.5 * math.log(float(np.max(section.norm_sq.values)))
     v = None
     if kind is EquationKind.GRAVITATING:
         v = 0.05 * np.sin(2.0 * x + y)
@@ -994,7 +997,23 @@ def test_eb_converges_on_polystable_divisor(sphere24, antipodal_section24):
     assert abs(report.identity.volume_identity) <= 1e-8
     # solution metric integrates its curvature to 4*pi*chi
     assert abs(report.identity.gauss_bonnet) <= 1e-4
-    assert report.c_prime == pytest.approx(-0.868053354586, abs=1e-6)
+    # the value at C = log 4, moved to C = 2 by criterion 8's covariance c' + alpha tau dC
+    assert report.c_prime == pytest.approx(-0.868053354586 + (2.0 - math.log(4.0)) / 2.0,
+                                           abs=1e-6)
+
+
+def test_eb_c_prime_on_a_non_antipodal_divisor_is_closed_form():
+    # the Mobius maps fixing p and q carry the radial solution to every member of the orbit,
+    # and c' = c'_radial(log_scale 0) + (C + m log|p - q|^2) / N is one number on all of it
+    # (which member the solve lands on is open, so f is not pinned)
+    grid = build_grid("sphere", 128)
+    section = build_section(grid, Divisor(((0.0, 0.0), (1.0, 0.5)), (1, 1)))
+    _, report = solve_eb(grid, section, 8.0)
+    assert report.converged
+    radial = solve_eb_radial(8.0, 1, 1, log_scale=0.0)
+    assert radial.converged
+    want = radial.c_prime + (section.normalization + math.log(1.25)) / 2.0
+    assert abs(report.c_prime - want) <= 1e-12
 
 
 def test_eb_halts_on_unstable_divisor(sphere16):
@@ -1322,6 +1341,21 @@ def test_sequencing_leaves_the_alpha_zero_anchor_for_warm_starts():
     cold, cold_report = solve_gravitating(grid, section, 6.0, 0.01)
     assert warm_report.converged and cold_report.coarse_resolution == 16
     assert np.max(np.abs(warm.f.values - cold.f.values)) < 1e-9
+
+
+def test_torus_solves_agree_across_grids_without_a_rescale():
+    # the section's C is the same on every grid, so f and c' of one solution compare across
+    # grids as they are: c' within 1e-8, f at shared nodes within the n=32 discretization error
+    f, c_prime = {}, {}
+    for n in (32, 64, 128):
+        grid = build_grid("torus", n)
+        state, report = solve_gravitating(grid, build_section(grid, Divisor(((0.1, 0.2),), (1,))),
+                                          6.0, 0.1)
+        assert report.converged
+        f[n], c_prime[n] = state.f.values.reshape(n, n), report.c_prime
+    assert abs(c_prime[32] - c_prime[64]) <= 1e-8 and abs(c_prime[64] - c_prime[128]) <= 1e-8
+    assert np.max(np.abs(f[32] - f[64][::2, ::2])) <= 2e-6
+    assert np.max(np.abs(f[64] - f[128][::2, ::2])) <= 2e-11
 
 
 def test_the_fine_grid_certifies_the_prolonged_coarse_solution(monkeypatch):
