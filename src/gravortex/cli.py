@@ -278,26 +278,18 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def _build_divisor(config: RunConfig) -> Divisor:
-    points, mults = [], []
-    for entry in config.divisor:
-        if entry[0] == "inf":
-            points.append(POINT_AT_INFINITY)
-            mults.append(entry[1])
-        else:
-            points.append((entry[0], entry[1]))
-            mults.append(entry[2])
+    """The divisor of the normalised ``[x, y, m]`` / ``["inf", m]`` entries."""
+    points = tuple(POINT_AT_INFINITY if e[0] == "inf" else (e[0], e[1]) for e in config.divisor)
     try:
-        return Divisor(points=tuple(points), multiplicities=tuple(mults))
+        return Divisor(points=points, multiplicities=tuple(e[-1] for e in config.divisor))
     except ValueError as exc:
         raise ConfigError("divisor", str(exc)) from None
 
 
 def _frac_str(value) -> Optional[str]:
-    if value is None:
-        return None
-    if isinstance(value, float) and math.isinf(value):
-        return None
-    return str(Fraction(value))
+    """``value`` as an exact rational string; None for None and for an infinite float."""
+    absent = value is None or (isinstance(value, float) and math.isinf(value))
+    return None if absent else str(Fraction(value))
 
 
 def _finite_or_null(value):
@@ -322,6 +314,14 @@ def _record(config: RunConfig, *, verdict=None, report=None,
     })
 
 
+def _open_output(path: str, field: str):
+    """``path`` opened for writing; a ConfigError naming ``field`` when it cannot be."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(field, str(exc)) from None
+
+
 def _dump_fields(state, path: str) -> None:
     grid = state.spec.grid
     density = metric_density(state)
@@ -329,16 +329,11 @@ def _dump_fields(state, path: str) -> None:
         s_values = scalar_curvature(grid, conformal_exponent(state)).values
     except ValueError:
         s_values = [math.nan] * grid.node_coords.shape[0]
-    with open(path, "w", newline="") as handle:
+    with _open_output(path, "output.fields_csv") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x", "y", "f", "v", "density", "S"])
-        coords = grid.node_coords
-        for i in range(coords.shape[0]):
-            writer.writerow([
-                repr(float(coords[i, 0])), repr(float(coords[i, 1])),
-                repr(float(state.f.values[i])), repr(float(state.v.values[i])),
-                repr(float(density.values[i])), repr(float(s_values[i])),
-            ])
+        columns = (*grid.node_coords.T, state.f.values, state.v.values, density.values, s_values)
+        writer.writerows([repr(float(x)) for x in row] for row in zip(*columns))
 
 
 def _solve_setup(config: RunConfig) -> tuple[SurfaceGrid, SectionData]:
@@ -459,7 +454,7 @@ def sweep_alpha(config: RunConfig) -> list[dict]:
 
 def _write_summary(records: list[dict], path: str) -> None:
     deterministic = ["iterations", "alpha_reached", "failure_reason", "coarse_resolution"]
-    with open(path, "w", newline="") as handle:
+    with _open_output(path, "output.summary_csv") as handle:
         writer = csv.writer(handle)
         writer.writerow(["alpha", "converged", "final_residual", "min_density", "gauss_bonnet"]
                         + deterministic)  # None is written as an empty cell
@@ -592,7 +587,7 @@ def main(argv: Optional[list] = None) -> int:
         text = "".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records)
         print(text, end="")
         if config.record_path is not None:
-            with open(config.record_path, "w") as handle:
+            with _open_output(config.record_path, "output.record_path") as handle:
                 handle.write(text)
         if sweep:
             _write_summary(records, config.summary_csv)

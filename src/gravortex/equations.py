@@ -18,19 +18,16 @@ topological constraint, c = chi - 2 alpha tau N for gravitating problems and
 c = 0 for vortex and EB problems, so re-posing a spec at another kind or
 coupling (``dataclasses.replace``) is consistent by construction.
 
-The additive constant c' is the volume gauge of the conformal factor: it is
-determined by Vol(e^{2u} omega_0) = 2*pi, and is stored on the problem spec
-(0 for a freshly posed problem).  W depends on c' only through the factor
-e^{2c'}, so the volume condition gives it in closed form, c' = -(1/2) log mean(e^{q0})
-with q0 the exponent at c' = 0, and W = e^{q0} / mean(e^{q0}): the mean-field form.
-The solvers use that form, and set the c' it implies on the state they return.  The
-gravitating equations at c = 0, v = 0 reduce exactly to the EB equation, and
-at alpha = 0, v = 0, c' = 0 to the vortex equation, so one pointwise kernel,
-``_nonlinearity`` (P, the exponent q of W = e^q, the overflow flag), and one
-raw-array residual, ``_residual_rows``, serve all three kinds (W = 1 for
-vortex).  ``residual_fields`` wraps them for a ``FieldState`` at its spec's c';
-``solvers._NewtonSystem`` runs them once per line-search trial on the raw
-iterate, with the mean-field W, and holds the Jacobian.
+The additive constant c' is the volume gauge of the conformal factor, fixed by
+Vol(e^{2u} omega_0) = 2*pi: not a datum of the problem but a function of (f, v).  W
+depends on c' only through e^{2c'}, so c' = -(1/2) log mean(e^{q0}), q0 the exponent at
+c' = 0, and W = e^{q0} / mean(e^{q0}): the mean-field form.  The gravitating equations at
+c = 0, v = 0 reduce exactly to the EB equation, and at alpha = 0, v = 0 to the vortex
+equation (W = 1), so one pointwise kernel, ``_nonlinearity`` (P, the exponent q of W = e^q,
+c', the overflow flag), the only place W and c' are formed, and one raw-array residual,
+``_residual_rows``, serve all three kinds.  ``residual_fields``, the identities and
+``FieldState.c_prime`` read them off a state; ``solvers._NewtonSystem`` runs them once per
+line-search trial on the raw iterate and holds the Jacobian.
 
 ``direct_gve_residual`` evaluates the *unreduced* coupled system (the metric
 equation for the conformal density together with the curvature equation) so
@@ -81,12 +78,11 @@ class ProblemSpec:
     tau: float
     kind: EquationKind
     alpha: float = 0.0
-    c_prime: float = 0.0
     c: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", EquationKind(self.kind))
-        for name in ("tau", "alpha", "c_prime"):
+        for name in ("tau", "alpha"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -98,8 +94,8 @@ class ProblemSpec:
         kind = self.kind
         c = 0.0
         if kind is EquationKind.VORTEX:
-            if self.alpha != 0.0 or self.c_prime != 0.0:
-                raise ValueError("vortex problems have alpha = c' = 0")
+            if self.alpha != 0.0:
+                raise ValueError("vortex problems have alpha = 0")
         elif kind is EquationKind.EINSTEIN_BOGOMOLNYI:
             if self.grid.model is not SurfaceModel.SPHERE:
                 raise ValueError("the Einstein-Bogomol'nyi equation lives on the sphere")
@@ -138,6 +134,11 @@ class FieldState:
             if abs(mean_value(self.v)) > 1e-9 * scale:
                 raise ValueError("v must have zero mean")
 
+    @property
+    def c_prime(self) -> float:
+        """The volume gauge c' that (f, v) implies (``_nonlinearity``); 0 for vortex states."""
+        return _nonlinearity(self.spec, self.f.values, self.v.values)[2]
+
 
 def make_state(spec: ProblemSpec, f_values, v_values=None) -> FieldState:
     grid = spec.grid
@@ -168,15 +169,21 @@ def _clamped_exp(q: np.ndarray) -> np.ndarray:
     return np.exp(np.maximum(np.minimum(q, _EXP_CLAMP), -_EXP_CLAMP))  # np.clip's bits, unwrapped
 
 
-def _nonlinearity(spec: ProblemSpec, f: np.ndarray, v: np.ndarray, c_prime: float):
-    """P = e^{2f} a, the exponent q = 4 alpha tau f - 2 alpha P - 2 c v + 2 c' of the
-    conformal weight W (1 for vortex, e^{2u} for EB), and whether 2f passes the guard:
-    e^{2f} clamps there and stays finite, and solvers stop instead.  The solvers' W scales
-    e^q by its largest value, so q needs no guard."""
+def _nonlinearity(spec: ProblemSpec, f: np.ndarray, v: np.ndarray):
+    """(P, q, c', overflow): P = e^{2f} a; the exponent q = q0 + 2c' of W = e^q (1 for vortex,
+    e^{2u} for EB), q0 = 4 alpha tau f - 2 alpha P - 2 c v; c' = -(1/2) log mean(e^{q0}) (0 for
+    vortex), from e^{q0} scaled by its largest value, so mean(W) = 1 and q needs no guard; and
+    whether 2f passes the guard: e^{2f} clamps there and stays finite, and solvers stop instead."""
     two_f = 2.0 * f
     p = _clamped_exp(two_f) * spec.section.norm_sq.values
-    q = 4.0 * spec.alpha * spec.tau * f - 2.0 * spec.alpha * p - 2.0 * spec.c * v + 2.0 * c_prime
-    return p, q, bool(np.max(np.abs(two_f)) > _EXP_CLAMP)
+    q = 4.0 * spec.alpha * spec.tau * f - 2.0 * spec.alpha * p - 2.0 * spec.c * v
+    c_prime = 0.0
+    if spec.kind is not EquationKind.VORTEX:
+        top = float(np.max(q))
+        mean = float(np.dot(spec.grid.quad_weights, np.exp(q - top))) / TWO_PI
+        c_prime = -0.5 * (top + math.log(mean))
+    q += 2.0 * c_prime
+    return p, q, c_prime, bool(np.max(np.abs(two_f)) > _EXP_CLAMP)
 
 
 def _residual_rows(spec: ProblemSpec, f: np.ndarray, v: np.ndarray, p: np.ndarray,
@@ -192,7 +199,7 @@ def residual_fields(state: FieldState) -> tuple[ScalarField, ...]:
     """(R1,) for vortex and EB states, (R1, R2) for gravitating states: R1 =
     Delta f + (1/2)(P - tau) W + N and R2 = Delta v + W - 1, with P and W as above."""
     s, f, v = state.spec, state.f.values, state.v.values
-    p, q, _ = _nonlinearity(s, f, v, s.c_prime)
+    p, q, _, _ = _nonlinearity(s, f, v)
     return tuple(ScalarField(s.grid, r) for r in _residual_rows(s, f, v, p, _clamped_exp(q)))
 
 
@@ -215,7 +222,7 @@ def _solved_metric(state: FieldState) -> tuple:
     nonlinearity.  The density is 1 - Delta v when v is an unknown (gravitating) and W
     otherwise (then 2u = q, the exponent of W); 2u is None when the density is not positive."""
     s = state.spec
-    p, q, _ = _nonlinearity(s, state.f.values, state.v.values, s.c_prime)
+    p, q, _, _ = _nonlinearity(s, state.f.values, state.v.values)
     w = _clamped_exp(q)
     if s.kind is not EquationKind.GRAVITATING:
         return p, w, w, q
@@ -281,12 +288,12 @@ class IdentityReport:
 
     degree_identity : integral of P against the solved area form minus
         (2 pi tau - 4 pi N).
-    volume_identity : total solved area minus 2 pi.
+    volume_identity : total W-area minus 2 pi; roundoff at every state, as c' sets mean(W) = 1.
     gauss_bonnet : integral of the Riemannian scalar curvature against the
         solved area form minus 4 pi chi (NaN when the gravitating density
-        fails to be positive, since the metric is then undefined).  A diagnostic
-        only: the spectral Laplacian integrates to zero, so it is roundoff at
-        every state of positive density, solution or not.
+        fails to be positive, since the metric is then undefined); roundoff at
+        every state of positive density, as the spectral Laplacian integrates to zero.
+        Both are diagnostics only: they hold whether or not the state is a solution.
     min_density : minimum of 1 - Delta v (metric positivity flag; 1 when v = 0).
     """
 

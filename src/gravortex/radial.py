@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .stability import eb_coupling
+from .stability import _multiplicities, eb_coupling
 
 # 100 times the roundoff floor of the folded residual, |lap| |f| eps, which is
 # about 1e-10 at n_modes = 200 and grows like n_modes**2; the folded Jacobian's
@@ -133,11 +133,11 @@ def solve_eb_radial(
     means a residual sup norm, gauge row included, of at most ``_TOL``.
     Measured at log_scale 0 on tau = 4m + 0.05 + k/2 up to 40.55: m = 2 and 3
     converge throughout, m = 1 up to 20.05 and from 20.55 on no longer.
-    Unequal multiplicities raise ``ValueError`` before any Newton step.
+    Non-integer or unequal multiplicities raise ``ValueError`` before any Newton step.
     """
-    m = int(m_north)
-    if m != int(m_south):
-        raise ValueError(f"no EB solution for m_north={m}, m_south={int(m_south)}: two points "
+    m, m_south = _multiplicities((m_north, m_south))
+    if m != m_south:
+        raise ValueError(f"no EB solution for m_north={m}, m_south={m_south}: two points "
                          "are polystable only with equal multiplicity "
                          "(stability.classify_multiplicities)")
     if m < 1:

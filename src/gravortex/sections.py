@@ -37,6 +37,7 @@ from .geometry import (
     geodesic_distance,
     laplacian_apply,  # noqa: F401  (unused here; perfbench/tracer.py patches this binding)
 )
+from .stability import _multiplicities
 
 _THETA_TERMS = 4  # |Im w| <= pi/2 in use: term k is below e^{-pi (k^2 - 1/4)} of the first
 _LOG_ETA_I = math.lgamma(0.25) - math.log(2.0) - 0.75 * math.log(math.pi)  # mean of G0
@@ -58,7 +59,7 @@ class Divisor:
             POINT_AT_INFINITY if is_infinity(p) else (float(p[0]), float(p[1]))
             for p in self.points
         )
-        mult = tuple(int(m) for m in self.multiplicities)
+        mult = _multiplicities(self.multiplicities)
         if len(pts) != len(mult) or not pts:
             raise ValueError("divisor needs matching, nonempty points and multiplicities")
         if any(m < 1 for m in mult):

@@ -4,13 +4,11 @@ One Newton system, ``_NewtonSystem``, drives all three equation kinds: it stacks
 ``equations._residual_rows``, and its ``matvec`` is the only Jacobian in the package.  It
 holds the iterate as raw arrays, so a line-search trial evaluates the nonlinearity once and
 builds no ``FieldState`` (a Newton loop builds one, when it returns).  The unknowns are f,
-plus v for the gravitating kind.  The volume gauge c' of the conformal factor is not one:
-it enters only through W = e^{q0 + 2c'}, so the volume constraint mean(W) = 1 fixes it in
-closed form, c' = -(1/2) log mean(e^{q0}), and W = e^{q0} / mean(e^{q0}) is the mean-field
-weight of Liouville-type equations (Caglioti, Lions, Marchioro & Pulvirenti 1992; Tarantello
-2008).  The volume constraint holds at every iterate, the mean of the gravitating second row
-vanishes by construction, and v's constant is an exact kernel direction that each update
-re-centres away; c' is derived from the final iterate and set on the state a loop returns.
+plus v for the gravitating kind; the volume gauge c' is not one: ``equations._nonlinearity``
+derives it, and W = e^{q0} / mean(e^{q0}) is the mean-field weight of Liouville-type equations
+(Caglioti, Lions, Marchioro & Pulvirenti 1992; Tarantello 2008).  The volume constraint holds
+at every iterate, the mean of the gravitating second row vanishes by construction, and v's
+constant is an exact kernel direction that each update re-centres away.
 
 One GMRES cycle (``gmres``) solves the right-preconditioned J M y = -R, to an
 Eisenstat-Walker forcing tolerance capped at eta_max: on a loop's first step eta_max, or the
@@ -31,12 +29,14 @@ Failure taxonomy: MaxIters, Divergence (iterate norm blow-up), Overflow
 (P's exponent 2f beyond the guard, or a residual 2-norm beyond the float range),
 StepFloor (backtracking collapsed, or no descent), NoSolution (the
 residual converged but the exact existence gate rules a solution out),
-IdentityFailure (the integral identities fail at the residual-converged state).
+IdentityFailure (the degree identity or the metric's positivity fails at the
+residual-converged state).
 A MaxIters or StepFloor message names the GMRES exit code (1) when the last
 linear solve stopped short of its tolerance.
-Reports are certified: ``converged`` additionally requires the degree and volume
-identities at their tolerances, a positive solved metric, and data that pass
-``_existence_gate``, the verdict of ``stability.existence_oracle``.  Where it says
+Reports are certified: ``converged`` additionally requires the degree identity at its
+tolerance, a positive solved metric, and data that pass ``_existence_gate``, the verdict of
+``stability.existence_oracle`` (the volume identity and Gauss-Bonnet hold at every state of
+positive density, so they are reported, not gated; c' is read off the state).  Where it says
 NotExists, residual-small iterates are collapse artefacts: the report says NoSolution
 and quotes the oracle's theorem tag and reason once.  The gate only decides whether a
 solve is sequenced and certifies it; it never cuts a solve short.
@@ -84,7 +84,6 @@ from .sections import SectionData, build_section
 TWO_PI = 2.0 * math.pi
 
 DEGREE_IDENTITY_TOL = 1e-6
-VOLUME_IDENTITY_TOL = 1e-8
 _STEP_FLOOR = 2.0**-25
 _ARMIJO_CONSTANT = 1e-4
 _KRYLOV_INNER = 30  # GMRES iterations per linear solve: one cycle, never restarted
@@ -164,13 +163,11 @@ class _NewtonSystem:
     """Residual, Jacobian action, preconditioner and Krylov operator at one iterate.
 
     The iterate is raw arrays f and v (None reads as 0).  Construction evaluates the
-    nonlinearity once and sets ``overflow``, and for EB and gravitating kinds the c' that the
-    volume constraint implies, c' = -(1/2) log mean(e^{q0}) with q0 the exponent at c' = 0, and
-    the mean-field weight W = e^{q0 + 2c'} = e^{q0} / mean(e^{q0}): mean(W) = 1 at every iterate,
-    and W is the public residual's at c', bit for bit.  The Jacobian coefficients and shifts
-    are built on first use, never for a rejected line-search trial, and so is ``state``, the
-    validated ``FieldState`` at the derived c'.  Block layout per kind: the f rows, then the
-    v rows when v is an unknown (gravitating).
+    nonlinearity once (``_nonlinearity``): P, ``overflow``, the derived volume gauge ``c_prime``
+    and the mean-field weight W = e^{q0} / mean(e^{q0}), the public residual's W bit for bit.
+    The Jacobian coefficients and shifts are built on first use, never for a rejected
+    line-search trial, and so is ``state``, the validated ``FieldState``.  Block layout per
+    kind: the f rows, then the v rows when v is an unknown (gravitating).
     """
 
     def __init__(self, spec: ProblemSpec, f: np.ndarray, v: Optional[np.ndarray] = None):
@@ -181,19 +178,13 @@ class _NewtonSystem:
         self.has_v = spec.kind is EquationKind.GRAVITATING
         self.mean_field = spec.kind is not EquationKind.VORTEX
         self.size = (2 if self.has_v else 1) * self.n
-        self._p, q, self.overflow = _nonlinearity(spec, self.f, self.v, 0.0)
-        self.c_prime = 0.0
-        if self.mean_field:  # e^{q0} scaled by its largest value stays finite
-            top = float(np.max(q))
-            mean = float(np.dot(self.grid.quad_weights, np.exp(q - top))) / TWO_PI
-            self.c_prime = -0.5 * (top + math.log(mean))
-            q += 2.0 * self.c_prime
+        self._p, q, self.c_prime, self.overflow = _nonlinearity(spec, self.f, self.v)
         self.w = _clamped_exp(q)
         self._rv = None
 
     @cached_property
     def state(self) -> FieldState:
-        return make_state(replace(self.spec, c_prime=self.c_prime), self.f, self.v)
+        return make_state(self.spec, self.f, self.v)
 
     @cached_property
     def _jacobian(self) -> tuple:
@@ -472,11 +463,7 @@ def _newton_loop(state: FieldState, config: SolverConfig, predicted: bool = Fals
 
 
 def _identity_ok(rep: IdentityReport) -> bool:
-    return (
-        abs(rep.degree_identity) <= DEGREE_IDENTITY_TOL
-        and abs(rep.volume_identity) <= VOLUME_IDENTITY_TOL
-        and rep.min_density > 0.0
-    )
+    return abs(rep.degree_identity) <= DEGREE_IDENTITY_TOL and rep.min_density > 0.0
 
 
 def _certify(loop: _LoopResult, alpha_reached: float, extra_gate: Optional[str]) -> SolveReport:
@@ -498,7 +485,7 @@ def _certify(loop: _LoopResult, alpha_reached: float, extra_gate: Optional[str])
         alpha_reached=alpha_reached,
         failure_reason=failure,
         message=message,
-        c_prime=loop.state.spec.c_prime,
+        c_prime=loop.state.c_prime,
     )
 
 

@@ -23,7 +23,17 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence, Union
 
+from .geometry import _is_int
+
 RationalLike = Union[int, float, str, Fraction]
+
+
+def _multiplicities(values) -> tuple:
+    """``values`` as a tuple of ints; ValueError, never a truncation, unless each ``_is_int``."""
+    out = tuple(values)
+    if not all(_is_int(m) for m in out):
+        raise ValueError(f"multiplicities must be integers, got {out!r}")
+    return tuple(int(m) for m in out)
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -114,7 +124,7 @@ def classify_multiplicities(mults: Sequence[int]) -> DivisorClass:
     multiplicity equal to N/2 spread over three or more points, which are
     semistable but not polystable and admit no solution either).
     """
-    m = [int(x) for x in mults]
+    m = _multiplicities(mults)
     if not m or any(x < 1 for x in m):
         raise ValueError("multiplicities must be positive integers")
     n = sum(m)
@@ -244,9 +254,9 @@ def existence_oracle(
     genus = int(genus)
     if genus < 0:
         raise ValueError("genus must be >= 0")
-    mults = tuple(getattr(divisor, "multiplicities", divisor))
-    n = sum(int(x) for x in mults)
-    if n < 1 or any(int(x) < 1 for x in mults):
+    mults = _multiplicities(getattr(divisor, "multiplicities", divisor))
+    n = sum(mults)
+    if n < 1 or any(x < 1 for x in mults):
         raise ValueError("divisor must be effective with positive degree")
     a = _frac(alpha)
     t = _frac(tau)

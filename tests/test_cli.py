@@ -330,7 +330,7 @@ def test_solve_failure_exit_code(capsys):
 def test_solve_record_names_identity_failure(capsys, monkeypatch):
     real = solvers.identity_report
     monkeypatch.setattr(solvers, "identity_report",
-                        lambda state: replace(real(state), volume_identity=1e-3))
+                        lambda state: replace(real(state), degree_identity=1e-3))
     code, out, _ = _run(capsys, [
         "solve", "--kind", "vortex", "--model", "torus", "--resolution", "16",
         "--tau", "2.5", "--set", "divisor=[[0.25,0.25,1]]",
@@ -728,3 +728,15 @@ def test_config_file_errors_name_the_flag(capsys, tmp_path, content):
     code, out, err = _run(capsys, ["classify", "--config", str(path)])
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["field"] == "--config"
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["solve", *_TORUS, "--tau", "2.5", "--record"], "output.record_path"),
+    (["solve", *_TORUS, "--tau", "2.5", "--fields-csv"], "output.fields_csv"),
+    (["sweep", *_TORUS, "--tau", "2.5", "--alphas", "0", "--summary-csv"], "output.summary_csv"),
+], ids=["record", "fields-csv", "summary-csv"])
+def test_an_unwritable_output_path_names_its_field(capsys, tmp_path, argv, field):
+    code, _, err = _run(capsys, [*argv, str(tmp_path / "missing" / "out")])
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["field"] == field and "No such file or directory" in error["message"]

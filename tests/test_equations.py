@@ -21,6 +21,7 @@ from gravortex.equations import (
 )
 from gravortex.geometry import (
     POINT_AT_INFINITY,
+    _spectral,
     build_grid,
     constant_field,
     field,
@@ -67,6 +68,11 @@ def _mean_zero(grid, values):
     return values - np.average(values, weights=grid.quad_weights)
 
 
+def _derived_c_prime(grid, q0):
+    """The volume gauge c' = -(1/2) log mean(e^{q0}), q0 the exponent of W at c' = 0."""
+    return -0.5 * math.log(float(np.dot(grid.quad_weights, np.exp(q0))) / TWO_PI)
+
+
 def test_problem_spec_validation(torus24, torus24_section, sphere16, antipodal_section16):
     with pytest.raises(ValueError):
         ProblemSpec(grid=torus24, section=torus24_section, tau=-1.0, kind=EquationKind.VORTEX)
@@ -79,6 +85,9 @@ def test_problem_spec_validation(torus24, torus24_section, sphere16, antipodal_s
     with pytest.raises(TypeError):  # c is derived from chi, alpha, tau and N
         ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
                     kind=EquationKind.GRAVITATING, alpha=0.1, c=1.0)
+    with pytest.raises(TypeError):  # c' is derived from the state (FieldState.c_prime)
+        ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
+                    kind=EquationKind.GRAVITATING, alpha=0.1, c_prime=0.0)
     spec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
                        kind=EquationKind.GRAVITATING, alpha=0.1)
     assert spec.degree == 1
@@ -96,11 +105,10 @@ def test_problem_spec_validation(torus24, torus24_section, sphere16, antipodal_s
 
 @pytest.mark.parametrize("name, value", [
     ("tau", math.inf), ("tau", math.nan), ("alpha", math.nan), ("alpha", math.inf),
-    ("c_prime", math.nan), ("c_prime", math.inf), ("c_prime", -math.inf),
 ])
 def test_problem_spec_rejects_non_finite(torus24, torus24_section, name, value):
     data = dict(grid=torus24, section=torus24_section, tau=2.5,
-                kind=EquationKind.GRAVITATING, alpha=0.1, c_prime=0.0)
+                kind=EquationKind.GRAVITATING, alpha=0.1)
     data[name] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         ProblemSpec(**data)
@@ -140,18 +148,17 @@ def _start_specs(torus24, torus24_section, sphere16, antipodal_section16):
     for grid, section, tau, alpha in ((torus24, torus24_section, 2.5, 0.03),
                                       (sphere16, antipodal_section16, 8.0, 1.0 / 16.0)):
         specs.append(ProblemSpec(grid, section, tau, EquationKind.VORTEX))
-        specs.append(ProblemSpec(grid, section, tau, EquationKind.GRAVITATING, alpha, 0.7))
+        specs.append(ProblemSpec(grid, section, tau, EquationKind.GRAVITATING, alpha))
     specs.append(ProblemSpec(sphere16, antipodal_section16, 8.0, EquationKind.EINSTEIN_BOGOMOLNYI,
-                             1.0 / 16.0, 0.7))
+                             1.0 / 16.0))
     return specs
 
 
 def test_initial_state_meets_both_scalar_constraints(torus24, torus24_section, sphere16,
                                                      antipodal_section16):
     # the degree identity of the vortex equation, mean(P) = tau - 2N, on the spec as posed;
-    # for EB and gravitating kinds the solver's mean-field W meets the volume constraint,
-    # mean(W) = 1, and so does the public residual at the c' it derives, whatever c' the
-    # spec was posed at
+    # for EB and gravitating kinds the mean-field W meets the volume constraint, mean(W) = 1,
+    # in the solver and in the identities of the state it returns
     for spec in _start_specs(torus24, torus24_section, sphere16, antipodal_section16):
         state = initial_state(spec)
         assert state.spec is spec
@@ -162,11 +169,40 @@ def test_initial_state_meets_both_scalar_constraints(torus24, torus24_section, s
         assert abs(integrate(field(spec.grid, system.w)) / TWO_PI - 1.0) < 1e-15
         rep = identity_report(system.state)
         assert abs(rep.volume_identity) < 1e-12
+        assert system.state.spec is spec and system.state.c_prime == system.c_prime
         if spec.kind is EquationKind.VORTEX:
-            assert system.state.spec == spec and abs(rep.degree_identity) < 1e-12
+            assert system.c_prime == 0.0 and abs(rep.degree_identity) < 1e-12
         else:
-            assert system.state.spec == replace(spec, c_prime=system.c_prime)
-            assert system.c_prime != spec.c_prime
+            assert system.c_prime != 0.0
+
+
+def _random_band_limited(grid, rng, amplitude):
+    """Random values on the five lowest Laplacian eigenvalues, scaled to sup ``amplitude``."""
+    low = (grid._eigs <= np.unique(grid._eigs)[4]).astype(float)
+    values = _spectral(grid, rng.standard_normal(grid.n_nodes), low)
+    return amplitude * values / np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("model,kind", [("sphere", "eb"), ("sphere", "gravitating"),
+                                        ("torus", "gravitating")])
+def test_one_w_serves_the_residual_the_solver_and_the_identities(
+        model, kind, torus24, torus24_section, sphere16, antipodal_section16):
+    # W and c' are formed in _nonlinearity alone: at any iterate the public residual, the
+    # Newton system's residual and the volume identity read the same W, bit for bit
+    grid, section, tau = ((sphere16, antipodal_section16, 8.0) if model == "sphere"
+                          else (torus24, torus24_section, 2.5))
+    alpha = 1.0 / 16.0 if kind == "eb" else 0.03
+    spec = ProblemSpec(grid, section, tau, EquationKind(kind), alpha)
+    rng = np.random.default_rng(4242)
+    for _ in range(3):
+        f = _random_band_limited(grid, rng, 0.5) + rng.uniform(-0.5, 0.5)
+        v = _mean_zero(grid, _random_band_limited(grid, rng, 0.01)) if kind != "eb" else None
+        state, system = make_state(spec, f, v), _NewtonSystem(spec, f, v)
+        rows = np.concatenate([r.values for r in residual_fields(state)])
+        assert np.array_equal(rows, system.residual_vector()[0])
+        assert state.c_prime == system.c_prime != 0.0
+        want = float(np.dot(grid.quad_weights, system.w)) - TWO_PI
+        assert identity_report(state).volume_identity == want
 
 
 def test_initial_state_is_covariant_under_rescale(torus24, torus24_section, sphere16,
@@ -177,9 +213,7 @@ def test_initial_state_is_covariant_under_rescale(torus24, torus24_section, sphe
         state = initial_state(spec)
         scaled = initial_state(replace(spec, section=rescale(spec.section, shift)))
         assert np.max(np.abs(scaled.f.values - (state.f.values - shift))) < 1e-12
-        c_prime, scaled_c_prime = (_NewtonSystem(s.spec, s.f.values, s.v.values).c_prime
-                                   for s in (state, scaled))
-        assert abs(scaled_c_prime - (c_prime + 2.0 * spec.alpha * spec.tau * shift)) < 1e-12
+        assert abs(scaled.c_prime - (state.c_prime + 2.0 * spec.alpha * spec.tau * shift)) < 1e-12
 
 
 def test_vortex_residual_formula(torus24, torus24_section):
@@ -315,18 +349,23 @@ def test_exponent_overflow_flag(sphere16, antipodal_section16):
 
 def test_identity_report_matches_manual_integrals(torus24, torus24_section):
     gspec = ProblemSpec(grid=torus24, section=torus24_section, tau=2.5,
-                        kind=EquationKind.GRAVITATING, alpha=0.05, c_prime=0.02)
+                        kind=EquationKind.GRAVITATING, alpha=0.05)
     f_vals = _smooth(torus24, 9)
     v_vals = _mean_zero(torus24, _smooth(torus24, 10, 0.01))
     state = make_state(gspec, f_vals, v_vals)
     rep = identity_report(state)
     w = torus24.quad_weights
     p = np.exp(2.0 * f_vals) * torus24_section.norm_sq.values
-    e = np.exp(4 * 0.05 * 2.5 * f_vals - 2 * 0.05 * p - 2 * gspec.c * v_vals + 2 * 0.02)
+    q0 = 4 * 0.05 * 2.5 * f_vals - 2 * 0.05 * p - 2 * gspec.c * v_vals
+    c_prime = _derived_c_prime(torus24, q0)
+    assert state.c_prime == pytest.approx(c_prime, abs=1e-14)
+    e = np.exp(q0 + 2 * c_prime)
     assert rep.degree_identity == pytest.approx(
         float(np.dot(w, p * e)) - (TWO_PI * 2.5 - 4.0 * math.pi * 1), rel=1e-12
     )
-    assert rep.volume_identity == pytest.approx(float(np.dot(w, e)) - TWO_PI, rel=1e-12)
+    # W's mean is 1 by construction: the volume identity is roundoff
+    assert abs(rep.volume_identity) < 1e-12
+    assert rep.volume_identity == pytest.approx(float(np.dot(w, e)) - TWO_PI, abs=1e-12)
     assert rep.min_density == pytest.approx(
         float(np.min(1.0 - laplacian_apply(state.v).values)), rel=1e-12
     )
@@ -336,11 +375,12 @@ def test_identity_report_matches_manual_integrals(torus24, torus24_section):
 def test_eb_residual_formula(sphere16, antipodal_section16):
     alpha = 1.0 / 16.0
     spec = ProblemSpec(grid=sphere16, section=antipodal_section16, tau=8.0,
-                       kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=alpha, c_prime=-0.5)
+                       kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=alpha)
     f_vals = _smooth(sphere16, 11)
     state = make_state(spec, f_vals)
     p = np.exp(2.0 * f_vals) * antipodal_section16.norm_sq.values
-    e2u = np.exp(4 * alpha * 8.0 * f_vals - 2 * alpha * p + 2 * -0.5)
+    q0 = 4 * alpha * 8.0 * f_vals - 2 * alpha * p
+    e2u = np.exp(q0 + 2 * _derived_c_prime(sphere16, q0))
     expected = laplacian_apply(state.f).values + 0.5 * e2u * (p - 8.0) + 2
     (r,) = residual_fields(state)
     assert np.max(np.abs(r.values - expected)) < 1e-11
@@ -355,7 +395,8 @@ def test_gravitating_residual_pair(torus24, torus24_section):
     state = make_state(gspec, f_vals, v_vals)
     r1, r2 = residual_fields(state)
     p = np.exp(2.0 * f_vals) * torus24_section.norm_sq.values
-    w = np.exp(4 * alpha * 2.5 * f_vals - 2 * alpha * p - 2 * gspec.c * v_vals)
+    q0 = 4 * alpha * 2.5 * f_vals - 2 * alpha * p - 2 * gspec.c * v_vals
+    w = np.exp(q0 + 2 * _derived_c_prime(torus24, q0))
     assert np.max(np.abs(r1.values - (laplacian_apply(state.f).values
                                       + 0.5 * (p - 2.5) * w + 1))) < 1e-11
     assert np.max(np.abs(r2.values - (laplacian_apply(state.v).values + w - 1.0))) < 1e-11
@@ -402,7 +443,7 @@ def test_direct_gve_residual_is_its_formula_bit_for_bit(model, resolution):
     points = ((0.0, 0.0), POINT_AT_INFINITY) if model == "sphere" else ((0.1, 0.2), (0.6, 0.7))
     section = build_section(grid, Divisor(points, (1, 1)))
     spec = ProblemSpec(grid=grid, section=section, tau=8.0, kind=EquationKind.GRAVITATING,
-                       alpha=0.03, c_prime=0.2)
+                       alpha=0.03)
     state = make_state(spec, _smooth(grid, 3), _mean_zero(grid, _smooth(grid, 4, 0.01)))
     s, f, v = spec, state.f, state.v
     p = np.exp(2.0 * f.values) * section.norm_sq.values
@@ -426,11 +467,12 @@ def test_eb_direct_gve_residual_reads_delta_u_off_f_and_p(sphere24, points):
     grid = sphere24
     section = build_section(grid, Divisor(points, (1, 1)))
     spec = ProblemSpec(grid=grid, section=section, tau=8.0,
-                       kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=1.0 / 16.0, c_prime=0.2)
+                       kind=EquationKind.EINSTEIN_BOGOMOLNYI, alpha=1.0 / 16.0)
     state = make_state(spec, _smooth(grid, 3))
     s, f = spec, state.f.values
     p = np.exp(2.0 * f) * section.norm_sq.values
-    two_u = 4.0 * s.alpha * s.tau * f - 2.0 * s.alpha * p + 2.0 * s.c_prime
+    two_u = 4.0 * s.alpha * s.tau * f - 2.0 * s.alpha * p
+    two_u += 2.0 * _derived_c_prime(grid, two_u)
     inv = np.exp(-two_u)
     lap_f, lap_u, lap_p = (laplacian_apply(field(grid, x)).values for x in (f, 0.5 * two_u, p))
     r1 = inv * (s.degree + lap_f) + 0.5 * (p - s.tau)

@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravortex.radial import solve_eb_radial
 from gravortex.sections import Divisor
 from gravortex.stability import (
     ExistenceVerdict,
@@ -85,6 +87,22 @@ def test_classification_rejects_bad_multiplicities():
         classify_multiplicities([])
     with pytest.raises(ValueError):
         classify_multiplicities([0, 1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Divisor(((0.0, 0.0), (1.0, 0.0)), (1.5, 1.9)),
+    lambda: Divisor(((0.0, 0.0),), (True,)),
+    lambda: classify_multiplicities((1.5, 1.5)),
+    lambda: classify_divisor((1.5, 1.5)),
+    lambda: existence_oracle(0, (2.7,), 8, 0.1),
+    lambda: solve_eb_radial(8.15, 1.7, 1.2),
+], ids=["divisor", "divisor-bool", "classify", "classify-divisor", "oracle", "radial"])
+def test_non_integer_multiplicities_are_rejected_not_truncated(call):
+    # 1.5 once read as 1: the (1.5, 1.5) pair was called strictly polystable
+    with pytest.raises(ValueError, match="multiplicities must be integers"):
+        call()
+    mults = Divisor(((0.0, 0.0), (1.0, 0.0)), (np.int64(2), np.int32(1))).multiplicities
+    assert mults == (2, 1) and all(type(m) is int for m in mults)
 
 
 @settings(max_examples=200)
