@@ -11,16 +11,19 @@ tau, alpha, and sigma accept rational strings ("1/16") as well as numbers;
 rational strings are kept exact all the way into the algebraic oracles, so
 boundary cases like alpha*tau*N == 1 classify correctly.
 
-Exit codes: 0 success, 1 usage/config error, 2 solver did not converge.
+Exit codes: 0 success, 1 usage/config error, 2 solver did not converge.  Output files open
+before the first solve, so an unwritable path exits 1 at once, with only its error printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -314,26 +317,27 @@ def _record(config: RunConfig, *, verdict=None, report=None,
     })
 
 
-def _open_output(path: str, field: str):
-    """``path`` opened for writing; a ConfigError naming ``field`` when it cannot be."""
+def _open_output(path: Optional[str], field: str):
+    """``path`` opened for writing (a null context for None); ConfigError on ``field`` if not."""
+    if path is None:
+        return contextlib.nullcontext()
     try:
         return open(path, "w", newline="")
     except OSError as exc:
         raise ConfigError(field, str(exc)) from None
 
 
-def _dump_fields(state, path: str) -> None:
+def _dump_fields(state, handle) -> None:
     grid = state.spec.grid
     density = metric_density(state)
     try:
         s_values = scalar_curvature(grid, conformal_exponent(state)).values
     except ValueError:
         s_values = [math.nan] * grid.node_coords.shape[0]
-    with _open_output(path, "output.fields_csv") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "y", "f", "v", "density", "S"])
-        columns = (*grid.node_coords.T, state.f.values, state.v.values, density.values, s_values)
-        writer.writerows([repr(float(x)) for x in row] for row in zip(*columns))
+    writer = csv.writer(handle)
+    writer.writerow(["x", "y", "f", "v", "density", "S"])
+    columns = (*grid.node_coords.T, state.f.values, state.v.values, density.values, s_values)
+    writer.writerows([repr(float(x)) for x in row] for row in zip(*columns))
 
 
 def _solve_setup(config: RunConfig) -> tuple[SurfaceGrid, SectionData]:
@@ -392,25 +396,26 @@ def run(config: RunConfig) -> dict:
     if config.command in ("SolveVortex", "SolveGravitating", "SolveEB"):
         grid, section = _solve_setup(config)
         tau, alpha = config.tau_value, config.alpha_value
-        try:
-            if config.command == "SolveGravitating":
-                if alpha < 0.0:
-                    raise ConfigError("alpha", "must be >= 0")
-                state, report = solve_gravitating(grid, section, tau, alpha, config.solver)
-            else:
-                eb = config.command == "SolveEB"
-                if alpha != 0.0:
-                    reason = ("the EB coupling is determined by tau and N" if eb
-                              else "the vortex equations have no coupling")
-                    raise ConfigError("alpha", f"{reason}; leave alpha at 0")
-                state, report = (solve_eb if eb else solve_vortex)(grid, section, tau,
-                                                                   config.solver)
-        except ValueError as exc:  # solve_eb rejects the torus, then N >= tau/2
-            field = "config" if config.command != "SolveEB" else (
-                "tau" if config.surface_model == "sphere" else "surface.model")
-            raise ConfigError(field, str(exc)) from None
-        if config.fields_csv is not None:
-            _dump_fields(state, config.fields_csv)
+        with _open_output(config.fields_csv, "output.fields_csv") as fields:
+            try:
+                if config.command == "SolveGravitating":
+                    if alpha < 0.0:
+                        raise ConfigError("alpha", "must be >= 0")
+                    state, report = solve_gravitating(grid, section, tau, alpha, config.solver)
+                else:
+                    eb = config.command == "SolveEB"
+                    if alpha != 0.0:
+                        reason = ("the EB coupling is determined by tau and N" if eb
+                                  else "the vortex equations have no coupling")
+                        raise ConfigError("alpha", f"{reason}; leave alpha at 0")
+                    state, report = (solve_eb if eb else solve_vortex)(grid, section, tau,
+                                                                       config.solver)
+            except ValueError as exc:  # solve_eb rejects the torus, then N >= tau/2
+                field = "config" if config.command != "SolveEB" else (
+                    "tau" if config.surface_model == "sphere" else "surface.model")
+                raise ConfigError(field, str(exc)) from None
+            if fields is not None:
+                _dump_fields(state, fields)
         return _record(config, report=report, wall_time=time.perf_counter() - start, grid=grid)
 
     raise ConfigError("command", f"unhandled command {config.command!r}")
@@ -452,17 +457,16 @@ def sweep_alpha(config: RunConfig) -> list[dict]:
     return records
 
 
-def _write_summary(records: list[dict], path: str) -> None:
+def _write_summary(records: list[dict], handle) -> None:
     deterministic = ["iterations", "alpha_reached", "failure_reason", "coarse_resolution"]
-    with _open_output(path, "output.summary_csv") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["alpha", "converged", "final_residual", "min_density", "gauss_bonnet"]
-                        + deterministic)  # None is written as an empty cell
-        for rec in records:  # csv writes a float as its repr(), which round-trips exactly
-            rep, ident = rec["report"], rec["identity"]
-            writer.writerow([rec["config"]["alpha"], "true" if rep["converged"] else "false",
-                             rep["final_residual"], ident["min_density"], ident["gauss_bonnet"]]
-                            + [rep[key] for key in deterministic])
+    writer = csv.writer(handle)
+    writer.writerow(["alpha", "converged", "final_residual", "min_density", "gauss_bonnet"]
+                    + deterministic)  # None is written as an empty cell
+    for rec in records:  # csv writes a float as its repr(), which round-trips exactly
+        rep, ident = rec["report"], rec["identity"]
+        writer.writerow([rec["config"]["alpha"], "true" if rep["converged"] else "false",
+                         rep["final_residual"], ident["min_density"], ident["gauss_bonnet"]]
+                        + [rep[key] for key in deterministic])
 
 
 def _json_float(text: str):
@@ -582,16 +586,21 @@ def main(argv: Optional[list] = None) -> int:
         config = _load_config(args, command)
 
         sweep = command == "SweepAlpha"
-        records = sweep_alpha(config) if sweep else [run(config)]
-        # _record wrote non-finite floats as None, so the records are strict JSON
-        text = "".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records)
-        print(text, end="")
-        if config.record_path is not None:
-            with _open_output(config.record_path, "output.record_path") as handle:
-                handle.write(text)
-        if sweep:
-            _write_summary(records, config.summary_csv)
-            return 0
+        # the records' file and the other output are both open while the solves run
+        paths = {config.record_path, config.summary_csv if sweep else config.fields_csv}
+        if None not in paths and len({os.path.realpath(p) for p in paths}) < 2:
+            raise ConfigError("output.record_path", "one file cannot hold two outputs")
+        with (_open_output(config.record_path, "output.record_path") as record,
+              _open_output(config.summary_csv if sweep else None, "output.summary_csv") as summary):
+            records = sweep_alpha(config) if sweep else [run(config)]
+            # _record wrote non-finite floats as None, so the records are strict JSON
+            text = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
+            print(text, end="")
+            if record is not None:
+                record.write(text)
+            if sweep:
+                _write_summary(records, summary)
+                return 0
         report = records[0]["report"]
         return 2 if report is not None and not report["converged"] else 0
     except ConfigError as exc:

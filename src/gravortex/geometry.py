@@ -21,8 +21,8 @@ folding the stack into the DFT GEMM measured 10 % faster to 25 % slower at L = 1
 
 The sphere transform (``_SphereTransform``) does its longitude DFT as one
 real GEMM and its Legendre stage on the northern nodes only, split by the
-parity of l - m (one tensor pair for both directions, the parity slices of
-``_legendre_tables``' (m, l - m, node) array).  Transforms are exact
+parity of l - m (one (m, k, node) tensor pair for both directions, which
+``_legendre_tables`` fills in place at its stored size).  Transforms are exact
 on band-limited data: Gauss-Legendre in latitude and the trapezoid rule in
 the periodic directions integrate band-limited products exactly.
 """
@@ -54,29 +54,32 @@ class SurfaceModel(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-def _legendre_tables(lmax: int, xi: np.ndarray) -> np.ndarray:
-    """Orthonormal associated Legendre functions at the nodes ``xi``.
+def _legendre_tables(lmax: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal associated Legendre functions at the nodes ``xi``, split by parity.
 
-    Returns one (lmax+1, lmax+1, n_nodes) array indexed by (order m, l - m,
-    node): P_lm(xi) for l = m..lmax, and exactly 0 where l > lmax.  Normalised
-    so that integral_{-1}^{1} P_lm(x) P_l'm(x) dx = delta_{l l'}, with no
-    Condon-Shortley phase.  The standard stable three-term recurrence in
-    l - m runs over every order m at once.
+    Returns the pair (even, odd) of (order m, k, node) arrays holding P_lm(xi) at
+    l = m + 2k and l = m + 2k + 1, and exactly 0 where l > lmax.  Normalised so that
+    integral_{-1}^{1} P_lm(x) P_l'm(x) dx = delta_{l l'}, with no Condon-Shortley phase.
+    The standard stable three-term recurrence in j = l - m runs over every order with
+    m + j <= lmax at once, writing each step into its parity's table in place: at L = 96
+    3-5 ms, with a build peak 1.13x the 4.0 MB the transform stores.
     """
     s = np.sqrt(np.maximum(0.0, 1.0 - xi * xi))
-    p = np.empty((lmax + 1, lmax + 1, xi.shape[0]))
-    p[0, 0] = math.sqrt(0.5)
+    even, odd = tables = (np.zeros((lmax + 1, lmax // 2 + 1, xi.shape[0])),
+                          np.zeros((lmax + 1, (lmax + 1) // 2, xi.shape[0])))
+    even[0, 0] = math.sqrt(0.5)
     for k in range(lmax):  # the seeds P_mm, built up in m
-        p[k + 1, 0] = p[k, 0] * s * math.sqrt((2.0 * k + 3.0) / (2.0 * k + 2.0))
+        even[k + 1, 0] = even[k, 0] * s * math.sqrt((2.0 * k + 3.0) / (2.0 * k + 2.0))
     m = np.arange(lmax + 1)[:, None]
-    p[:, 1] = np.sqrt(2 * m + 3.0) * xi * p[:, 0]
+    odd[:lmax, 0] = np.sqrt(2 * m[:lmax] + 3.0) * xi * even[:lmax, 0]
+    l = m + np.arange(2, lmax + 1)  # (m, j - 2)
+    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+    b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
     for j in range(2, lmax + 1):
-        l = m + j
-        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-        p[:, j] = a * (xi * p[:, j - 1] - b * p[:, j - 2])
-    p[m + np.arange(lmax + 1) > lmax] = 0.0  # beyond the band: prolong copies these slots
-    return p
+        n = lmax + 1 - j  # the orders with m + j <= lmax
+        p1, p2 = tables[(j - 1) % 2][:n, (j - 1) // 2], tables[j % 2][:n, j // 2 - 1]
+        tables[j % 2][:n, j // 2] = a[:n, j - 2, None] * (xi * p1 - b[:n, j - 2, None] * p2)
+    return even, odd
 
 
 class _SphereTransform:
@@ -108,9 +111,7 @@ class _SphereTransform:
         self._w_north[self.n_lat // 2 :] *= 0.5  # the equator node; empty when n_lat is even
         mphi = np.outer(self.phi, np.arange(lmax + 1))
         self._dft = np.stack([np.cos(mphi), -np.sin(mphi)], axis=-1).reshape(self.n_lon, -1)
-        p = _legendre_tables(lmax, self.xi[:n_north])
-        self._p_even = np.ascontiguousarray(p[:, 0::2])  # (m, k, node)
-        self._p_odd = np.ascontiguousarray(p[:, 1::2])
+        self._p_even, self._p_odd = _legendre_tables(lmax, self.xi[:n_north])  # (m, k, node)
 
     def degrees(self) -> np.ndarray:
         """Degree l of every coefficient slot, shape (2, L+1, 1, K)."""
@@ -178,16 +179,13 @@ class SurfaceGrid:
         if model is SurfaceModel.SPHERE:
             self.genus = 0
             self.base_scalar_curvature = 4.0
-            sht = _SphereTransform(self.resolution)
-            self._sht = sht
+            sht = self._sht = _SphereTransform(self.resolution)
             self._shape = (sht.n_lat, sht.n_lon)
-            xi2, phi2 = np.meshgrid(sht.xi, sht.phi, indexing="ij")
-            r = np.sqrt((1.0 - xi2) / (1.0 + xi2))
-            coords = np.stack([r * np.cos(phi2), r * np.sin(phi2)], axis=-1)
-            self.node_coords = coords.reshape(-1, 2)
-            w2 = 0.5 * sht.wgl[:, None] * (TWO_PI / sht.n_lon) * np.ones((1, sht.n_lon))
-            self.quad_weights = w2.reshape(-1)
-            self._xi_flat = xi2.reshape(-1)
+            r = np.sqrt((1.0 - sht.xi) / (1.0 + sht.xi))  # per latitude, times per longitude
+            unit = np.stack([np.cos(sht.phi), np.sin(sht.phi)], axis=-1)
+            self.node_coords = np.multiply.outer(r, unit).reshape(-1, 2)
+            self.quad_weights = np.repeat(0.5 * sht.wgl * (TWO_PI / sht.n_lon), sht.n_lon)
+            self._xi_flat = np.repeat(sht.xi, sht.n_lon)
             ls = sht.degrees()
             self._eigs = 2.0 * ls * (ls + 1.0)
         else:
@@ -203,10 +201,8 @@ class SurfaceGrid:
                                  indexing="ij")
             self._eigs = TWO_PI * (kx * kx + ky * ky)
         self.n_nodes = self.node_coords.shape[0]
-        h = hashlib.sha256()
-        h.update(f"{self.model.value}:{self.resolution}:".encode())
-        h.update(np.ascontiguousarray(self.node_coords).tobytes())
-        self.checksum = h.hexdigest()
+        head = f"{self.model.value}:{self.resolution}:".encode()
+        self.checksum = hashlib.sha256(head + self.node_coords.tobytes()).hexdigest()
         self.node_coords.setflags(write=False)
         self.quad_weights.setflags(write=False)
 

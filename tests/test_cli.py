@@ -735,8 +735,24 @@ def test_config_file_errors_name_the_flag(capsys, tmp_path, content):
     (["solve", *_TORUS, "--tau", "2.5", "--fields-csv"], "output.fields_csv"),
     (["sweep", *_TORUS, "--tau", "2.5", "--alphas", "0", "--summary-csv"], "output.summary_csv"),
 ], ids=["record", "fields-csv", "summary-csv"])
-def test_an_unwritable_output_path_names_its_field(capsys, tmp_path, argv, field):
-    code, _, err = _run(capsys, [*argv, str(tmp_path / "missing" / "out")])
-    assert code == 1
+def test_an_unwritable_output_path_names_its_field(capsys, monkeypatch, tmp_path, argv, field):
+    # every output opens before the first solve: no Newton loop runs and no record is printed
+    loops, newton_loop = [], solvers._newton_loop
+    monkeypatch.setattr(solvers, "_newton_loop",
+                        lambda *args: loops.append(args[0]) or newton_loop(*args))
+    code, out, err = _run(capsys, [*argv, str(tmp_path / "missing" / "out")])
+    assert code == 1 and out == "" and loops == []
     error = json.loads(err)["error"]
     assert error["field"] == field and "No such file or directory" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *_TORUS, "--tau", "2.5", "--fields-csv"],
+    ["sweep", *_TORUS, "--tau", "2.5", "--alphas", "0", "--summary-csv"],
+], ids=["fields-csv", "summary-csv"])
+def test_the_records_and_another_output_cannot_share_a_file(capsys, tmp_path, argv):
+    # both files are open while the solve runs, so one path would interleave two outputs
+    path = tmp_path / "out"
+    code, out, err = _run(capsys, [*argv, str(path), "--record", str(tmp_path / "." / "out")])
+    assert code == 1 and out == "" and not path.exists()
+    assert json.loads(err)["error"]["field"] == "output.record_path"

@@ -27,6 +27,7 @@ from gravortex.geometry import (
     field,
     integrate,
     laplacian_apply,
+    smoothing_invert,
 )
 from gravortex.sections import Divisor, SectionData, build_section, rescale
 from gravortex.solvers import _NewtonSystem
@@ -285,6 +286,40 @@ def test_linearization_matches_finite_differences(kind, torus24, torus24_section
         lin = system.matvec(df if dv is None else np.concatenate([df, dv]))
         scale = np.max(np.abs(lin)) + 1.0
         assert np.max(np.abs(fd - lin)) / scale < 1e-5
+
+
+# (kind, model, n, tau, alpha): every kind on both surfaces, odd and even grids
+_SYMMETRY_CASES = [
+    ("vortex", "torus", 9, 2.5, 0.0), ("vortex", "sphere", 8, 8.0, 0.0),
+    ("eb", "sphere", 9, 8.0, 1.0 / 16.0), ("eb", "sphere", 12, 8.0, 1.0 / 16.0),
+    ("gravitating", "torus", 8, 2.5, 0.05), ("gravitating", "torus", 12, 2.5, 0.05),
+    ("gravitating", "sphere", 11, 8.0, 0.03),
+]
+
+
+@pytest.mark.parametrize("kind,model,n,tau,alpha", _SYMMETRY_CASES,
+                         ids=[f"{k}-{m}{n}" for k, m, n, _, _ in _SYMMETRY_CASES])
+def test_weighted_jacobian_is_symmetric(kind, model, n, tau, alpha):
+    # the equations are a gradient: w S J is symmetric, w the quadrature weights and
+    # S = diag(I, c/(4 alpha) I) for the gravitating (f, v) blocks, I otherwise.  Being exact to
+    # roundoff, this sees a one-sided error in the Jacobian far below the FD checks' 1e-5
+    grid = build_grid(model, n)
+    points = ((0.0, 0.0), POINT_AT_INFINITY) if model == "sphere" else ((0.13, 0.29),)
+    section = build_section(grid, Divisor(points=points, multiplicities=(1,) * len(points)))
+    spec = ProblemSpec(grid=grid, section=section, tau=tau, kind=EquationKind(kind), alpha=alpha)
+    rng = np.random.default_rng(n)
+
+    def band_limited(amplitude):  # a random field through the spectral smoother
+        values = smoothing_invert(rng.standard_normal(grid.n_nodes), grid, 1.0)
+        return amplitude * values / np.max(np.abs(values))
+
+    gravitating = spec.kind is EquationKind.GRAVITATING
+    system = _NewtonSystem(spec, band_limited(0.3), _mean_zero(grid, band_limited(0.1))
+                           if gravitating else None)
+    jac = np.stack([system.matvec(e) for e in np.eye(system.size)], axis=1)
+    scale = [1.0] + ([spec.c / (4.0 * alpha)] if gravitating else [])
+    weighted = np.concatenate([s * grid.quad_weights for s in scale])[:, None] * jac
+    assert np.linalg.norm(weighted - weighted.T) <= 1e-13 * np.linalg.norm(weighted)
 
 
 def test_linearized_operator_eigenvalues(torus24):

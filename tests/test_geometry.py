@@ -1,6 +1,7 @@
 """Grids, quadrature, spectral Laplacians, and inverse operators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ def _random_coefficients(sht, rng):
     return coef
 
 
+def _legendre_table(lmax, xi):
+    """P_lm(xi) as one (m, l - m, node) table, interleaved from the parity pair."""
+    p = np.empty((lmax + 1, lmax + 1, xi.shape[0]))
+    p[:, 0::2], p[:, 1::2] = _legendre_tables(lmax, xi)
+    return p
+
+
 def _as_lm(sht, coef):
     """The layout's coefficients as a complex A[m, l] table."""
     table = np.zeros((sht.lmax + 1, sht.lmax + 1), dtype=complex)
@@ -131,7 +139,7 @@ def test_gauss_legendre_rule_at_n193_matches_a_30_digit_reference():
 @pytest.mark.parametrize("lmax", [12, 13, 47, 48])
 def test_sht_matches_dense_quadrature(lmax):
     sht = _SphereTransform(lmax)
-    p = _legendre_tables(lmax, sht.xi)
+    p = _legendre_table(lmax, sht.xi)
     m = np.arange(lmax + 1)
     cos = np.cos(np.outer(m, sht.phi))  # (m, lon)
     sin = np.sin(np.outer(m, sht.phi))
@@ -156,7 +164,7 @@ def test_sht_matches_dense_quadrature(lmax):
 def test_sphere_laplacian_of_nonzonal_harmonics():
     grid = build_grid("sphere", 20)
     sht = grid._sht
-    p = _legendre_tables(sht.lmax, sht.xi)
+    p = _legendre_table(sht.lmax, sht.xi)
     for l, m in [(3, 2), (4, 1), (7, 7), (12, 5)]:  # even and odd l - m
         y = np.outer(p[m, l - m], np.cos(m * sht.phi) + 0.4 * np.sin(m * sht.phi))
         got = laplacian_apply(field(grid, y)).values
@@ -170,6 +178,19 @@ def test_sht_storage_at_l96():
     sht = _SphereTransform(96)
     stored = sum(a.nbytes for a in vars(sht).values() if isinstance(a, np.ndarray))
     assert stored <= 4_000_000
+
+
+def test_sht_build_peak_at_l96_stays_near_its_storage():
+    # the Legendre pair is filled at its stored size: a full (L+1)^2 x n_north transient,
+    # sliced into the pair afterwards, peaks at 1.96x the stored bytes; in place it is 1.13x
+    tracemalloc.start()
+    try:
+        sht = _SphereTransform(96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = sum(a.nbytes for a in vars(sht).values() if isinstance(a, np.ndarray))
+    assert peak <= 1.5 * stored
 
 
 def test_laplacian_annihilates_constants(torus24, sphere16):
