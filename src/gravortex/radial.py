@@ -22,14 +22,16 @@ and the quadrature onto even functions (Boyd, *Chebyshev and Fourier
 Spectral Methods*, 2001, ch. 8).
 
 The ODE is solved with Chebyshev-Lobatto collocation, Clenshaw-Curtis
-quadrature, and a dense damped Newton iteration in (f, c') -- sharing no
-code with the two-dimensional solvers, so it serves as an independent
+quadrature, and a dense damped Newton iteration in (f, c'), posed at the EB
+coupling first and ramped in alpha only when that fails -- sharing no code
+with the two-dimensional solvers, so it serves as an independent
 cross-check oracle.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +44,10 @@ from .stability import _multiplicities, eb_coupling
 # condition number is about 1e6 there, so f is far more accurate than _TOL.
 _TOL = 1e-8
 _MAX_ITERS = 80  # Newton iterations per continuation stage
+# the direct stage's line search tries t = 1, 1/2, 1/4 and gives up at 1/8: where it needs
+# shorter steps (m=1 from tau = 11.55 at log_scale 0) the ramp is cheaper, and so the stage
+# costs one iteration there, where without the floor it burned up to _MAX_ITERS
+_DIRECT_FLOOR = 0.125
 
 
 def chebyshev_lobatto(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,17 +130,29 @@ def solve_eb_radial(
 ) -> RadialEBSolution:
     """Solve the radial EB equation at alpha = 1/(tau N) for the even f.
 
-    Newton stages at alpha = 0 (from constant f), alpha/2 and alpha, each
-    later one started from the secant through the last two accepted stages,
-    halving a failed step up to 12 times.  ``log_scale`` is the additive
+    First one Newton stage at alpha, started from the constant f with
+    (1/2) integral e^{2f} a = tau - 2N (the degree identity) and the c' that
+    solves the gauge row there; its line search stops at ``_DIRECT_FLOOR``,
+    and it ends on one simplified Newton correction with its last Jacobian
+    (Deuflhard, *Newton Methods for Nonlinear Problems*, 2004).  Only if it
+    fails do stages at alpha = 0 (from constant f), alpha/2 and alpha run,
+    each later one started from the secant through the last two accepted
+    stages, halving a failed step up to 12 times; a singular Jacobian in the
+    direct stage ends the solve instead.  ``log_scale`` is the additive
     constant C of log a, so the ODE matches a two-dimensional section
     normalised the same way (the equation is covariant under a -> e^{2s} a,
     f -> f - s, but comparing f values requires the same gauge).  Converged
     means a residual sup norm, gauge row included, of at most ``_TOL``.
     Measured at log_scale 0 on tau = 4m + 0.05 + k/2 up to 40.55: m = 2 and 3
     converge throughout, m = 1 up to 20.05 and from 20.55 on no longer.
-    Non-integer or unequal multiplicities raise ``ValueError`` before any Newton step.
+    Non-finite ``tau`` or ``log_scale``, ``n_modes`` not an integer >= 2, and
+    non-integer or unequal multiplicities raise ``ValueError`` before any set-up.
     """
+    for name, value in (("tau", tau), ("log_scale", log_scale)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if isinstance(n_modes, bool) or not isinstance(n_modes, numbers.Integral) or n_modes < 2:
+        raise ValueError(f"n_modes must be an integer >= 2, got {n_modes!r}")
     m, m_south = _multiplicities((m_north, m_south))
     if m != m_south:
         raise ValueError(f"no EB solution for m_north={m}, m_south={m_south}: two points "
@@ -151,8 +169,7 @@ def solve_eb_radial(
     with np.errstate(divide="ignore"):  # a vanishes at the pole xi = 1
         top = xi[:npts]
         a = np.exp(log_scale + m * np.log((1.0 - top) * (1.0 + top)) - n * math.log(2.0))
-    f = np.full(npts, 0.5 * math.log(tau / 2.0) - 0.5 * math.log(float(np.max(a))))
-    c_prime, iterations = 0.0, 0
+    iterations = 0
 
     def assemble(fv, cp, alpha):
         # clamp exponents so rejected line-search trials stay finite
@@ -163,13 +180,19 @@ def solve_eb_radial(
         gauge = 0.5 * float(np.dot(w, e2u)) - 1.0
         return p, e2u, r, gauge
 
-    def run_stage(alpha, fv, cp):
+    def run_stage(alpha, fv, cp, floor=2.0**-30, correct=False):
         nonlocal iterations
+        jac = None
         for _ in range(_MAX_ITERS):
             p, e2u, r, gauge = assemble(fv, cp, alpha)
             res = max(float(np.max(np.abs(r))), abs(gauge))
             iterations += 1
             if res <= _TOL:
+                # the direct stage's last step starts from a residual near 3e-5; its quadratic
+                # remainder hides under the residual's roundoff but leaves c' 1e-11 off at m=2
+                if correct and jac is not None:
+                    step = np.linalg.solve(jac, -np.concatenate([r, [gauge]]))
+                    fv, cp = fv + step[:npts], cp + step[npts]
                 return fv, cp, res, True
             jac = np.empty((npts + 1, npts + 1))
             jac[:npts, :npts] = lap + np.diag(e2u * (p - 2.0 * alpha * (p - tau) ** 2))
@@ -180,10 +203,10 @@ def solve_eb_radial(
             try:
                 step = np.linalg.solve(jac, -rhs)
             except np.linalg.LinAlgError:  # singular: met past the domain (m=1, tau=28.55)
-                return fv, cp, res, False
+                return fv, cp, res, None
             merit0 = float(rhs @ rhs)
             t = 1.0
-            while t > 2.0**-30:
+            while t > floor:
                 f_t, cp_t = fv + t * step[:npts], cp + t * step[npts]
                 _, _, r_t, g_t = assemble(f_t, cp_t, alpha)
                 if float(r_t @ r_t) + g_t * g_t <= (1.0 - 1e-4 * t) * merit0:
@@ -194,21 +217,27 @@ def solve_eb_radial(
                 return fv, cp, res, False
         return fv, cp, res, False
 
-    f, c_prime, residual, ok = run_stage(0.0, f, c_prime)
-    reached, prev = 0.0, (0.0, f, c_prime)  # prev: the accepted stage before (f, c')
-    for target in (0.5 * alpha_eb, alpha_eb):
-        while ok and reached < target:
-            trial, halvings = target, 0
-            while True:  # start from the secant through the last two accepted stages
-                s = (trial - reached) / (reached - prev[0]) if reached > prev[0] else 0.0
-                f_t, cp_t, residual, ok = run_stage(
-                    trial, f + s * (f - prev[1]), c_prime + s * (c_prime - prev[2]))
-                if ok or halvings >= 12:
-                    break
-                halvings += 1
-                trial = reached + 0.5 * (trial - reached)
-            if ok:
-                prev, (f, c_prime, reached) = (reached, f, c_prime), (f_t, cp_t, trial)
+    f = np.full(npts, 0.5 * math.log((tau - 2.0 * n) / (0.5 * float(np.dot(w, a)))))
+    e2u = assemble(f, 0.0, alpha_eb)[1]
+    f, c_prime, residual, ok = run_stage(alpha_eb, f, -0.5 * math.log(0.5 * float(np.dot(w, e2u))),
+                                         _DIRECT_FLOOR, correct=True)
+    if ok is False:  # the ramp; after a singular Jacobian ok is None
+        f = np.full(npts, 0.5 * math.log(tau / 2.0) - 0.5 * math.log(float(np.max(a))))
+        f, c_prime, residual, ok = run_stage(0.0, f, 0.0)
+        reached, prev = 0.0, (0.0, f, c_prime)  # prev: the accepted stage before (f, c')
+        for target in (0.5 * alpha_eb, alpha_eb):
+            while ok and reached < target:
+                trial, halvings = target, 0
+                while True:  # start from the secant through the last two accepted stages
+                    s = (trial - reached) / (reached - prev[0]) if reached > prev[0] else 0.0
+                    f_t, cp_t, residual, ok = run_stage(
+                        trial, f + s * (f - prev[1]), c_prime + s * (c_prime - prev[2]))
+                    if ok or halvings >= 12:
+                        break
+                    halvings += 1
+                    trial = reached + 0.5 * (trial - reached)
+                if ok:
+                    prev, (f, c_prime, reached) = (reached, f, c_prime), (f_t, cp_t, trial)
 
     _, _, r, gauge = assemble(f, c_prime, alpha_eb)
     residual = max(float(np.max(np.abs(r))), abs(gauge))

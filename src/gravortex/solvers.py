@@ -407,6 +407,7 @@ class _LoopResult:
     residual: float
     failure: Optional[FailureReason]
     message: str = ""
+    c_prime: Optional[float] = None  # of ``state``, from the loop's final _NewtonSystem
 
 
 _FLAG_FAILURES = {
@@ -425,7 +426,7 @@ def _krylov_note(code: Optional[int]) -> str:
 def _newton_loop(state: FieldState, config: SolverConfig, predicted: bool = False) -> _LoopResult:
     sys = _NewtonSystem(state.spec, state.f.values, state.v.values)
     if sys.overflow:
-        return _LoopResult(state, 0, math.inf, *_FLAG_FAILURES["overflow"])
+        return _LoopResult(state, 0, math.inf, *_FLAG_FAILURES["overflow"], sys.c_prime)
     start = 0.0 if predicted else _ETA_MAX
     iterations = 0
     prev_norm, krylov_info = None, None
@@ -433,19 +434,20 @@ def _newton_loop(state: FieldState, config: SolverConfig, predicted: bool = Fals
         r, sup = sys.residual_vector()
         norms = max(float(np.max(np.abs(sys.f))), float(np.max(np.abs(sys.v))))
         if sup <= config.newton_tol:
-            return _LoopResult(sys.state, iterations, sup, None)
+            return _LoopResult(sys.state, iterations, sup, None, c_prime=sys.c_prime)
         if norms > _DIVERGENCE_NORM:
             return _LoopResult(sys.state, iterations, sup, FailureReason.DIVERGENCE,
-                               f"iterate sup-norm {norms:.3e} exceeded the divergence guard")
+                               f"iterate sup-norm {norms:.3e} exceeded the divergence guard",
+                               sys.c_prime)
         if iterations >= config.max_newton_iters:
             return _LoopResult(sys.state, iterations, sup, FailureReason.MAX_ITERS,
                                f"residual {sup:.3e} after {iterations} iterations"
-                               + _krylov_note(krylov_info))
+                               + _krylov_note(krylov_info), sys.c_prime)
         with np.errstate(over="ignore"):  # P W near 1e260 passes the exponent guard
             norm = float(np.linalg.norm(r))
         if not math.isfinite(norm):
             return _LoopResult(sys.state, iterations, sup, FailureReason.OVERFLOW,
-                               f"residual {sup:.3e} has no finite 2-norm")
+                               f"residual {sup:.3e} has no finite 2-norm", sys.c_prime)
         rtol, prev_norm = _forcing(norm, prev_norm, config.newton_tol, start), norm
         _, info = newton_step(None, _system=sys, rtol=rtol)
         iterations += 1
@@ -453,7 +455,7 @@ def _newton_loop(state: FieldState, config: SolverConfig, predicted: bool = Fals
         if info["flag"] is not None:
             failure, message = _FLAG_FAILURES[info["flag"]]
             return _LoopResult(sys.state, iterations, info["residual_norm"], failure,
-                               message + _krylov_note(krylov_info))
+                               message + _krylov_note(krylov_info), sys.c_prime)
         sys = info["system"]
 
 
@@ -485,7 +487,7 @@ def _certify(loop: _LoopResult, alpha_reached: float, extra_gate: Optional[str])
         alpha_reached=alpha_reached,
         failure_reason=failure,
         message=message,
-        c_prime=loop.state.c_prime,
+        c_prime=loop.state.c_prime if loop.c_prime is None else loop.c_prime,
     )
 
 
@@ -578,7 +580,8 @@ def _run_stages(stages: list, config: SolverConfig, certified: tuple = (), steps
             break
         attempt = replace(stages[0], alpha=mid)
     state = certified[-1] if certified else loop.state
-    return reached, _LoopResult(state, steps, loop.residual, loop.failure, loop.message)
+    c_prime = loop.c_prime if state is loop.state else None
+    return reached, _LoopResult(state, steps, loop.residual, loop.failure, loop.message, c_prime)
 
 
 def _continue_in_alpha(anchor: FieldState, target: ProblemSpec, config: SolverConfig,

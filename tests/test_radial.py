@@ -185,8 +185,10 @@ def test_radial_gap_at_criterion_3_is_at_roundoff(m, tau):
 @pytest.mark.parametrize("m, tau", [(1, 8.07), (1, 8.15), (1, 8.23),
                                     (2, 11.88), (2, 11.92), (2, 11.99), (2, 12.12)])
 def test_radial_oracle_reaches_the_eb_coupling_in_two_secant_stages(m, tau):
-    # one jump from alpha = 0 to alpha_EB takes 94 iterations at m=2, tau = 11.88 (it halves)
-    # and 17 at 11.92; four constant-predictor stages take 25-26 at every point here
+    # the direct stage at alpha_EB from the constrained constant start converges here in 5-6
+    # iterations; the ramp behind it, alpha = 0 -> alpha_EB/2 -> alpha_EB with secant starts,
+    # took 13-15. One jump from the alpha = 0 solution to alpha_EB took 94 iterations at
+    # m=2, tau = 11.88 (it halves) and 17 at 11.92; four constant-predictor stages 25-26
     from gravortex.geometry import POINT_AT_INFINITY, build_grid
     from gravortex.sections import Divisor, build_section
 
@@ -213,3 +215,70 @@ def test_a_singular_jacobian_ends_the_radial_solve_unconverged(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
     sol = solve_eb_radial(8.0, 1, 1)
     assert not sol.converged and sol.iterations == 1 and sol.residual > 1e-8
+
+
+def _forced_ramp(monkeypatch, *args, **kwargs):
+    """``solve_eb_radial`` with the direct stage dropped at its first step: a floor of 1 tries
+    no step, so the alpha = 0 -> alpha/2 -> alpha ramp runs as it did before the stage."""
+    from gravortex import radial
+
+    with monkeypatch.context() as patch:
+        patch.setattr(radial, "_DIRECT_FLOOR", 1.0)
+        return solve_eb_radial(*args, **kwargs)
+
+
+@pytest.mark.parametrize("m, tau", [(1, 8.0), (1, 8.15), (1, 8.3),
+                                    (2, 11.88), (2, 12.0), (2, 12.12)])  # sphere-eb's points
+def test_radial_oracle_starts_at_the_eb_coupling(m, tau):
+    # the ramp took 13-17 iterations here; the direct stage takes 5-6 at log_scale 0 and at 2m,
+    # the antipodal section's constant on every grid, which criterion 3 passes
+    for log_scale in (0.0, 2.0 * m):
+        sol = solve_eb_radial(tau, m, m, log_scale=log_scale)
+        assert sol.converged and sol.iterations <= 7
+
+
+def test_a_direct_stage_that_needs_short_steps_gives_way_to_the_ramp(monkeypatch):
+    # m=1, tau = 16.05: the first direct step needs t = 1/128, below the floor of 1/8, so the
+    # stage is dropped after one step and the ramp (38 iterations alone) returns its solution
+    sol = solve_eb_radial(16.05, 1, 1)
+    ramp = _forced_ramp(monkeypatch, 16.05, 1, 1)
+    assert sol.converged and sol.iterations <= 38 + 2
+    assert np.array_equal(sol.f, ramp.f) and sol.c_prime == ramp.c_prime
+
+
+@pytest.mark.parametrize("m, tau", [(1, 8.0), (2, 12.0)])
+def test_the_direct_stage_and_the_ramp_agree(monkeypatch, m, tau):
+    # measured: |df| 1.5e-12 and 2.7e-10, |dc'| 4.4e-13 and 2.0e-11 at (1, 8.0) and (2, 12.0);
+    # both residuals are below 1e-8 with a Jacobian condition number near 1e6
+    sol, ramp = solve_eb_radial(tau, m, m), _forced_ramp(monkeypatch, tau, m, m)
+    assert sol.converged and ramp.converged and sol.iterations < ramp.iterations
+    assert np.max(np.abs(sol.f - ramp.f)) <= 1e-9
+    assert abs(sol.c_prime - ramp.c_prime) <= 1e-10
+
+
+@pytest.mark.parametrize("m, tau, settled", [(1, 8.0, -1.5612005351462),
+                                             (2, 12.0, -1.2404698223722)])
+def test_the_direct_stage_ends_on_the_settled_c_prime(m, tau, settled):
+    # further Newton steps from either path scatter c' within 4e-13 of ``settled`` (roundoff).
+    # The direct stage's last step starts from a residual near 3e-5, and its quadratic remainder
+    # leaves c' 1.4e-11 off at m=2; the simplified Newton correction brings it to 4e-13
+    assert abs(solve_eb_radial(tau, m, m).c_prime - settled) <= 2e-12
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tau", math.nan), ("tau", math.inf), ("log_scale", math.nan), ("log_scale", math.inf),
+    ("n_modes", True), ("n_modes", 8.5), ("n_modes", 1),
+])
+def test_radial_solver_names_an_invalid_argument(monkeypatch, name, value):
+    from gravortex import radial
+
+    def no_setup(_m):
+        raise AssertionError("collocation set up for invalid arguments")
+
+    monkeypatch.setattr(radial, "_even_setup", no_setup)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        solve_eb_radial(**{"tau": 8.0, "m_north": 1, "m_south": 1, name: value})
+
+
+def test_radial_solver_takes_a_numpy_integer_mode_count():
+    assert solve_eb_radial(8.0, 1, 1, n_modes=np.int64(64)).converged

@@ -1062,6 +1062,27 @@ def test_a_metric_that_is_not_positive_fails_the_certificate(torus24, torus24_se
     assert abs(ident.volume_identity) <= 1e-12
 
 
+def test_certify_takes_c_prime_from_the_loop(monkeypatch, sphere16, antipodal_section16):
+    # the loop's final Newton system already derived c': certifying evaluates the nonlinearity
+    # once, for the identities, and reports the c' that the state implies, bit for bit
+    spec = ProblemSpec(sphere16, antipodal_section16, 8.0, EquationKind.EINSTEIN_BOGOMOLNYI,
+                       1.0 / 16.0)
+    loop = solvers._newton_loop(initial_state(spec), SolverConfig())
+    assert loop.failure is None
+    expected = solvers._certify(replace(loop, c_prime=None), spec.alpha, None).to_dict()
+    assert expected["c_prime"] == loop.state.c_prime
+    calls, kernel = [], equations._nonlinearity
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(equations, "_nonlinearity", counted)
+    report = solvers._certify(loop, spec.alpha, None)
+    assert len(calls) == 1
+    assert report.to_dict() == expected
+
+
 def test_gauss_bonnet_holds_off_solutions(sphere16, antipodal_section16):
     # the spectral Laplacian integrates to zero: Gauss-Bonnet certifies nothing
     spec = ProblemSpec(sphere16, antipodal_section16, 8.0, EquationKind.EINSTEIN_BOGOMOLNYI,
