@@ -211,11 +211,11 @@ class SurfaceGrid:
         return 2 - 2 * self.genus
 
     @property
-    def quarter_grid(self) -> SurfaceGrid:
-        """The resolution // 4 grid of a sequenced solve's coarse stage: built once, read-only."""
-        if "_quarter" not in vars(self):
-            self._quarter = SurfaceGrid(self.model, self.resolution // 4)
-        return self._quarter
+    def half_grid(self) -> SurfaceGrid:
+        """The resolution // 2 grid of a sequenced solve's coarse stage: built once, read-only."""
+        if "_half" not in vars(self):
+            self._half = SurfaceGrid(self.model, self.resolution // 2)
+        return self._half
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SurfaceGrid({self.model.value}, resolution={self.resolution})"

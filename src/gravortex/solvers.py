@@ -45,7 +45,7 @@ Every chain of Newton loops is a list of ``ProblemSpec`` stages run by one runne
 ``_run_stages``, with one predictor (``_predict``) and one failure rule: a stage is accepted on
 its residual, a failed one bisected in alpha within a budget.  A gravitating or EB solve poses
 each stage as a ``dataclasses.replace`` of its target (``_solve_coupled``): on data that pass
-the gate at alpha > 0 and a grid of resolution >= 48, the target on the quarter grid and then
+the gate at alpha > 0 and a grid of resolution >= 48, the target on the half grid and then
 on its own (Deuflhard, 2004); else, or on failure, the vortex anchor at alpha = 0, then alpha/4,
 alpha/2, 3 alpha/4 and alpha (Allgower & Georg, 2003).  A sweep row is one stage.  Only the final
 state is certified.  ``ProblemSpec`` validates the coupling, so a bad alpha is rejected before
@@ -99,7 +99,7 @@ _ETA_MAX = 0.1
 # number of failed attempts bisected, over the whole continuation, before it stalls
 _ALPHA_STEPS = 4
 _MAX_STEP_HALVINGS = 10
-# grid sequencing: a solve at alpha > 0 on a grid this fine or finer starts on its quarter grid
+# grid sequencing: a solve at alpha > 0 on a grid this fine or finer starts on its half grid
 _SEQUENCED_RESOLUTION = 48
 
 
@@ -603,7 +603,7 @@ def _solve_coupled(target: ProblemSpec, config: SolverConfig) -> tuple[FieldStat
     gate = _existence_gate(section, tau, alpha)
     steps = 0
     if gate is None and alpha > 0.0 and target.grid.resolution >= _SEQUENCED_RESOLUTION:
-        cgrid = target.grid.quarter_grid
+        cgrid = target.grid.half_grid
         csection = build_section(cgrid, section.divisor)
         reached, loop = _run_stages([replace(target, grid=cgrid, section=csection), target], config)
         if loop.failure is None:
@@ -634,7 +634,7 @@ def solve_gravitating(
     """Solve the gravitating system through stage lists (``_solve_coupled``).
 
     Data that pass the existence gate at alpha > 0, on a grid of resolution >= 48, run alpha on
-    the quarter grid, then on the grid.  Else, or on failure, the vortex solution (v = 0) anchors
+    the half grid, then on the grid.  Else, or on failure, the vortex solution (v = 0) anchors
     the stages alpha/4, alpha/2, 3 alpha/4 and alpha (c = chi - 2*alpha*tau*N), failed stages
     bisected.  The last certified state is reported; the report's c' is derived from it.
     """

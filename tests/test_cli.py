@@ -540,7 +540,7 @@ def test_solve_record_names_the_coarse_grid(capsys):
         assert code == 0
         records.append(json.loads(out))
         records[-1]["wall_time"] = 0.0
-    assert records[0]["report"]["coarse_resolution"] == 16
+    assert records[0]["report"]["coarse_resolution"] == 32
     assert json.dumps(records[0], sort_keys=True) == json.dumps(records[1], sort_keys=True)
 
 

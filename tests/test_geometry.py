@@ -426,15 +426,15 @@ def test_geodesic_distances():
     )
 
 
-def test_the_quarter_grid_is_built_once_and_read_only():
+def test_the_half_grid_is_built_once_and_read_only():
     for model, resolution in (("sphere", 49), ("torus", 64)):
         grid = build_grid(model, resolution)
-        quarter = grid.quarter_grid
-        assert quarter.model is grid.model and quarter.resolution == resolution // 4
-        assert grid.quarter_grid is quarter
+        half = grid.half_grid
+        assert half.model is grid.model and half.resolution == resolution // 2
+        assert grid.half_grid is half
         with pytest.raises(AttributeError):
-            grid.quarter_grid = build_grid(model, resolution // 4)
-        assert grid.quarter_grid is quarter
+            grid.half_grid = build_grid(model, resolution // 2)
+        assert grid.half_grid is half
 
 
 def test_build_grid_validation():

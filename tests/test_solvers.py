@@ -1197,7 +1197,7 @@ def _loop_grids(monkeypatch):
 
 
 def _assert_not_sequenced(grids, state):
-    """No Newton loop was posed on the quarter grid: every one ran on the state's grid."""
+    """No Newton loop was posed on the half grid: every one ran on the state's grid."""
     assert grids and all(grid is state.spec.grid for grid in grids)
 
 
@@ -1220,15 +1220,15 @@ def _count_newton_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("solve,coarse,max_steps", [
-    (_eb_case(48, 1, 8.0), 12, 11), (_eb_case(48, 2, 12.0), 12, 11), (_torus_case(64), 16, 6),
-    (_torus_case(48), 12, 7)],
+    (_eb_case(48, 1, 8.0), 24, 11), (_eb_case(48, 2, 12.0), 24, 11), (_torus_case(64), 32, 6),
+    (_torus_case(48), 24, 7)],
     ids=["eb-l48-m1", "eb-l48-m2", "torus-n64-gravitating", "torus-n48-gravitating"])
 def test_sequenced_solve_matches_the_cold_solve(monkeypatch, solve, coarse, max_steps):
     cold, cold_report = _cold(monkeypatch, solve)
     steps = _count_newton_steps(monkeypatch)
     grids = _loop_grids(monkeypatch)
     state, report = solve()
-    assert grids == [state.spec.grid.quarter_grid, state.spec.grid]
+    assert grids == [state.spec.grid.half_grid, state.spec.grid]
     assert report.converged and cold_report.converged
     assert report.coarse_resolution == coarse and cold_report.coarse_resolution is None
     assert report.iterations == len(steps) <= max_steps  # Newton steps on both grids
@@ -1247,12 +1247,12 @@ def test_the_coarse_stage_starts_at_alpha(monkeypatch):
     monkeypatch.setattr(solvers, "_newton_loop",
                         lambda state, config: starts.append(state) or newton_loop(state, config))
     _, report = solve_gravitating(grid, section, 6.0, 0.035)
-    assert report.converged and report.coarse_resolution == 16
+    assert report.converged and report.coarse_resolution == 32
     # one coarse loop at the target coupling, then the fine loop: no anchor, no targets
     coarse, fine = starts
     assert coarse.spec.alpha == fine.spec.alpha == 0.035
-    assert coarse.spec.grid is grid.quarter_grid and fine.spec.grid is grid
-    # the coarse loop starts from initial_state of the target posed on the quarter grid
+    assert coarse.spec.grid is grid.half_grid and fine.spec.grid is grid
+    # the coarse loop starts from initial_state of the target posed on the half grid
     start = initial_state(coarse.spec)
     assert coarse.spec.kind is EquationKind.GRAVITATING
     assert np.array_equal(coarse.f.values, start.f.values)
@@ -1266,7 +1266,7 @@ def test_a_failed_coarse_stage_falls_back_along_the_fixed_targets(monkeypatch):
 
     def fail_coarse(state, config):
         loops.append(state.spec)
-        if state.spec.grid is grid.quarter_grid:
+        if state.spec.grid is grid.half_grid:
             return solvers._LoopResult(state, 1, 1.0, FailureReason.MAX_ITERS, "forced")
         return newton_loop(state, config)
 
@@ -1319,7 +1319,7 @@ def test_sequencing_leaves_the_alpha_zero_anchor_for_warm_starts():
     assert anchor.spec.kind is EquationKind.GRAVITATING and not anchor.v.values.any()
     warm, warm_report = advance_gravitating(anchor, 0.01)
     cold, cold_report = solve_gravitating(grid, section, 6.0, 0.01)
-    assert warm_report.converged and cold_report.coarse_resolution == 16
+    assert warm_report.converged and cold_report.coarse_resolution == 32
     assert np.max(np.abs(warm.f.values - cold.f.values)) < 1e-9
 
 
@@ -1349,8 +1349,8 @@ def test_the_fine_grid_certifies_the_prolonged_coarse_solution(monkeypatch):
 
     monkeypatch.setattr(solvers, "_newton_loop", spy)
     _, report = _eb_case(48, 1, 8.0)()
-    assert report.converged and report.coarse_resolution == 12
-    assert all(s.spec.grid.resolution == 12 for s, _ in starts[:-1])
+    assert report.converged and report.coarse_resolution == 24
+    assert all(s.spec.grid.resolution == 24 for s, _ in starts[:-1])
     fine_start, fine_steps = starts[-1]
     assert fine_start.spec.grid.resolution == 48
     # negative: the prolonged coarse solution alone misses the fine stopping test
@@ -1360,7 +1360,42 @@ def test_the_fine_grid_certifies_the_prolonged_coarse_solution(monkeypatch):
     assert report.final_residual <= SolverConfig().newton_tol
 
 
-@pytest.mark.parametrize("failing_grid", [12, 48], ids=["coarse", "fine"])
+def _loop_steps(monkeypatch):
+    """(grid resolution, Newton steps) of every Newton loop run from here on."""
+    loops, newton_loop = [], solvers._newton_loop
+
+    def spy(state, config):
+        out = newton_loop(state, config)
+        loops.append((state.spec.grid.resolution, out.iterations))
+        return out
+
+    monkeypatch.setattr(solvers, "_newton_loop", spy)
+    return loops
+
+
+def test_the_half_grid_solution_certifies_on_the_torus_without_a_fine_step(monkeypatch):
+    # the prolonged n = 32 solution already meets newton_tol on n = 64
+    loops = _loop_steps(monkeypatch)
+    state, report = _torus_case(64)()
+    assert report.converged and report.coarse_resolution == 32
+    assert loops[0][0] == 32 and loops[1] == (64, 0) and len(loops) == 2
+    assert report.iterations == loops[0][1]
+    # certified on n = 64: the residual and the identities are those of the n = 64 state
+    assert state.spec.grid.resolution == 64
+    _, sup = solvers._NewtonSystem(state.spec, state.f.values, state.v.values).residual_vector()
+    assert report.final_residual == sup <= SolverConfig().newton_tol
+    assert report.identity == equations.identity_report(state)
+
+
+def test_the_half_grid_start_saves_fine_steps_on_the_sphere(monkeypatch):
+    # EB m = 2, tau = 12 at L = 48: at most 2 steps on L = 48 from the prolonged L = 24 solution
+    loops = _loop_steps(monkeypatch)
+    _, report = _eb_case(48, 2, 12.0)()
+    assert report.converged and report.coarse_resolution == 24
+    assert [r for r, _ in loops] == [24, 48] and loops[1][1] <= 2
+
+
+@pytest.mark.parametrize("failing_grid", [24, 48], ids=["coarse", "fine"])
 def test_a_failed_stage_gives_exactly_the_cold_report(monkeypatch, failing_grid):
     solve = _eb_case(48, 1, 8.0)
     cold, cold_report = _cold(monkeypatch, solve)
@@ -1381,7 +1416,7 @@ def test_a_failed_stage_gives_exactly_the_cold_report(monkeypatch, failing_grid)
     # the fallback starts at the vortex anchor on the target grid; the steps run before it count
     fallback = next(k for k, (spec, _) in enumerate(loops)
                     if spec.grid.resolution == 48 and spec.kind is EquationKind.VORTEX)
-    assert fallback == (1 if failing_grid == 12 else 2)
+    assert fallback == (1 if failing_grid == 24 else 2)
     sequenced = sum(steps for _, steps in loops[:fallback])
     assert report.iterations == cold_report.iterations + sequenced
     assert report.iterations == sum(steps for _, steps in loops)
@@ -1446,10 +1481,10 @@ def test_sequenced_eb_prolongs_f_alone(monkeypatch):
     monkeypatch.setattr(solvers, "prolong",
                         lambda values, *grids: rows.append(values.shape) or real(values, *grids))
     _, report = _eb_case(48, 1, 8.0)()
-    assert report.converged and report.coarse_resolution == 12
-    assert rows == [(build_grid("sphere", 12).n_nodes,)]  # one row: EB's v is not an unknown
+    assert report.converged and report.coarse_resolution == 24
+    assert rows == [(build_grid("sphere", 24).n_nodes,)]  # one row: EB's v is not an unknown
     _, report = _torus_case(64)()
-    assert report.converged and rows[1] == (2, build_grid("torus", 16).n_nodes)
+    assert report.converged and rows[1] == (2, build_grid("torus", 32).n_nodes)
 
 
 def _stage_changes(monkeypatch, solve, target):
@@ -1499,7 +1534,7 @@ def test_every_stage_poses_the_target(monkeypatch):
     ids=["torus-n64", "sphere-l48"])
 def test_data_that_fail_the_degree_bound_are_not_sequenced(monkeypatch, model, resolution,
                                                            points, mults, tau, alpha):
-    # sequenced through the quarter grid, these data would certify collapse artefacts
+    # sequenced through the half grid, these data would certify collapse artefacts
     grid = build_grid(model, resolution)
     section = build_section(grid, Divisor(points, mults))
     assert not stability.bradlow_check(section.divisor.total_degree, tau)
@@ -1577,12 +1612,12 @@ def test_an_iterate_beyond_the_divergence_guard_reports_divergence():
 
 
 def test_eb_antipodal_at_l192_certifies_against_the_radial_oracle():
-    # with the forcing floor above eta_max the fine loop from the prolonged L=48 solution
+    # with the forcing floor above eta_max the fine loop from a prolonged L=48 solution
     # stalled at 2.2e-10, and the cold fallback then failed after 178 steps
     grid = build_grid("sphere", 192)
     section = build_section(grid, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1)))
     _, report = solve_eb(grid, section, 8.15)
-    assert report.converged and report.coarse_resolution == 48
+    assert report.converged and report.coarse_resolution == 96
     assert report.iterations <= 30
     radial = solve_eb_radial(8.15, 1, 1, log_scale=section.normalization)
     assert radial.converged
