@@ -32,10 +32,10 @@ from typing import Optional
 from . import __version__
 from .equations import conformal_exponent, metric_density, scalar_curvature
 from .equations import identity_report  # noqa: F401  (perfbench/tracer.py patches this binding)
-from .geometry import POINT_AT_INFINITY, SurfaceGrid, build_grid
+from .geometry import POINT_AT_INFINITY, SurfaceGrid, _is_int, build_grid
 from .sections import Divisor, SectionData, build_section
 from .solvers import SolverConfig, advance_gravitating, solve_eb, solve_gravitating, solve_vortex
-from .stability import classify_divisor, existence_oracle, sigma_range, sigma_slope
+from .stability import _frac, classify_divisor, existence_oracle, sigma_range, sigma_slope
 
 _SOLVE_KINDS = {
     "vortex": "SolveVortex",
@@ -64,16 +64,12 @@ class ConfigError(Exception):
 
 
 def _as_fraction(value, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ConfigError(path, "expected a number")
-    try:
-        if isinstance(value, str):
-            return Fraction(value.strip())
-        if isinstance(value, (int, float)):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
+    try:  # the one reader of exact numbers, its errors as ConfigError on ``path``
+        return _frac(value)
+    except TypeError:
+        raise ConfigError(path, "expected a number") from None
+    except (ValueError, ZeroDivisionError):
         raise ConfigError(path, f"cannot parse {value!r} as a number") from None
-    raise ConfigError(path, "expected a number")
 
 
 def _canonical_real(value, path: str):
@@ -96,7 +92,7 @@ def parse_real(value, path: str) -> float:
 
 
 def _expect_int(value, path: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ConfigError(path, "expected an integer")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {minimum}")
@@ -115,13 +111,14 @@ def _block(data: dict, name: str, allowed) -> dict:
 
 
 def _set_path(data: dict, path: str, value) -> None:
-    """Set the entry at the dotted ``path``, creating the objects on the way."""
+    """Set the entry at the dotted ``path``, creating the objects on the way (ConfigError on
+    the first block on the way that is not one)."""
     *blocks, key = path.split(".")
     node = data
-    for block in blocks:
+    for i, block in enumerate(blocks):
         node = node.setdefault(block, {})
         if not isinstance(node, dict):
-            raise ConfigError(path, "path does not address an object")
+            raise ConfigError(".".join(blocks[: i + 1]), "expected an object")
     node[key] = value
 
 
@@ -173,10 +170,11 @@ def _triple(value, path: str) -> tuple:
     return tuple(_expect_int(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _path_string(value, path: str) -> str:
+def _path_string(value, path: str, nullable: bool = False) -> Optional[str]:
+    if value is None and nullable:
+        return None
     if not isinstance(value, str):
-        raise ConfigError(path, "expected a path string" if value is None
-                          else "expected a path string or null")
+        raise ConfigError(path, "expected a path string" + (" or null" if nullable else ""))
     return value
 
 
@@ -196,8 +194,8 @@ _FORMAT = {
     "genus": ("genus", lambda v, p: _expect_int(v, p, 0)),
     "triple": ("triple", _nullable(_triple)),
     "sigma": ("sigma", _nullable(_canonical_real)),
-    "output.record_path": ("record_path", _nullable(_path_string)),
-    "output.fields_csv": ("fields_csv", _nullable(_path_string)),
+    "output.record_path": ("record_path", lambda v, p: _path_string(v, p, nullable=True)),
+    "output.fields_csv": ("fields_csv", lambda v, p: _path_string(v, p, nullable=True)),
     "output.summary_csv": ("summary_csv", _path_string),
 }
 
@@ -410,9 +408,8 @@ def run(config: RunConfig) -> dict:
                         raise ConfigError("alpha", f"{reason}; leave alpha at 0")
                     state, report = (solve_eb if eb else solve_vortex)(grid, section, tau,
                                                                        config.solver)
-            except ValueError as exc:  # solve_eb rejects the torus, then N >= tau/2
-                field = "config" if config.command != "SolveEB" else (
-                    "tau" if config.surface_model == "sphere" else "surface.model")
+            except ValueError as exc:  # solve_eb rejects the torus
+                field = "surface.model" if config.command == "SolveEB" else "config"
                 raise ConfigError(field, str(exc)) from None
             if fields is not None:
                 _dump_fields(state, fields)
@@ -488,9 +485,6 @@ def _load_config(args, command: str) -> RunConfig:
             raise ConfigError("--config", f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("--config", "expected a JSON object")
-    for key in ("surface", "output"):  # the blocks that flags write into
-        if key in data and not isinstance(data[key], dict):
-            raise ConfigError(key, "expected an object")
 
     flags = {path: value for path, value in vars(args).items()
              if path in _FORMAT and value is not None}

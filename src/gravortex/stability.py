@@ -72,10 +72,13 @@ def topological_constant(chi: int, alpha: RationalLike, tau: RationalLike, n: in
 
 
 def eb_coupling(tau: RationalLike, n: int) -> Fraction:
-    """The coupling alpha = 1/(tau*N) that makes c vanish at genus 0."""
+    """The coupling alpha = 1/(tau*N) that makes c vanish at genus 0; needs tau > 0, N >= 1."""
     if n < 1:
         raise ValueError("degree must be a positive integer")
-    return 1 / (_frac(tau) * int(n))
+    t = _frac(tau)
+    if t <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return 1 / (t * int(n))
 
 
 def alpha_star(genus: int, tau: RationalLike, n: int) -> Fraction:

@@ -137,6 +137,21 @@ def test_config_field_validation_paths():
         assert err.value.path == f"{block}.{key}"
 
 
+def test_malformed_entries_name_their_path():
+    for data, path, message in [
+        ([1, 2], "config", "expected a JSON object"),
+        ({"command": "SweepAlpha", "alpha_values": 0.1}, "alpha_values", "expected a list"),
+        ({"command": "Triple", "triple": [1, 2, 3]}, "triple", "expected [n1, n2, d1, d2]"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(data)
+        assert (err.value.path, err.value.message) == (path, message)
+
+
+def test_set_reads_text_that_is_not_json_as_a_string():
+    args = _build_parser().parse_args(["solve", "--set", "surface.model=sphere"])
+    assert _load_config(args, "SolveVortex").surface_model == "sphere"
+
 def test_default_config_construction():
     config = RunConfig(command="Classify")
     assert config.surface_model == "torus"
@@ -354,6 +369,18 @@ def test_solve_fields_csv(capsys, tmp_path):
     assert len(rows) == 1 + 16 * 16
     assert float(rows[1][4]) == 1.0  # vortex background density
 
+
+def test_fields_csv_writes_nan_curvature_where_the_metric_is_undefined(capsys, monkeypatch,
+                                                                       tmp_path):
+    def undefined(state):
+        raise ValueError("conformal density 1 - Delta v is not positive")
+
+    monkeypatch.setattr(cli, "conformal_exponent", undefined)
+    out_csv = tmp_path / "fields.csv"
+    code, _, _ = _run(capsys, ["solve", *_TORUS, "--fields-csv", str(out_csv)])
+    assert code == 0
+    rows = list(csv.reader(out_csv.open()))[1:]
+    assert len(rows) == 8 * 8 and all(row[5] == "nan" for row in rows)
 
 def test_solve_record_file_round_trip(capsys, tmp_path):
     record_path = tmp_path / "record.json"
@@ -646,16 +673,16 @@ def test_vortex_subcommand_rejects_explicit_alpha(capsys):
     assert json.loads(err)["error"]["field"] == "alpha"
 
 
-def test_eb_below_degree_bound_names_tau(capsys):
-    # N = 2 is not below tau/2 = 1: the error names tau, not the whole config
+def test_eb_below_degree_bound_exits_two_with_its_record(capsys):
+    # N = 2 is not below tau/2 = 1: the solve runs, and its record quotes the oracle's verdict
     code, out, err = _run(capsys, [
         "solve", "--kind", "eb", "--model", "sphere", "--resolution", "8",
         "--tau", "2", "--set", 'divisor=[[0,0,1],["inf",1]]',
     ])
-    assert code == 1 and out == ""
-    error = json.loads(err)["error"]
-    assert error["field"] == "tau"
-    assert "N < tau/2" in error["message"]
+    assert code == 2 and err == ""
+    report = json.loads(out)["report"]
+    assert not report["converged"] and report["coarse_resolution"] is None
+    assert report["message"].startswith("Theorem 3.6: degree bound fails (N=2 >= 1.0)")
 
 
 def test_eb_on_torus_names_surface_model(capsys):
@@ -718,6 +745,42 @@ def test_input_checks_name_their_field(capsys, argv, field):
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["field"] == field
 
+
+@pytest.mark.parametrize("config,argv,field", [
+    (None, ["--set", "solver=5"], "solver"),
+    (None, ["--model", "sphere", "--set", "surface.model.x=1"], "surface.model"),
+    # a flag (_TORUS's --model, --record) writes into a block of the config file
+    ('{"surface": 5}', [], "surface"),
+    ('{"output": "r.json"}', ["--record", "r.json"], "output"),
+], ids=["solver", "through-a-string", "surface-file", "output-file"])
+def test_a_block_that_is_not_an_object_is_named(capsys, tmp_path, config, argv, field):
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "run.json")]
+    code, out, err = _run(capsys, ["solve", *_TORUS, *argv])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {"field": field, "message": "expected an object"}
+
+
+@pytest.mark.parametrize("argv,field,accepted", [
+    (["sweep", "--alphas", "0", "--set", "output.summary_csv=5"], "output.summary_csv",
+     "a path string"),
+    (["sweep", "--alphas", "0", "--set", "output.summary_csv=null"], "output.summary_csv",
+     "a path string"),
+    (["solve", "--set", "output.record_path=5"], "output.record_path", "a path string or null"),
+    (["solve", "--set", "output.fields_csv=5"], "output.fields_csv", "a path string or null"),
+], ids=["summary-number", "summary-null", "record-number", "fields-number"])
+def test_output_path_errors_say_what_their_path_accepts(capsys, argv, field, accepted):
+    code, out, err = _run(capsys, [*argv, *_TORUS])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {"field": field, "message": f"expected {accepted}"}
+
+
+def test_triple_with_a_zero_rank_names_the_triple(capsys):
+    code, out, err = _run(capsys, ["triple", "--triple", "0,1,2,3"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {"field": "triple",
+                                        "message": "ranks must be positive, got (0, 1, 2, 3)"}
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
                          ids=["missing", "not-json", "not-an-object"])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gravortex import radial
 from gravortex.radial import (
     RadialEBSolution,
     chebyshev_lobatto,
@@ -282,3 +283,11 @@ def test_radial_solver_names_an_invalid_argument(monkeypatch, name, value):
 
 def test_radial_solver_takes_a_numpy_integer_mode_count():
     assert solve_eb_radial(8.0, 1, 1, n_modes=np.int64(64)).converged
+
+
+def test_each_radial_stage_stops_at_its_iteration_budget(monkeypatch):
+    # tau = 8 converges in 6 iterations of the direct stage; on a budget of 2 per stage the
+    # direct stage and the alpha = 0 stage of the ramp behind it each spend 2, and the ramp stops
+    monkeypatch.setattr(radial, "_MAX_ITERS", 2)
+    sol = solve_eb_radial(8.0, 1, 1)
+    assert not sol.converged and sol.iterations == 4

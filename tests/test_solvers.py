@@ -934,8 +934,8 @@ def test_gravitating_coupling_must_be_finite(monkeypatch, torus24, torus24_secti
 def test_eb_rejects_a_non_positive_tau_before_any_newton_loop(monkeypatch, sphere16, tau):
     section = build_section(sphere16, Divisor(((0.0, 0.0), POINT_AT_INFINITY), (1, 1)))
     _no_newton_loop(monkeypatch)
-    # the degree bound N < tau/2 is checked before the EB coupling 1/(tau N) is formed
-    with pytest.raises(ValueError, match=r"^solve_eb requires N < tau/2 "):
+    # the EB coupling 1/(tau N) is formed only for tau > 0
+    with pytest.raises(ValueError, match=rf"^tau must be positive, got {tau}$"):
         solve_eb(sphere16, section, tau)
 
 
@@ -955,13 +955,23 @@ def test_gravitating_anchor_failure_is_the_vortex_report(torus24, torus24_sectio
     assert np.all(state.v.values == 0.0)
 
 
-def test_eb_requires_sphere_and_bound(torus24, torus24_section, sphere16):
-    with pytest.raises(ValueError):
-        solve_eb(torus24, torus24_section, 2.5)
+def test_eb_requires_the_sphere_and_reports_the_degree_bound(monkeypatch, torus24,
+                                                             torus24_section, sphere16):
+    with monkeypatch.context() as patch:
+        _no_newton_loop(patch)
+        with pytest.raises(ValueError,
+                           match="^the Einstein-Bogomol'nyi equation lives on the sphere$"):
+            solve_eb(torus24, torus24_section, 2.5)
     divisor = Divisor(points=((0.0, 0.0), POINT_AT_INFINITY), multiplicities=(1, 1))
     section = build_section(sphere16, divisor)
-    with pytest.raises(ValueError):
-        solve_eb(sphere16, section, 4.0)  # N = 2 = tau/2 fails strictly
+    # N = 2 >= tau/2 (at tau = 4 the strict bound fails on equality): no solution, by the
+    # oracle's verdict, which the solve reports as solve_vortex reports Theorem 3.2
+    for tau in (2.0, 3.0, 4.0):
+        _, report = solve_eb(sphere16, section, tau)
+        assert not report.converged and report.coarse_resolution is None
+        assert report.alpha_reached == 0.0
+        assert report.message.startswith(f"Theorem 3.6: degree bound fails (N=2 >= {tau / 2})")
+        assert report.message.count("degree bound") == 1
 
 
 def test_eb_converges_on_polystable_divisor(sphere24, antipodal_section24):

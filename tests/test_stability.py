@@ -153,6 +153,12 @@ def test_eb_coupling_exact():
         eb_coupling(8, 0)
 
 
+@pytest.mark.parametrize("tau", [0, -8, "-1/2"])
+def test_eb_coupling_needs_a_positive_tau(tau):
+    # 1/(tau N) is no coupling at tau = 0, and a negative one is no EB coupling
+    with pytest.raises(ValueError, match=f"^tau must be positive, got {tau}$"):
+        eb_coupling(tau, 2)
+
 def test_alpha_star_exact():
     assert alpha_star(2, 4, 1) == Fraction(1, 4)
     assert alpha_star(3, 6, 2) == Fraction(1, 3)
